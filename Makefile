@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-micro bench-ci bench-1m bench-history bench-baseline bench-check scaling scaling-ci obs-demo storm-demo serve-demo clean
+.PHONY: build test race vet bench bench-micro bench-e2e bench-ci bench-1m bench-history bench-baseline bench-check scaling scaling-ci obs-demo storm-demo serve-demo clean
 
 build:
 	$(GO) build ./...
@@ -20,10 +20,17 @@ bench:
 # Micro-benchmarks with allocation reporting: the hot-path contracts
 # (zero allocs on Send/dispatch) regress loudly here.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkSend$$|BenchmarkSendAsync$$' -benchtime 200000x -benchmem ./internal/congest
+	$(GO) test -run '^$$' -bench 'BenchmarkSend$$|BenchmarkSendAsync$$|BenchmarkDeliverScattered$$' -benchtime 200000x -benchmem ./internal/congest
 	$(GO) test -run '^$$' -bench BenchmarkNewNetwork -benchtime 200x -benchmem ./internal/congest
 	$(GO) test -run '^$$' -bench BenchmarkBuildMST -benchtime 10x -benchmem ./internal/mst
 	$(GO) test -run '^$$' -bench BenchmarkRepairStorm -benchtime 10x -benchmem ./internal/harness
+
+# End-to-end wall-clock ledger: three runs of every bench/ workload
+# (round-robin, each in a fresh process) plus one traced run each for the
+# per-layer split, written to BENCH_e2e.json. Takes about seven minutes on
+# a 2-vCPU host; see bench/README.md for the metrics.
+bench-e2e:
+	bash bench/run.sh --reps 3 --traced --out BENCH_e2e.json
 
 # Short-mode CI bench job: micro-benchmarks plus a 1-trial sweep of the
 # full suite — including the 100k-node and 50k-node scale scenarios, but

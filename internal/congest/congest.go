@@ -138,6 +138,27 @@ func (ns *NodeState) edgePos(neighbor NodeID) int {
 	return -1
 }
 
+// linkLive reports whether the link m travelled still exists at delivery.
+// Messages sent after the latest deletion (seq above the watermark) skip
+// the search: their link existed at send time and nothing has removed a
+// link since. Older messages fall back to the search, so a link deleted
+// and re-inserted while the message was in flight still delivers it.
+func linkLive(node *NodeState, m *Message, watermark uint64) bool {
+	return m.seq > watermark || node.edgePos(m.From) >= 0
+}
+
+// warmNode is one step of the delivery warm pass: before a batch's
+// handlers run, a tight loop of independent loads touches every
+// destination's NodeState and first half-edge, so the CPU overlaps the
+// cache misses the handlers would otherwise take one at a time. Callers
+// add the sum to a field, which keeps the loads live.
+func warmNode(ns *NodeState) uint64 {
+	if len(ns.Edges) > 0 {
+		return uint64(ns.Edges[0].Neighbor)
+	}
+	return 0
+}
+
 // EdgeTo returns the half-edge toward the given neighbour, or nil.
 func (ns *NodeState) EdgeTo(neighbor NodeID) *HalfEdge {
 	i := ns.edgePos(neighbor)
@@ -304,6 +325,13 @@ type Network struct {
 	quiescent      []SessionID
 	quiescentSpare []SessionID
 	nextSeq        uint64
+	// lastDeleteSeq is the delivery watermark, nextSeq as of the latest
+	// DeleteLink (see linkLive). Exact because send panics on a missing
+	// link and only DeleteLink removes one.
+	lastDeleteSeq uint64
+	// warmSink accumulates the batch warm pass's loads (see warmNode), so
+	// the compiler cannot discard them.
+	warmSink uint64
 
 	// fifoTomb preserves per-directed-link FIFO state (HalfEdge.lastSched)
 	// across a link delete/reinsert, so the fold of the old lastOn map
@@ -950,6 +978,7 @@ func (nw *Network) DeleteLink(a, b NodeID) (existed, wasMarked bool) {
 	wasMarked = he.Marked
 	nw.removeHalf(a, b)
 	nw.removeHalf(b, a)
+	nw.lastDeleteSeq = nw.nextSeq
 	return true, wasMarked
 }
 

@@ -2,6 +2,8 @@ package congest
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"kkt/internal/graph"
@@ -262,25 +264,101 @@ func TestAsyncDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestDeleteLinkDropsInFlight pins the delivery-time liveness rule on
+// every engine path: a message whose link was deleted in flight is
+// dropped, one whose link came back before delivery is not, and the
+// deletion watermark never lets a stale message through — including on
+// shard views, whose own copy of the network dates from Run start.
 func TestDeleteLinkDropsInFlight(t *testing.T) {
-	nw := buildNet(t, 2)
-	delivered := false
-	nw.RegisterHandler(Kind("d"), func(nw *Network, node *NodeState, msg *Message) {
-		delivered = true
-	})
-	nw.Spawn("driver", func(p *Proc) error {
-		sid := nw.NewSession(nil)
-		nw.Send(1, 2, Kind("d"), sid, 8, nil)
-		nw.DeleteLink(1, 2) // deleted while in flight
-		p.AwaitQuiescence()
-		nw.CompleteSession(sid, nil, nil)
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
+	defer func(min int) { shardMinBatch = min }(shardMinBatch)
+	shardMinBatch = 0 // sharded cases: even one-message batches reach the workers
+	type link = [2]NodeID
+	cases := []struct {
+		name  string
+		drive func(nw *Network, p *Proc, send func(from, to NodeID))
+		want  []link // delivered (from, to), by destination then arrival
+	}{
+		{
+			name: "deleted-in-flight",
+			drive: func(nw *Network, p *Proc, send func(from, to NodeID)) {
+				send(1, 2)
+				nw.DeleteLink(1, 2)
+			},
+		},
+		{
+			name: "delete-then-reinsert",
+			drive: func(nw *Network, p *Proc, send func(from, to NodeID)) {
+				send(1, 2)
+				nw.DeleteLink(1, 2)
+				if err := nw.InsertLink(1, 2, 1); err != nil {
+					t.Error(err)
+				}
+			},
+			want: []link{{1, 2}},
+		},
+		{
+			name: "sent-after-unrelated-delete",
+			drive: func(nw *Network, p *Proc, send func(from, to NodeID)) {
+				nw.DeleteLink(3, 4)
+				send(1, 2)
+				send(3, 2)
+			},
+			want: []link{{1, 2}, {3, 2}},
+		},
+		{
+			name: "delete-mid-run",
+			drive: func(nw *Network, p *Proc, send func(from, to NodeID)) {
+				send(1, 2)
+				send(2, 3)
+				send(3, 4)
+				p.AwaitQuiescence()
+				send(1, 2)
+				send(3, 4)
+				nw.DeleteLink(3, 4)
+				send(2, 3)
+			},
+			want: []link{{1, 2}, {1, 2}, {2, 3}, {2, 3}, {3, 4}},
+		},
 	}
-	if delivered {
-		t.Error("message delivered over deleted link")
+	modes := []struct {
+		name string
+		opts []Option
+	}{
+		{"sync", nil},
+		{"async", []Option{WithAsync(4), WithSeed(3)}},
+	}
+	kind := Kind("deletetest.d")
+	for _, mode := range modes {
+		for _, shards := range []int{1, 2} {
+			for _, tc := range cases {
+				t.Run(fmt.Sprintf("%s/shards%d/%s", mode.name, shards, tc.name), func(t *testing.T) {
+					nw := buildNet(t, 4, append([]Option{WithShards(shards)}, mode.opts...)...)
+					// Receipts are kept per destination: shard workers own
+					// disjoint nodes, so the slices never race.
+					got := make([][]NodeID, nw.N()+1)
+					nw.RegisterHandler(kind, func(nw *Network, node *NodeState, msg *Message) {
+						got[node.ID] = append(got[node.ID], msg.From)
+					})
+					nw.Spawn("driver", func(p *Proc) error {
+						tc.drive(nw, p, func(from, to NodeID) { nw.Send(from, to, kind, 0, 8, nil) })
+						p.AwaitQuiescence()
+						return nil
+					})
+					if err := nw.Run(); err != nil {
+						t.Fatal(err)
+					}
+					var delivered []link
+					for to, froms := range got {
+						for _, from := range froms {
+							delivered = append(delivered, link{from, NodeID(to)})
+						}
+					}
+					if !reflect.DeepEqual(delivered, tc.want) {
+						t.Errorf("delivered %v, want %v", delivered, tc.want)
+					}
+				})
+			}
+		}
 	}
 }
 

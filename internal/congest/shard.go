@@ -59,6 +59,7 @@ type shardLane struct {
 	// the round; folded into shardEngine.load at the barrier so observers
 	// see per-shard work attribution without touching worker state.
 	handled  uint64
+	warmSink uint64 // the warm pass's sum (see warmNode)
 	panicked bool
 	panicVal any
 }
@@ -90,6 +91,10 @@ type shardEngine struct {
 	// load is the cumulative handled-message count per shard, folded from
 	// the lanes at each barrier alongside the counter blocks.
 	load []uint64
+	// watermark is the root's lastDeleteSeq, captured before each round's
+	// workers start. The views' own copies date from Run start, and storm
+	// drivers delete links mid-Run.
+	watermark uint64
 }
 
 // ensureShardEngine builds (or refreshes) the sharded executor at Run
@@ -137,6 +142,7 @@ func (nw *Network) deliverSharded(se *shardEngine, batch []*Message) {
 		se.sub[s] = append(se.sub[s], subMsg{m: m, idx: int32(i)})
 	}
 	se.out.Reset(len(se.lanes))
+	se.watermark = nw.lastDeleteSeq
 	se.workers.Round(se.roundFn)
 	for i := range batch {
 		batch[i] = nil // the scheduler recycles the batch slice
@@ -204,12 +210,17 @@ func (se *shardEngine) runShard(s int) {
 			l.panicked, l.panicVal = true, r
 		}
 	}()
+	var warm uint64
+	for _, sm := range sub {
+		warm += warmNode(v.nodes[sm.m.To])
+	}
+	l.warmSink += warm
 	for _, sm := range sub {
 		m := sm.m
 		l.parent = sm.idx
 		h := v.handlers[m.Kind] // non-nil: Send checks registration
 		node := v.nodes[m.To]
-		if node.edgePos(m.From) >= 0 {
+		if linkLive(node, m, se.watermark) {
 			h(v, node, m)
 			l.handled++
 		}

@@ -336,11 +336,13 @@ func pathMaxSpec(target congest.NodeID) *tree.Spec {
 				if !cr.Found {
 					continue
 				}
-				// extend the child's path by the connecting tree edge.
+				// extend the child's path by the connecting tree edge. It
+				// still exists: a marked edge is deleted only under the
+				// repair's admit claim.
 				res.Found = true
 				res.MaxComposite, res.MaxEdgeNum = cr.MaxComposite, cr.MaxEdgeNum
-				if c.Edge.Composite > res.MaxComposite {
-					res.MaxComposite, res.MaxEdgeNum = c.Edge.Composite, c.Edge.EdgeNum
+				if he := node.EdgeTo(c.From); he.Composite > res.MaxComposite {
+					res.MaxComposite, res.MaxEdgeNum = he.Composite, he.EdgeNum
 				}
 			}
 			return res

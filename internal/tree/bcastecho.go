@@ -6,10 +6,12 @@ import (
 	"kkt/internal/congest"
 )
 
-// ChildEcho is one child's aggregated echo, tagged with the connecting
-// half-edge so Combine can use the edge's weight (e.g. tree-path maxima).
+// ChildEcho is one child's aggregated echo, tagged with the child's ID.
+// A Combine that needs the connecting edge (e.g. tree-path maxima) looks
+// it up with node.EdgeTo(From); the echo itself carries no edge copy, so
+// the many Combines that ignore the edge never pay for the search.
 type ChildEcho struct {
-	Edge  congest.HalfEdge
+	From  congest.NodeID
 	Value any
 }
 
@@ -254,8 +256,7 @@ func (pr *Protocol) onUp(nw *congest.Network, node *congest.NodeState, msg *cong
 			st.acc ^= msg.U
 		}
 	} else {
-		he := node.EdgeTo(msg.From)
-		st.children = append(st.children, ChildEcho{Edge: *he, Value: msg.Payload})
+		st.children = append(st.children, ChildEcho{From: msg.From, Value: msg.Payload})
 	}
 	st.expected--
 	if st.expected == 0 {

@@ -129,7 +129,7 @@ func TestBroadcastEchoAsync(t *testing.T) {
 
 func TestBroadcastEchoChildEdgeValues(t *testing.T) {
 	// Max edge weight on the path from each node up to the root: at the
-	// root this is the max weight in the tree. Exercises ChildEcho.Edge.
+	// root this is the max weight in the tree. Exercises ChildEcho.From.
 	const n = 6
 	nw, pr := pathNet(t, n) // weights 1..n-1 along the path
 	spec := &Spec{
@@ -138,8 +138,8 @@ func TestBroadcastEchoChildEdgeValues(t *testing.T) {
 		Combine: func(node *congest.NodeState, down, local any, children []ChildEcho) any {
 			var best uint64
 			for _, c := range children {
-				if c.Edge.Raw > best {
-					best = c.Edge.Raw
+				if raw := node.EdgeTo(c.From).Raw; raw > best {
+					best = raw
 				}
 				if v := c.Value.(uint64); v > best {
 					best = v
