@@ -9,11 +9,12 @@ import (
 	"kkt/internal/faultplan"
 )
 
-// Skipped is the inline action for events whose target vanished (the edge
-// to delete no longer exists, the pair to insert is already linked). The
-// fault-plan compiler never emits such events against its own model, but
-// the queue tolerates them defensively — a hand-written plan may race
-// itself.
+// Skipped is the inline action for events that cannot apply: their target
+// vanished (the edge to delete no longer exists, the pair to insert is
+// already linked) or the network refuses them (a weight outside its raw
+// range). The fault-plan compiler never emits such events against its own
+// model, but the queue tolerates them defensively — a hand-written plan
+// may race itself.
 const Skipped = "skipped"
 
 // Claim acquires the wave-start components of the given nodes. It is a
@@ -95,7 +96,7 @@ type Stats struct {
 	// Inline counts events resolved at admission with no driver (includes
 	// Skipped).
 	Inline int
-	// Skipped counts inline events whose target had vanished.
+	// Skipped counts inline events that could not apply (see Skipped).
 	Skipped int
 	// Waves counts executed (non-empty) waves.
 	Waves int

@@ -361,11 +361,9 @@ type Network struct {
 	// nil and all operations apply directly.
 	lane *shardLane
 
-	// procFree recycles parked driver goroutines (with their channels)
-	// across spawns within one Run; allProcs lists every driver goroutine
-	// created since the pool was last drained, live counts the unfinished
-	// drivers of both models. See proc.go.
-	procFree []*Proc
+	// allProcs lists every driver goroutine spawned since the last Run
+	// teardown; live counts the unfinished drivers, goroutines and tasks
+	// alike. See proc.go.
 	allProcs []*Proc
 	live     int
 
@@ -379,7 +377,7 @@ type Network struct {
 
 	// Driver high-water marks (see DriverStats): peakProcs tracks driver
 	// goroutines ever created, peakTasks continuation tasks ever created,
-	// peakLive the maximum concurrently-unfinished drivers of both models.
+	// peakLive the maximum concurrently-unfinished drivers of both kinds.
 	// Monotone across Runs so a trial reports its true peak.
 	peakProcs int
 	peakTasks int
@@ -405,7 +403,7 @@ type Network struct {
 // one of p (goroutine driver) or t (continuation task) is set. The queue
 // is drained strictly in append order, which is what makes driver
 // scheduling — and with it session serials and every derived random draw —
-// identical across shard counts and across the two driver models.
+// identical across shard counts.
 type wakeup struct {
 	p *Proc
 	t *Task

@@ -143,38 +143,6 @@ func TestDeadlockDetectedAndUnwound(t *testing.T) {
 	}
 }
 
-func TestChildProcsAndWaitAll(t *testing.T) {
-	nw := buildNet(t, 4)
-	nw.RegisterHandler(Kind("echo2"), func(nw *Network, node *NodeState, msg *Message) {
-		nw.CompleteSession(msg.Session, int(node.ID), nil)
-	})
-	total := 0
-	nw.Spawn("parent", func(p *Proc) error {
-		var kids []*Proc
-		for i := 1; i <= 3; i++ {
-			from := NodeID(i)
-			to := NodeID(i + 1)
-			kids = append(kids, p.Go("kid", func(p *Proc) error {
-				sid := nw.NewSession(nil)
-				nw.Send(from, to, Kind("echo2"), sid, 8, nil)
-				v, err := p.Await(sid)
-				if err != nil {
-					return err
-				}
-				total += v.(int)
-				return nil
-			}))
-		}
-		return p.WaitAll(kids...)
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if total != 2+3+4 {
-		t.Errorf("total = %d, want 9", total)
-	}
-}
-
 func TestAwaitQuiescenceBarriers(t *testing.T) {
 	nw := buildNet(t, 3)
 	delivered := 0

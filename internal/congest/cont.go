@@ -4,25 +4,22 @@ import (
 	"fmt"
 )
 
-// This file is the continuation-style driver runtime: the second of the
-// engine's two driver models.
+// This file is the continuation-style driver runtime, the engine's one
+// model for per-fragment fan-out.
 //
 // A goroutine driver (Proc) is a sequential function parked on a channel
 // at every await — convenient to write, but a parked goroutine costs a
-// stack. At one driver per fragment per Borůvka phase that is the memory
-// wall at scale: ~1M parked stacks for the first phase of a 1M-node
-// build. A continuation driver is the same program written as an explicit
-// state machine (StepDriver) wrapped in a pooled Task: tens of bytes of
-// heap instead of kilobytes of stack, stepped directly on the engine
-// goroutine with no channel handoff.
+// stack. At one driver per fragment per Borůvka phase that would be the
+// memory wall at scale: ~1M parked stacks for the first phase of a
+// 1M-node build. A continuation driver is the program written as an
+// explicit state machine (StepDriver) wrapped in a pooled Task: tens of
+// bytes of heap instead of kilobytes of stack, stepped directly on the
+// engine goroutine with no channel handoff. Procs remain the phase
+// controllers that spawn and join these fan-outs.
 //
 // Scheduling is shared with goroutine drivers: spawns and session
 // completions append to the one run queue, which the engine drains in
-// order. A task therefore runs exactly where the equivalent goroutine
-// driver would have been resumed — same network-call order, same session
-// serials, same derived randomness — which is what lets seeded reports
-// stay byte-identical across the two models (and, unchanged from before,
-// across shard counts).
+// order, so seeded reports are byte-identical across shard counts.
 
 // StepDriver is the state-machine body of a continuation driver. The
 // engine calls Step once when the task starts (with a zero Wake) and once
@@ -43,15 +40,14 @@ type StepDriver interface {
 }
 
 // Task is one continuation driver: a pooled handle binding a StepDriver to
-// the engine. Tasks recycle through a per-Run free list exactly like
-// goroutine Procs do, so a warm Borůvka phase spawns its whole fan-out
-// without allocating.
+// the engine. Tasks recycle through a per-Run free list, so a warm
+// Borůvka phase spawns its whole fan-out without allocating.
 type Task struct {
 	nw *Network
 	d  StepDriver
 
-	// Tagged diagnostic name, formatted only on demand (same contract as
-	// Proc.GoTagged): the per-fragment spawn path never builds strings.
+	// Tagged diagnostic name "<prefix>-p<a>-f<b>", formatted only on
+	// demand: the per-fragment spawn path never builds strings.
 	prefix     string
 	tagA, tagB uint64
 
@@ -90,9 +86,9 @@ func (nw *Network) getTask() *Task {
 	return t
 }
 
-// spawnTask registers a continuation driver. Mirrors spawn: the done
-// session is allocated here, at spawn time, so session serials line up
-// exactly with the goroutine model's.
+// spawnTask registers a continuation driver. As with Spawn, the done
+// session is allocated here, at spawn time, so session serials follow
+// spawn order.
 func (nw *Network) spawnTask(prefix string, a, b uint64, d StepDriver) *Task {
 	t := nw.getTask()
 	t.prefix, t.tagA, t.tagB = prefix, a, b
@@ -115,15 +111,14 @@ func (nw *Network) SpawnStep(name string, d StepDriver) *Task {
 }
 
 // GoStepTagged spawns a continuation child driver named
-// "<prefix>-p<a>-f<b>" (formatted lazily). It is the continuation
-// equivalent of GoTagged: the child starts at the next scheduling
-// opportunity, in run-queue order.
+// "<prefix>-p<a>-f<b>" (formatted lazily). The child starts at the next
+// scheduling opportunity, in run-queue order.
 func (p *Proc) GoStepTagged(prefix string, a, b uint64, d StepDriver) *Task {
 	return p.nw.spawnTask(prefix, a, b, d)
 }
 
-// WaitTasks is WaitAll for continuation children: it blocks until every
-// given task has finished, returns the first non-nil error among them
+// WaitTasks joins continuation children: it blocks until every given
+// task has finished, returns the first non-nil error among them
 // (all are joined regardless), and releases the joined tasks to the spawn
 // pool.
 func (p *Proc) WaitTasks(tasks ...*Task) error {
@@ -138,9 +133,9 @@ func (p *Proc) WaitTasks(tasks ...*Task) error {
 	return first
 }
 
-// releaseTask parks a joined task in the pool. As with releaseProc, only
-// the consumer of the done session may release — anyone else could still
-// await the recycled session of a re-spawned task.
+// releaseTask parks a joined task in the pool. Only the consumer of the
+// done session may release — anyone else could still await the recycled
+// session of a re-spawned task.
 func (nw *Network) releaseTask(t *Task) {
 	if !t.finished || t.pooled {
 		return
@@ -193,7 +188,7 @@ func (nw *Network) failTask(t *Task, err error) {
 	nw.CompleteSession(t.doneSession, nil, err)
 }
 
-// drainTaskPool drops every task at Run end, mirroring drainProcPool.
+// drainTaskPool drops every task at Run end, mirroring drainProcs.
 // Tasks hold no goroutines, so draining is just forgetting them — except
 // that a task parked mid-await (the state a panic exit leaves it in) must
 // unbind itself from its session first, or the stale waiter pointer would
@@ -218,46 +213,19 @@ func (nw *Network) drainTaskPool() {
 	nw.taskFree = nw.taskFree[:0]
 }
 
-// DriverMode selects how protocol fan-outs drive their per-fragment
-// work. The zero value is the continuation model — the default
-// everywhere; the goroutine model remains for tests, small scenarios and
-// as the reference the parity tests diff against.
-type DriverMode uint8
-
-const (
-	// DriverCont runs per-fragment drivers as pooled continuation state
-	// machines stepped by the engine (no goroutine per fragment).
-	DriverCont DriverMode = iota
-	// DriverGoroutine runs one pooled goroutine per fragment driver — the
-	// pre-continuation model.
-	DriverGoroutine
-)
-
-// String implements fmt.Stringer.
-func (m DriverMode) String() string {
-	switch m {
-	case DriverCont:
-		return "continuation"
-	case DriverGoroutine:
-		return "goroutine"
-	default:
-		return fmt.Sprintf("DriverMode(%d)", uint8(m))
-	}
-}
-
 // DriverStats reports the engine's driver high-water marks, the footprint
-// gate for the continuation model: a goroutine-per-fragment build shows
-// PeakGoroutines on the order of the fragment count (each one a parked
-// stack), a continuation build shows a handful (the phase controllers)
-// with the fan-out in PeakTasks (plain heap objects). Marks are monotone
-// across Runs on the same network.
+// gate for the continuation model: a build shows a handful of
+// PeakGoroutines (the phase controllers) with the fan-out in PeakTasks
+// (plain heap objects) — never a parked stack per fragment. Marks are
+// monotone across Runs on the same network.
 type DriverStats struct {
 	// PeakGoroutines is the most driver goroutines ever created (the
 	// allProcs high-water mark, each backed by a parked OS-thread stack).
 	PeakGoroutines int
 	// PeakTasks is the most continuation tasks ever created.
 	PeakTasks int
-	// PeakLive is the most concurrently-unfinished drivers of both models.
+	// PeakLive is the most concurrently-unfinished drivers, goroutines and
+	// tasks together.
 	PeakLive int
 }
 

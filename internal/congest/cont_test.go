@@ -128,22 +128,20 @@ func (stepNop) Step(*Task, Wake) (SessionID, bool, error) { return 0, true, nil 
 
 var nopDriver stepNop
 
-// TestTaskPoolReuseWithinRun is the continuation counterpart of
-// TestPooledDriverReuseWithinRun: a second fan-out phase inside one Run
-// must reuse the first phase's Task objects entirely.
+// TestTaskPoolReuseWithinRun: a second fan-out phase inside one Run must
+// reuse the first phase's Task objects entirely.
 func TestTaskPoolReuseWithinRun(t *testing.T) {
 	g := graph.Path(2, 1, graph.UnitWeights())
 	nw := NewNetwork(g)
 	created := func() int { return len(nw.allTasks) }
 	nw.Spawn("outer", func(p *Proc) error {
-		var scratch FanoutScratch[int]
+		var tasks []*Task
 		base := 0
 		for phase := 0; phase < 3; phase++ {
-			tasks := scratch.Tasks()
+			tasks = tasks[:0]
 			for i := 0; i < 32; i++ {
 				tasks = append(tasks, p.GoStepTagged("child", uint64(phase), uint64(i), nopDriver))
 			}
-			scratch.KeepTasks(tasks)
 			if err := p.WaitTasks(tasks...); err != nil {
 				return err
 			}
@@ -171,15 +169,14 @@ func TestTaskSpawnAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
 	g := graph.Path(2, 1, graph.UnitWeights())
 	nw := NewNetwork(g)
-	var scratch FanoutScratch[int]
+	var tasks []*Task
 	wave := func() {
 		nw.Spawn("outer", func(p *Proc) error {
 			for phase := 0; phase < 2; phase++ {
-				tasks := scratch.Tasks()
+				tasks = tasks[:0]
 				for i := 0; i < 64; i++ {
 					tasks = append(tasks, p.GoStepTagged("child", uint64(phase), uint64(i), nopDriver))
 				}
-				scratch.KeepTasks(tasks)
 				if err := p.WaitTasks(tasks...); err != nil {
 					return err
 				}
@@ -203,7 +200,7 @@ type stepPanic struct{ val string }
 func (d stepPanic) Step(*Task, Wake) (SessionID, bool, error) { panic(d.val) }
 
 // TestDriverPanicParity: a panicking driver surfaces out of Run with the
-// original panic value under both driver models.
+// original panic value, whether it is a task or a goroutine driver.
 func TestDriverPanicParity(t *testing.T) {
 	catch := func(spawn func(nw *Network)) (val any) {
 		nw := buildNet(t, 2)
@@ -229,30 +226,29 @@ func TestDriverPanicParity(t *testing.T) {
 	}
 }
 
-// TestDriverPanicUnwindsBlockedDrivers: when a panic aborts a Run
-// mid-fan-out, every other parked driver goroutine must exit with the Run
-// (pending Awaits return ErrRunAborted) and the network must stay usable
-// for a fresh Run — no leaked stacks, no stale waiter pointers.
+// TestDriverPanicUnwindsBlockedDrivers: when a panic aborts a Run, every
+// other driver goroutine must exit with the Run (pending Awaits return
+// ErrRunAborted) and the network must stay usable for a fresh Run — no
+// leaked stacks, no stale waiter pointers, no stranded tasks.
 func TestDriverPanicUnwindsBlockedDrivers(t *testing.T) {
 	nw, kind := echoNet(t, 8)
 	var blockedErr error
 	run := func() (val any) {
 		defer func() { val = recover() }()
+		// Run-queue order: the first driver parks on a session nobody
+		// completes; the second spawns a task and panics while that task
+		// and the third driver still wait in the run queue, never started.
+		nw.Spawn("blocked", func(p *Proc) error {
+			sid := nw.NewSession(nil)
+			_, err := p.Await(sid)
+			blockedErr = err
+			return err
+		})
 		nw.Spawn("parent", func(p *Proc) error {
-			// One child parks on a session nobody completes (the
-			// quiescence barrier guarantees it reached its Await), one
-			// never gets scheduled (the panic fires while it waits in the
-			// run queue), then the parent panics.
-			p.Go("blocked", func(cp *Proc) error {
-				sid := nw.NewSession(nil)
-				_, err := cp.Await(sid)
-				blockedErr = err
-				return err
-			})
-			p.AwaitQuiescence()
-			p.Go("unstarted", procNop)
+			p.GoStepTagged("unstarted", 1, 1, nopDriver)
 			panic("abort mid-fanout")
 		})
+		nw.Spawn("unstarted", func(*Proc) error { return nil })
 		_ = nw.Run()
 		return nil
 	}
@@ -312,7 +308,7 @@ func TestTaskDeadlockDetectedAndUnwound(t *testing.T) {
 	}
 }
 
-// TestTaggedTaskName: lazy task names format like tagged proc names.
+// TestTaggedTaskName: lazy task names format as "<prefix>-p<a>-f<b>".
 func TestTaggedTaskName(t *testing.T) {
 	nw := buildNet(t, 2)
 	var name string

@@ -13,20 +13,20 @@
 //     further messages. This is where broadcast-and-echo, leader election,
 //     probes etc. live (package tree and friends).
 //
-//   - goroutine drivers (Proc): the sequential program an initiating node
-//     runs, e.g. FindMin's narrowing loop, written as an ordinary Go
-//     function that parks on Await. Drivers are goroutines scheduled
-//     cooperatively: at any instant either the engine or exactly one
-//     driver executes, so runs are deterministic for a fixed seed and free
-//     of data races by construction.
+//   - goroutine drivers (Proc): a sequential program written as an
+//     ordinary Go function that parks on Await — the Borůvka phase
+//     controllers and the blocking single-op repairs. Each is spawned
+//     before Run (Spawn) and scheduled cooperatively: at any instant
+//     either the engine or exactly one driver executes, so runs are
+//     deterministic for a fixed seed and free of data races by
+//     construction.
 //
-//   - continuation drivers (Task wrapping a StepDriver): the same driver
-//     programs as explicit state machines stepped by the engine with no
-//     goroutine, no channels and no parked stack. Wide fan-outs (one
-//     driver per fragment per Borůvka phase — a million at 1M nodes) use
-//     these; the Proc API remains for tests, controllers and the blocking
-//     repair paths. Both models share one run queue and one scheduling
-//     order, so they are observably identical.
+//   - continuation drivers (Task wrapping a StepDriver): driver programs
+//     as explicit state machines stepped by the engine with no goroutine,
+//     no channels and no parked stack. Every fan-out uses these — one
+//     driver per fragment per Borůvka phase, a million at 1M nodes —
+//     spawned from a Proc with GoStepTagged and joined with WaitTasks.
+//     Procs and tasks share one run queue and one scheduling order.
 //
 // Two schedulers implement the paper's two timing models: the synchronous
 // scheduler delivers in lockstep rounds (messages sent in round r arrive
@@ -45,10 +45,9 @@
 // lists, each node's neighbour index is the sorted Edges slice itself
 // (binary search, no side map), and the async scheduler is a bucketed
 // calendar queue instead of a global binary heap. Driver fan-out is
-// pooled in both models: Proc goroutines+channels and Task objects
-// recycle within one Run (WaitAll/WaitTasks release; Run teardown
-// drains), and tagged names format lazily. testing.AllocsPerRun gates in
-// this package pin all of it.
+// pooled: Task objects recycle within one Run (WaitTasks releases, Run
+// teardown drains), and tagged names format lazily. testing.AllocsPerRun
+// gates in this package pin all of it.
 //
 // Session slot recycling. A SessionID packs a recycled slot index with a
 // monotonically increasing creation serial; the slot indexes the engine's
@@ -57,13 +56,13 @@
 // exactly once (completion hands it straight to a parked waiter, or a
 // later Await/Step pops it), which is what lets the slot recycle
 // immediately. Serials are what deterministic derived randomness hashes
-// (tree.Protocol.NodeRand): they never depend on recycling order, shard
-// count or driver model.
+// (tree.Protocol.NodeRand): they never depend on recycling order or shard
+// count.
 //
 // Determinism. For a fixed seed, every run is byte-identical in all
 // observables — delivery order, driver scheduling, session serials,
 // derived random draws, every counter — regardless of shard count
-// (WithShards) and regardless of driver model. Spawns and completions
+// (WithShards). Spawns and completions
 // append to one run queue drained in order; the sharded round barrier
 // replays worker effects in single-threaded order before the queue is
 // drained again (see shard.go and the shard-view restrictions below).

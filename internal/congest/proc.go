@@ -14,20 +14,12 @@ var ErrDeadlock = errors.New("congest: deadlock: drivers blocked with no message
 // controller). Its methods may only be called from within the driver's own
 // function; the engine guarantees that while they run, nothing else does.
 //
-// Procs are pooled: the goroutine and its channels persist across spawns
-// within one Run, parked between assignments. At scale (one driver per
-// fragment per Borůvka phase) this is what keeps driver fan-out from being
-// the residual allocator — a warm phase reuses the previous phase's
-// goroutines instead of spawning fresh ones.
+// Procs are the phase controllers and the blocking single-op drivers; a
+// controller's per-fragment fan-out runs as continuation tasks (see
+// GoStepTagged), not as further Procs.
 type Proc struct {
-	nw *Network
-	// name is the diagnostic name (Spawn); tagged drivers (GoTagged) store
-	// prefix and tags instead and format only when Name is called, so the
-	// per-fragment fan-out never builds strings.
-	name       string
-	prefix     string
-	tagA, tagB uint64
-	tagged     bool
+	nw   *Network
+	name string
 
 	fn func(*Proc) error
 
@@ -36,7 +28,6 @@ type Proc struct {
 
 	doneSession SessionID
 	finished    bool
-	pooled      bool
 	err         error
 	panicVal    any       // recovered driver panic, re-raised by the engine
 	awaiting    SessionID // 0 when not blocked; diagnostic only
@@ -44,60 +35,48 @@ type Proc struct {
 
 // Spawn registers a new driver. The function starts running at the next
 // scheduling opportunity inside Run. It must not be called while another
-// driver is active (spawn children with (*Proc).Go instead).
+// driver is active (fan out with (*Proc).GoStepTagged instead).
 func (nw *Network) Spawn(name string, fn func(*Proc) error) *Proc {
 	if nw.running {
-		panic("congest: Spawn called during Run; use (*Proc).Go from a driver")
-	}
-	return nw.spawn(name, fn)
-}
-
-// getProc pops a parked driver goroutine from the pool or starts a new
-// one. A fresh proc's goroutine loops: park on resume, run the assigned
-// function, park again — so reuse costs two channel operations and zero
-// allocations.
-func (nw *Network) getProc() *Proc {
-	if n := len(nw.procFree); n > 0 {
-		p := nw.procFree[n-1]
-		nw.procFree[n-1] = nil
-		nw.procFree = nw.procFree[:n-1]
-		p.pooled = false
-		return p
+		panic("congest: Spawn called during Run; use (*Proc).GoStepTagged from a driver")
 	}
 	p := &Proc{
-		nw:     nw,
-		resume: make(chan Wake),
-		yield:  make(chan struct{}),
+		nw:          nw,
+		name:        name,
+		fn:          fn,
+		resume:      make(chan Wake),
+		yield:       make(chan struct{}),
+		doneSession: nw.NewSession(nil),
 	}
 	nw.allProcs = append(nw.allProcs, p)
 	if len(nw.allProcs) > nw.peakProcs {
 		nw.peakProcs = len(nw.allProcs)
 	}
-	go p.loop()
+	nw.noteLive()
+	nw.runq = append(nw.runq, wakeup{p: p})
+	go p.run()
 	return p
 }
 
-// loop is the persistent driver goroutine: one assignment per wakeup, a
-// nil fn is the shutdown poison (sent by the Run teardown; no yield
-// follows it, the sender does not wait).
-func (p *Proc) loop() {
-	for {
-		<-p.resume // activation by the engine
-		fn := p.fn
-		if fn == nil {
-			return
-		}
-		err := p.call(fn)
-		// Still the active driver here: safe to touch the network.
-		p.finished = true
-		p.err = err
-		p.nw.live--
-		if p.panicVal == nil {
-			p.nw.CompleteSession(p.doneSession, nil, err)
-		}
-		p.fn = nil
-		p.yield <- struct{}{}
+// run is the driver goroutine: it parks until the engine activates it,
+// runs the function and yields for the last time. A nil fn at activation
+// is the Run teardown's poison for a driver that never got scheduled (no
+// yield follows it, the sender does not wait).
+func (p *Proc) run() {
+	<-p.resume // activation by the engine
+	fn := p.fn
+	if fn == nil {
+		return
 	}
+	err := p.call(fn)
+	// Still the active driver here: safe to touch the network.
+	p.finished = true
+	p.err = err
+	p.nw.live--
+	if p.panicVal == nil {
+		p.nw.CompleteSession(p.doneSession, nil, err)
+	}
+	p.yield <- struct{}{}
 }
 
 // call runs the driver function, trapping a panic so the engine goroutine
@@ -113,17 +92,6 @@ func (p *Proc) call(fn func(*Proc) error) (err error) {
 	return fn(p)
 }
 
-func (nw *Network) spawn(name string, fn func(*Proc) error) *Proc {
-	p := nw.getProc()
-	p.name, p.tagged = name, false
-	p.fn = fn
-	p.finished, p.err, p.awaiting, p.panicVal = false, nil, 0, nil
-	p.doneSession = nw.NewSession(nil)
-	nw.noteLive()
-	nw.runq = append(nw.runq, wakeup{p: p})
-	return p
-}
-
 // noteLive counts one freshly spawned driver and updates the live
 // high-water mark.
 func (nw *Network) noteLive() {
@@ -133,31 +101,20 @@ func (nw *Network) noteLive() {
 	}
 }
 
-// releaseProc parks a joined driver in the pool for reuse. Only callers
-// that have consumed the proc's done session may release it — anyone else
-// could still await the (now recycled) session of a re-spawned proc.
-func (nw *Network) releaseProc(p *Proc) {
-	if !p.finished || p.pooled {
-		return
-	}
-	p.pooled = true
-	nw.procFree = append(nw.procFree, p)
-}
-
 // ErrRunAborted is the error drivers parked mid-await observe when a Run
 // unwinds abnormally (a driver or handler panic re-raised by the engine):
 // their pending Awaits return it so the goroutines can exit with the Run.
 var ErrRunAborted = errors.New("congest: run aborted")
 
-// drainProcPool tears down every driver goroutine at Run end so an
-// abandoned network never pins stacks. Drivers parked mid-await — the
-// state a panic exit leaves a fan-out in — are woken with ErrRunAborted
-// until they finish (an unwinding driver may park again, e.g. WaitAll
-// moving to its next child, so iterate to a fixed point); spawned-but-
-// never-started drivers and finished ones are poisoned out of their
-// loops. The run queue is discarded: wakeups enqueued during the unwind
-// have no engine loop left to deliver them.
-func (nw *Network) drainProcPool() {
+// drainProcs tears down every driver goroutine at Run end so an abandoned
+// network never pins stacks. Drivers parked mid-await — the state a panic
+// exit leaves them in — are woken with ErrRunAborted until they finish (an
+// unwinding driver may park again, e.g. WaitTasks moving to its next
+// child, so iterate to a fixed point); spawned-but-never-started drivers
+// are poisoned out of their goroutines. The run queue is discarded:
+// wakeups enqueued during the unwind have no engine loop left to deliver
+// them.
+func (nw *Network) drainProcs() {
 	for pass := 0; pass < maxDeadlockResolutions; pass++ {
 		woke := false
 		for _, p := range nw.allProcs {
@@ -181,33 +138,23 @@ func (nw *Network) drainProcPool() {
 	for _, p := range nw.allProcs {
 		if !p.finished && p.fn != nil && p.awaiting == 0 {
 			// Spawned but never scheduled (the panic hit before its runq
-			// entry drained): parked at its loop top. Poison without
-			// running the assignment.
+			// entry drained): parked before its first activation. Poison
+			// without running the function.
 			p.fn = nil
 			p.resume <- Wake{}
-			continue
-		}
-		if p.finished && p.fn == nil {
-			p.resume <- Wake{} // nil fn: the loop exits without yielding
 		}
 	}
 	for i := range nw.runq {
 		nw.runq[i] = wakeup{}
 	}
 	nw.runq = nw.runq[:0]
+	clear(nw.allProcs)
 	nw.allProcs = nw.allProcs[:0]
-	nw.procFree = nw.procFree[:0]
 	nw.live = 0
 }
 
-// Name returns the driver's diagnostic name. Tagged drivers format it on
-// demand — the hot spawn path never builds it.
-func (p *Proc) Name() string {
-	if p.tagged {
-		return fmt.Sprintf("%s-p%d-f%d", p.prefix, p.tagA, p.tagB)
-	}
-	return p.name
-}
+// Name returns the driver's diagnostic name.
+func (p *Proc) Name() string { return p.name }
 
 // Network returns the network the driver runs on.
 func (p *Proc) Network() *Network { return p.nw }
@@ -265,38 +212,6 @@ func (p *Proc) await(sid SessionID) (Wake, error) {
 	return w, nil
 }
 
-// Go spawns a child driver. The child starts at the next scheduling
-// opportunity; the parent keeps running until it blocks or finishes.
-func (p *Proc) Go(name string, fn func(*Proc) error) *Proc {
-	return p.nw.spawn(name, fn)
-}
-
-// GoTagged spawns a child driver named "<prefix>-p<a>-f<b>" without
-// building the string: per-fragment fan-outs (one driver per fragment per
-// phase) use it so driver naming costs nothing unless a diagnostic
-// actually prints it.
-func (p *Proc) GoTagged(prefix string, a, b uint64, fn func(*Proc) error) *Proc {
-	c := p.nw.spawn("", fn)
-	c.prefix, c.tagA, c.tagB, c.tagged = prefix, a, b, true
-	return c
-}
-
-// WaitAll blocks until every given driver has finished and returns the
-// first non-nil error among them (all are joined regardless). Joined
-// drivers return to the spawn pool: their goroutines and channels are
-// reused by later spawns in the same Run.
-func (p *Proc) WaitAll(children ...*Proc) error {
-	var first error
-	for _, c := range children {
-		_, err := p.Await(c.doneSession)
-		if err != nil && first == nil {
-			first = err
-		}
-		p.nw.releaseProc(c)
-	}
-	return first
-}
-
 // AwaitQuiescence blocks the driver until no messages are in flight and no
 // other driver can make progress. It models the paper's synchronised
 // "while time < i*maxTime(n) wait" phase barrier: in a synchronous network
@@ -336,12 +251,12 @@ func (nw *Network) Run() error {
 		se = nw.ensureShardEngine()
 		defer nw.closeShardEngine(se)
 	}
-	// Drain the driver pools on every exit path: parked goroutines and
-	// pooled tasks must not outlive the Run that created them. LIFO defer
-	// order makes drainProcPool run first — unwinding drivers may still
-	// release tasks.
+	// Drain the drivers on every exit path: parked goroutines and pooled
+	// tasks must not outlive the Run that created them. LIFO defer order
+	// makes drainProcs run first — unwinding drivers may still release
+	// tasks.
 	defer nw.drainTaskPool()
-	defer nw.drainProcPool()
+	defer nw.drainProcs()
 
 	var deadlockErr error
 	for {
@@ -362,7 +277,7 @@ func (nw *Network) Run() error {
 			<-wu.p.yield
 			if pv := wu.p.panicVal; pv != nil {
 				// Driver panics surface from Run on the engine goroutine,
-				// for both driver models alike.
+				// for goroutine drivers and tasks alike.
 				panic(pv)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"kkt/internal/graph"
-	"kkt/internal/race"
 	"kkt/internal/rng"
 )
 
@@ -337,114 +336,5 @@ func TestShardViewGuards(t *testing.T) {
 	}
 	if guarded == nil {
 		t.Fatal("NewSession on a shard view did not panic")
-	}
-}
-
-// waitAllFanout spawns children drivers through the pool and joins them —
-// the per-phase fan-out shape of the Borůvka drivers.
-func waitAllFanout(t testing.TB, nw *Network, scratch *FanoutScratch[int], children int) {
-	nw.Spawn("parent", func(p *Proc) error {
-		procs := scratch.Procs()
-		for i := 0; i < children; i++ {
-			procs = append(procs, p.GoTagged("child", 1, uint64(i), procNop))
-		}
-		scratch.KeepProcs(procs)
-		return p.WaitAll(procs...)
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// procNop is deliberately a package function: the spawn-path gate must
-// measure the engine, not a capturing closure at the call site.
-func procNop(p *Proc) error { return nil }
-
-// TestPooledDriverSpawnAllocs pins the pooled driver path: after a warm-up
-// wave, spawning and joining 64 tagged children per wave must not allocate
-// goroutines, channels or names — within one Run the pool recycles
-// everything, so a wave costs only constant engine bookkeeping.
-func TestPooledDriverSpawnAllocs(t *testing.T) {
-	race.SkipAllocTest(t)
-	g := graph.Path(2, 1, graph.UnitWeights())
-	nw := NewNetwork(g)
-	var scratch FanoutScratch[int]
-	wave := func() {
-		nw.Spawn("outer", func(p *Proc) error {
-			// Two fan-out phases inside one Run: the second must reuse the
-			// first phase's driver goroutines via the pool.
-			for phase := 0; phase < 2; phase++ {
-				procs := scratch.Procs()
-				for i := 0; i < 64; i++ {
-					procs = append(procs, p.GoTagged("child", uint64(phase), uint64(i), procNop))
-				}
-				scratch.KeepProcs(procs)
-				if err := p.WaitAll(procs...); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err := nw.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wave()
-	avg := testing.AllocsPerRun(5, wave)
-	// Budget: the first phase's 65 fresh goroutines + channels are paid
-	// once per Run (the pool drains at Run end); the second phase must be
-	// free. ~6 allocs per fresh driver, plus slack.
-	allocBudget(t, "pooled driver fan-out (2 phases x 64 children)", avg, 65*8)
-}
-
-// TestPooledDriverReuseWithinRun proves the second phase allocates no new
-// driver goroutines: the pool must satisfy it entirely.
-func TestPooledDriverReuseWithinRun(t *testing.T) {
-	g := graph.Path(2, 1, graph.UnitWeights())
-	nw := NewNetwork(g)
-	created := func() int { return len(nw.allProcs) }
-	nw.Spawn("outer", func(p *Proc) error {
-		var scratch FanoutScratch[int]
-		base := created()
-		for phase := 0; phase < 3; phase++ {
-			procs := scratch.Procs()
-			for i := 0; i < 32; i++ {
-				procs = append(procs, p.GoTagged("child", uint64(phase), uint64(i), procNop))
-			}
-			scratch.KeepProcs(procs)
-			if err := p.WaitAll(procs...); err != nil {
-				return err
-			}
-			if phase == 0 {
-				base = created()
-			} else if got := created(); got != base {
-				return fmt.Errorf("phase %d created %d new drivers, want 0", phase, got-base)
-			}
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(nw.allProcs) != 0 {
-		t.Fatalf("pool not drained at Run end: %d procs retained", len(nw.allProcs))
-	}
-}
-
-// TestTaggedProcName: lazy names format correctly when diagnostics ask.
-func TestTaggedProcName(t *testing.T) {
-	g := graph.Path(2, 1, graph.UnitWeights())
-	nw := NewNetwork(g)
-	var name string
-	nw.Spawn("outer", func(p *Proc) error {
-		c := p.GoTagged("findmin", 3, 17, procNop)
-		name = c.Name()
-		return p.WaitAll(c)
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if name != "findmin-p3-f17" {
-		t.Fatalf("tagged name %q, want findmin-p3-f17", name)
 	}
 }

@@ -145,26 +145,17 @@ type BuildResult struct {
 	Rounds     int64
 }
 
-// Build constructs the minimum spanning forest deterministically, driving
-// fragments with continuation tasks (the default model).
+// Build constructs the minimum spanning forest deterministically.
 func Build(nw *congest.Network, pr *tree.Protocol, g *Protocol) (BuildResult, error) {
-	return BuildDrivers(nw, pr, g, congest.DriverCont)
-}
-
-// BuildDrivers is Build with an explicit per-fragment driver model; the
-// goroutine model remains as the parity reference.
-func BuildDrivers(nw *congest.Network, pr *tree.Protocol, g *Protocol, mode congest.DriverMode) (BuildResult, error) {
 	var result BuildResult
 	maxPhases := int(math.Ceil(math.Log2(float64(nw.N())))) + 2
 	nw.Spawn("ghs", func(p *congest.Proc) error {
-		var scratch congest.FanoutScratch[bool]
-		var drivers []*fragDriver
-		var meter congest.PhaseMeter
+		fan := tree.NewFanout(pr, "ghs", "ghs", func() *search { return &search{g: g} })
 		for phase := 1; ; phase++ {
 			if phase > maxPhases {
 				return fmt.Errorf("ghs: exceeded %d phases — not converging", maxPhases)
 			}
-			meter.Begin(nw)
+			fan.Begin()
 			elect, err := pr.ElectAll(p)
 			if err != nil {
 				return err
@@ -173,64 +164,20 @@ func BuildDrivers(nw *congest.Network, pr *tree.Protocol, g *Protocol, mode cong
 				return fmt.Errorf("ghs: cycle in marked subgraph at phase %d", phase)
 			}
 			result.Phases = phase
+			searches, cost, err := fan.Run(p, phase, elect.Leaders)
+			if err != nil {
+				return err
+			}
 			stat := PhaseStat{Fragments: len(elect.Leaders)}
-			if o := nw.Obs(); o != nil {
-				o.PhaseStart("ghs", phase, stat.Fragments, nw.Now())
-			}
-			merged := scratch.Outcomes(len(elect.Leaders))
-			if mode == congest.DriverGoroutine {
-				procs := scratch.Procs()
-				for i, leader := range elect.Leaders {
-					i, leader := i, leader
-					procs = append(procs, p.GoTagged("ghs", uint64(phase), uint64(leader), func(fp *congest.Proc) error {
-						cand, err := g.runFragment(fp, leader, phase)
-						if err != nil {
-							return err
-						}
-						if !cand.valid {
-							return nil
-						}
-						merged[i] = true
-						_, err = pr.BroadcastEcho(fp, leader, tree.AddEdgeSpec(cand.edgeNum))
-						return err
-					}))
-				}
-				scratch.KeepProcs(procs)
-				if err := p.WaitAll(procs...); err != nil {
-					return err
-				}
-			} else {
-				tasks := scratch.Tasks()
-				for i, leader := range elect.Leaders {
-					for len(drivers) <= i {
-						drivers = append(drivers, &fragDriver{})
-					}
-					d := drivers[i]
-					d.init(g, pr, leader, phase, &merged[i])
-					tasks = append(tasks, p.GoStepTagged("ghs", uint64(phase), uint64(leader), d))
-				}
-				scratch.KeepTasks(tasks)
-				if err := p.WaitTasks(tasks...); err != nil {
-					return err
+			for _, s := range searches {
+				if _, ok := s.Found(); ok {
+					stat.Merges++
 				}
 			}
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
-			merges := 0
-			for _, m := range merged {
-				if m {
-					merges++
-				}
-			}
-			stat.Merges = merges
-			cost := meter.End()
 			stat.Messages, stat.Bits, stat.Rounds = cost.Messages, cost.Bits, cost.Rounds
 			stat.Classes = cost.Classes
 			result.PhaseStats = append(result.PhaseStats, stat)
-			if o := nw.Obs(); o != nil {
-				o.PhaseEnd("ghs", phase, nw.Now(), cost)
-			}
-			if merges == 0 {
+			if stat.Merges == 0 {
 				return nil // every fragment is maximal: done, deterministically
 			}
 		}
@@ -246,71 +193,44 @@ func BuildDrivers(nw *congest.Network, pr *tree.Protocol, g *Protocol, mode cong
 	return result, err
 }
 
-// fragDriver is the continuation driver of one GHS fragment for one
-// phase: enter the phase at the leader, await the convergecast report,
-// then (when a candidate was accepted) run the Add-Edge broadcast.
-type fragDriver struct {
+// search is one fragment's GHS convergecast in one phase: enter the phase
+// at the leader, which broadcasts the fragment identity, then await the
+// convergecast report of the minimum outgoing candidate.
+type search struct {
 	g       *Protocol
-	pr      *tree.Protocol
 	leader  congest.NodeID
 	phase   int
-	merged  *bool
 	started bool // the fragment session is in flight
-	adding  bool // the Add-Edge broadcast is in flight
+	cand    candidate
 }
 
-// init arms the driver for one fragment of one phase.
-func (d *fragDriver) init(g *Protocol, pr *tree.Protocol, leader congest.NodeID, phase int, merged *bool) {
-	d.g, d.pr, d.leader, d.phase, d.merged = g, pr, leader, phase, merged
-	d.started, d.adding = false, false
+// Arm implements tree.Search.
+func (s *search) Arm(phase int, leader congest.NodeID) {
+	s.leader, s.phase = leader, phase
+	s.started, s.cand = false, candidate{}
 }
 
-// Step implements congest.StepDriver: the continuation form of
-// runFragment plus the Add-Edge broadcast.
-func (d *fragDriver) Step(t *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
-	nw := d.g.nw
-	if !d.started {
-		// First step: enter the phase at the leader (which broadcasts the
-		// fragment identity); the fragment session completes with the
-		// convergecast report of the minimum outgoing candidate.
-		d.started = true
+// Found implements tree.Search.
+func (s *search) Found() (uint64, bool) { return s.cand.edgeNum, s.cand.valid }
+
+// Step implements congest.StepDriver.
+func (s *search) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
+	if !s.started {
+		// The fragment session completes with the convergecast report.
+		s.started = true
+		nw := s.g.nw
 		sid := nw.NewSession(nil)
-		node := nw.Node(d.leader)
-		st := &d.g.state[d.leader]
+		st := &s.g.state[s.leader]
 		st.session = sid
-		d.g.enterPhase(nw, node, st, d.phase, d.leader, 0)
+		s.g.enterPhase(nw, nw.Node(s.leader), st, s.phase, s.leader, 0)
 		return sid, false, nil
 	}
-	if err := w.Err(); err != nil {
+	v, err := w.Value()
+	if err != nil {
 		return 0, true, err
 	}
-	if d.adding {
-		return 0, true, nil
-	}
-	v, _ := w.Value()
-	cand := v.(candidate)
-	if !cand.valid {
-		return 0, true, nil
-	}
-	*d.merged = true
-	d.adding = true
-	return d.pr.StartBroadcastEcho(d.leader, tree.AddEdgeSpec(cand.edgeNum)), false, nil
-}
-
-// runFragment drives one fragment through one phase: enter the phase at
-// the leader (which broadcasts the fragment identity), then await the
-// convergecast report of the minimum outgoing candidate.
-func (g *Protocol) runFragment(p *congest.Proc, leader congest.NodeID, phase int) (candidate, error) {
-	sid := g.nw.NewSession(nil)
-	node := g.nw.Node(leader)
-	st := &g.state[leader]
-	st.session = sid
-	g.enterPhase(g.nw, node, st, phase, leader, 0)
-	v, err := p.Await(sid)
-	if err != nil {
-		return candidate{}, err
-	}
-	return v.(candidate), nil
+	s.cand = v.(candidate)
+	return 0, true, nil
 }
 
 // enterPhase initialises a node's per-phase state, forwards the fragment

@@ -9,12 +9,10 @@
 // # Invariants
 //
 // Seed identity. A trial is identified by (scenario, seed) alone.
-// Worker count, shard count (RunConfig.Shards) and driver model
-// (RunTrialDrivers) are execution knobs: identical seeds produce
-// byte-identical serialized reports at any value of any of them. The
-// cross-checks in shard_test.go and driver_mode_test.go enforce this over
-// the whole small suite, and CI diffs full bench reports at --shards 1
-// vs 4.
+// Worker count and shard count (RunConfig.Shards) are execution knobs:
+// identical seeds produce byte-identical serialized reports at any value
+// of either. The cross-check in shard_test.go enforces this over the
+// whole small suite, and CI diffs full bench reports at --shards 1 vs 4.
 //
 // Isolation. The runner builds one private Network per trial; trials
 // share no state, which is why they parallelize freely and why a trial

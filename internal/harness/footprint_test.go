@@ -1,0 +1,40 @@
+package harness
+
+import "testing"
+
+// TestContinuationDriversCutPeakGoroutines is the footprint gate of the
+// continuation driver model, measured in-process on builds small enough
+// for a test: each Borůvka-style build runs on exactly one driver
+// goroutine (its phase controller), while the first phase's one-per-node
+// fan-out lives in pooled heap tasks, all live at once.
+func TestContinuationDriversCutPeakGoroutines(t *testing.T) {
+	for _, algo := range []string{AlgoMSTBuildAdaptive, AlgoSTBuild, AlgoGHS} {
+		spec := Spec{
+			Name:   algo + "/gnm-512",
+			Family: FamilyGNM, N: 512,
+			Sched: SchedSync,
+			Algo:  algo,
+		}
+		t.Run(spec.Name, func(t *testing.T) {
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			m, _, err := RunTrialShards(spec, 5, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Valid {
+				t.Fatal("build invalid")
+			}
+			if m.PeakDriverGoroutines != 1 {
+				t.Errorf("peaked at %d driver goroutines, want 1 (the phase controller)", m.PeakDriverGoroutines)
+			}
+			if m.PeakDriverTasks < spec.N {
+				t.Errorf("peaked at %d tasks, want >= %d (the phase-1 fan-out)", m.PeakDriverTasks, spec.N)
+			}
+			if m.PeakLiveDrivers < spec.N {
+				t.Errorf("peaked at %d live drivers, want >= %d", m.PeakLiveDrivers, spec.N)
+			}
+		})
+	}
+}

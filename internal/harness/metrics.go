@@ -20,16 +20,15 @@ type TrialMetrics struct {
 	Shards int `json:"-"`
 
 	// Driver/memory footprint of the trial's network — the gate for the
-	// continuation driver model (a goroutine-per-fragment build peaks at
-	// ~fragment-count goroutines, a continuation build at a handful).
-	// Excluded from serialization like Shards: footprint is an execution
-	// knob, not an observable of the simulated protocol, and seeded
-	// reports must stay byte-identical across driver models.
+	// continuation driver model (a build runs its per-fragment fan-out as
+	// tasks, on a single driver goroutine). Excluded from serialization
+	// like Shards: footprint is an observation about the process, not an
+	// observable of the simulated protocol.
 	PeakDriverGoroutines int `json:"-"`
 	// PeakDriverTasks is the continuation-task high-water mark.
 	PeakDriverTasks int `json:"-"`
-	// PeakLiveDrivers is the peak of concurrently-unfinished drivers of
-	// both models (the fragment fan-out width).
+	// PeakLiveDrivers is the peak of concurrently-unfinished drivers,
+	// goroutines and tasks together (the fragment fan-out width).
 	PeakLiveDrivers int `json:"-"`
 	// HeapSysMB is the growth of the Go heap footprint
 	// (runtime.MemStats.HeapSys) across the trial, in MiB: the after-trial

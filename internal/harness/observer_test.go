@@ -50,7 +50,7 @@ func TestObserverSeesBuildTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obsv.NewRecorder(spec.Name)
-	m, _, err := RunTrialObserved(spec, 7, 1, congest.DriverCont, rec)
+	m, _, err := RunTrialObserved(spec, 7, 1, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

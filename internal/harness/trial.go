@@ -79,30 +79,23 @@ func RunTrial(spec Spec, seed uint64) (TrialMetrics, map[string]congest.KindCoun
 	return RunTrialShards(spec, seed, 1)
 }
 
-// RunTrialShards executes one seeded trial on the given shard count with
-// the default (continuation) driver model; see RunTrialDrivers.
+// RunTrialShards executes one seeded trial of the scenario on the given
+// shard count, and returns its metrics plus the per-kind traffic
+// breakdown. The shard count is an execution knob only — the engine's
+// determinism contract guarantees identical metrics at any value — so the
+// seed alone still identifies the trial. Specs must already be validated
+// (registry scenarios are). Protocol panics are converted to errors so one
+// bad trial cannot take down a bench sweep.
 func RunTrialShards(spec Spec, seed uint64, shards int) (TrialMetrics, map[string]congest.KindCount, error) {
-	return RunTrialDrivers(spec, seed, shards, congest.DriverCont)
+	return RunTrialObserved(spec, seed, shards, nil)
 }
 
-// RunTrialDrivers executes one seeded trial of the scenario on the given
-// shard count and per-fragment driver model, and returns its metrics plus
-// the per-kind traffic breakdown. Shard count and driver model are both
-// execution knobs only — the engine's determinism contracts guarantee
-// identical metrics at any value of either — so the seed alone still
-// identifies the trial. Specs must already be validated (registry
-// scenarios are). Protocol panics are converted to errors so one bad
-// trial cannot take down a bench sweep.
-func RunTrialDrivers(spec Spec, seed uint64, shards int, drivers congest.DriverMode) (TrialMetrics, map[string]congest.KindCount, error) {
-	return RunTrialObserved(spec, seed, shards, drivers, nil)
-}
-
-// RunTrialObserved is RunTrialDrivers with an optional trace observer
+// RunTrialObserved is RunTrialShards with an optional trace observer
 // attached to the trial's network (nil disables observation). The observer
 // is passive — metrics and reports are byte-identical with it on or off;
 // see congest.Observer.
-func RunTrialObserved(spec Spec, seed uint64, shards int, drivers congest.DriverMode, obs congest.Observer) (TrialMetrics, map[string]congest.KindCount, error) {
-	return RunTrialContext(nil, spec, seed, shards, drivers, obs)
+func RunTrialObserved(spec Spec, seed uint64, shards int, obs congest.Observer) (TrialMetrics, map[string]congest.KindCount, error) {
+	return RunTrialContext(nil, spec, seed, shards, obs)
 }
 
 // RunTrialContext is RunTrialObserved with a cancellation context plumbed
@@ -111,7 +104,7 @@ func RunTrialObserved(spec Spec, seed uint64, shards int, drivers congest.Driver
 // running to completion. A nil ctx disables cancellation. Cancellation is
 // the one wall-clock escape hatch — a cancelled trial reports an error,
 // never metrics, so it cannot perturb seeded reports.
-func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, drivers congest.DriverMode, obs congest.Observer) (m TrialMetrics, byKind map[string]congest.KindCount, err error) {
+func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, obs congest.Observer) (m TrialMetrics, byKind map[string]congest.KindCount, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("harness: trial panicked: %v", r)
@@ -156,7 +149,6 @@ func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, dr
 	switch s.Algo {
 	case AlgoMSTBuildAdaptive, AlgoMSTBuildFixed:
 		cfg := mst.DefaultBuild(seed)
-		cfg.Drivers = drivers
 		if s.Algo == AlgoMSTBuildFixed {
 			cfg.Policy = mst.Fixed
 			cfg.C = 1 // the fixed budget is already worst-case; keep it affordable
@@ -172,7 +164,7 @@ func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, dr
 		m.Valid = spanning.IsMSF(g, forestIndices(g, res.Forest)) == nil
 	case AlgoGHS:
 		gp := ghs.Attach(nw)
-		res, rerr := ghs.BuildDrivers(nw, pr, gp, drivers)
+		res, rerr := ghs.Build(nw, pr, gp)
 		if rerr != nil {
 			return m, nil, rerr
 		}
@@ -183,9 +175,7 @@ func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, dr
 		m.Valid = spanning.IsMSF(g, forestIndices(g, res.Forest)) == nil
 	case AlgoSTBuild:
 		sp := st.Attach(nw, pr)
-		stCfg := st.DefaultBuild(seed)
-		stCfg.Drivers = drivers
-		res, rerr := st.Build(nw, pr, sp, stCfg)
+		res, rerr := st.Build(nw, pr, sp, st.DefaultBuild(seed))
 		if rerr != nil {
 			return m, nil, rerr
 		}

@@ -59,11 +59,6 @@ type BuildConfig struct {
 	// FindMin configures the per-fragment search; the paper uses
 	// FindMin-C inside Build MST.
 	FindMin findmin.Config
-	// Drivers selects the per-fragment driver model. The default
-	// (congest.DriverCont) steps pooled FindMin state machines on the
-	// engine; congest.DriverGoroutine parks one pooled goroutine per
-	// fragment — observably identical, kept as the parity reference.
-	Drivers congest.DriverMode
 }
 
 // DefaultBuild returns the paper-faithful configuration.
@@ -125,11 +120,11 @@ func Build(nw *congest.Network, pr *tree.Protocol, cfg BuildConfig) (BuildResult
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
 	nw.Spawn("boruvka", func(p *congest.Proc) error {
-		var scratch congest.FanoutScratch[findmin.Reason]
-		var drivers []*fragDriver
-		var meter congest.PhaseMeter
+		fan := tree.NewFanout(pr, "mst", "findmin", func() *search {
+			return &search{Machine: findmin.NewMachine(), pr: pr, cfg: &cfg}
+		})
 		for phase := 1; phase <= maxPhases; phase++ {
-			stat, err := runPhase(p, nw, pr, cfg, phase, &meter, &scratch, &drivers)
+			stat, err := runPhase(p, pr, phase, fan)
 			if err != nil {
 				return err
 			}
@@ -154,56 +149,29 @@ func Build(nw *congest.Network, pr *tree.Protocol, cfg BuildConfig) (BuildResult
 	return result, err
 }
 
-// fragDriver is the continuation driver of one fragment in one Borůvka
-// phase: FindMin-C, then (on success) the Add-Edge broadcast-and-echo. A
-// Build reuses its drivers across phases (fragment counts only shrink),
-// so the steady-state fan-out allocates neither goroutines nor machines.
-type fragDriver struct {
-	m       *findmin.Machine
-	pr      *tree.Protocol
-	leader  congest.NodeID
-	outcome *findmin.Reason
-	adding  bool // the Add-Edge broadcast is in flight
+// search is one fragment's FindMin-C in a Borůvka phase, seeded per
+// (phase, leader); the fan-out re-arms it across phases.
+type search struct {
+	*findmin.Machine
+	pr  *tree.Protocol
+	cfg *BuildConfig
 }
 
-// init arms the driver for one fragment of one phase.
-func (d *fragDriver) init(pr *tree.Protocol, leader congest.NodeID, r *rng.RNG, cfg findmin.Config, outcome *findmin.Reason) {
-	d.pr, d.leader, d.outcome = pr, leader, outcome
-	d.adding = false
-	d.m.Reset(pr, leader, r, cfg)
+// Arm implements tree.Search.
+func (s *search) Arm(phase int, leader congest.NodeID) {
+	s.Reset(s.pr, leader, fragmentRand(s.cfg.Seed, phase, leader), s.cfg.FindMin)
 }
 
-// Step implements congest.StepDriver: delegate to the FindMin machine,
-// then run the Add-Edge broadcast when it found a cut edge.
-func (d *fragDriver) Step(t *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
-	if d.adding {
-		_, err := w.Value()
-		return 0, true, err
-	}
-	next, done, err := d.m.Step(t, w)
-	if !done {
-		return next, false, nil
-	}
-	if err != nil {
-		return 0, true, err
-	}
-	res, _ := d.m.Result()
-	*d.outcome = res.Reason
-	if res.Reason != findmin.FoundEdge {
-		return 0, true, nil
-	}
-	// Paper step (c): broadcast Add Edge; endpoints stage marks applied at
-	// the phase barrier (step d).
-	d.adding = true
-	return d.pr.StartBroadcastEcho(d.leader, tree.AddEdgeSpec(res.EdgeNum)), false, nil
+// Found implements tree.Search.
+func (s *search) Found() (uint64, bool) {
+	res, _ := s.Result()
+	return res.EdgeNum, res.Reason == findmin.FoundEdge
 }
 
-// runPhase executes one Borůvka phase: elect leaders, run FindMin-C per
-// fragment concurrently, broadcast Add-Edge for the found edges, then
-// synchronise and apply the staged marks.
-func runPhase(p *congest.Proc, nw *congest.Network, pr *tree.Protocol, cfg BuildConfig, phase int, meter *congest.PhaseMeter, scratch *congest.FanoutScratch[findmin.Reason], drivers *[]*fragDriver) (PhaseStat, error) {
-	meter.Begin(nw)
-
+// runPhase executes one Borůvka phase: elect leaders, then let the
+// fan-out run FindMin-C per fragment and add the edges found.
+func runPhase(p *congest.Proc, pr *tree.Protocol, phase int, fan *tree.Fanout[*search]) (PhaseStat, error) {
+	fan.Begin()
 	elect, err := pr.ElectAll(p)
 	if err != nil {
 		return PhaseStat{}, err
@@ -212,58 +180,13 @@ func runPhase(p *congest.Proc, nw *congest.Network, pr *tree.Protocol, cfg Build
 		return PhaseStat{}, fmt.Errorf("mst: cycle in marked subgraph at phase %d (nodes %v)", phase, elect.CycleNodes)
 	}
 	stat := PhaseStat{Fragments: len(elect.Leaders)}
-	if o := nw.Obs(); o != nil {
-		o.PhaseStart("mst", phase, stat.Fragments, nw.Now())
+	searches, cost, err := fan.Run(p, phase, elect.Leaders)
+	if err != nil {
+		return stat, err
 	}
-
-	outcomes := scratch.Outcomes(len(elect.Leaders))
-	if cfg.Drivers == congest.DriverGoroutine {
-		procs := scratch.Procs()
-		for i, leader := range elect.Leaders {
-			i, leader := i, leader
-			procs = append(procs, p.GoTagged("findmin", uint64(phase), uint64(leader), func(fp *congest.Proc) error {
-				r := fragmentRand(cfg.Seed, phase, leader)
-				res, err := findmin.Run(fp, pr, leader, r, cfg.FindMin)
-				if err != nil {
-					return err
-				}
-				outcomes[i] = res.Reason
-				if res.Reason == findmin.FoundEdge {
-					// Paper step (c): broadcast Add Edge; endpoints stage
-					// marks applied at the phase barrier (step d).
-					if _, err := pr.BroadcastEcho(fp, leader, tree.AddEdgeSpec(res.EdgeNum)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}))
-		}
-		scratch.KeepProcs(procs)
-		if err := p.WaitAll(procs...); err != nil {
-			return stat, err
-		}
-	} else {
-		tasks := scratch.Tasks()
-		for i, leader := range elect.Leaders {
-			for len(*drivers) <= i {
-				*drivers = append(*drivers, &fragDriver{m: findmin.NewMachine()})
-			}
-			d := (*drivers)[i]
-			d.init(pr, leader, fragmentRand(cfg.Seed, phase, leader), cfg.FindMin, &outcomes[i])
-			tasks = append(tasks, p.GoStepTagged("findmin", uint64(phase), uint64(leader), d))
-		}
-		scratch.KeepTasks(tasks)
-		if err := p.WaitTasks(tasks...); err != nil {
-			return stat, err
-		}
-	}
-	// Phase barrier ("while time < i*maxTime wait"), then the waiting
-	// nodes' local mark application.
-	p.AwaitQuiescence()
-	nw.ApplyStaged()
-
-	for _, o := range outcomes {
-		switch o {
+	for _, s := range searches {
+		res, _ := s.Result()
+		switch res.Reason {
 		case findmin.FoundEdge:
 			stat.Merges++
 		case findmin.EmptyCut:
@@ -272,12 +195,8 @@ func runPhase(p *congest.Proc, nw *congest.Network, pr *tree.Protocol, cfg Build
 			stat.GaveUps++
 		}
 	}
-	cost := meter.End()
 	stat.Messages, stat.Bits, stat.Rounds = cost.Messages, cost.Bits, cost.Rounds
 	stat.Classes = cost.Classes
-	if o := nw.Obs(); o != nil {
-		o.PhaseEnd("mst", phase, nw.Now(), cost)
-	}
 	return stat, nil
 }
 

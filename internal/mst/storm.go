@@ -213,6 +213,9 @@ func (l *StormLauncher) Admit(ev faultplan.Event, opSeed uint64, claim admit.Cla
 		if ev.Raw == oldRaw {
 			return admit.Decision{Inline: true, Action: NoOp.String(), Op: "mst.reweight"}
 		}
+		// An out-of-range weight is refused by SetRawWeight; each branch
+		// checks that before touching a mark or launching a repair.
+		skipped := admit.Decision{Inline: true, Action: admit.Skipped, Op: "mst.reweight"}
 		switch {
 		case wasMarked && ev.Raw > oldRaw:
 			// Increase on a tree edge: unmark and repair like a deletion,
@@ -220,7 +223,9 @@ func (l *StormLauncher) Admit(ev faultplan.Event, opSeed uint64, claim admit.Cla
 			if !claim(a) {
 				return admit.Decision{Deferred: true}
 			}
-			l.nw.SetRawWeight(a, b, ev.Raw)
+			if err := l.nw.SetRawWeight(a, b, ev.Raw); err != nil {
+				return skipped
+			}
 			l.nw.Node(a).SetMark(b, false)
 			l.nw.Node(b).SetMark(a, false)
 			root, peer := l.probe.Smaller(l.nw, a, b)
@@ -232,14 +237,18 @@ func (l *StormLauncher) Admit(ev faultplan.Event, opSeed uint64, claim admit.Cla
 			if !claim(a, b) {
 				return admit.Decision{Deferred: true}
 			}
-			l.nw.SetRawWeight(a, b, ev.Raw)
+			if err := l.nw.SetRawWeight(a, b, ev.Raw); err != nil {
+				return skipped
+			}
 			root, peer := l.probe.Smaller(l.nw, a, b)
 			sr := l.get()
 			sr.reset(false, root, peer, 0, l.cfg.FindMin)
 			return admit.Decision{Op: "mst.reweight", Driver: sr}
 		default:
 			// No-op directions still apply the new weight.
-			l.nw.SetRawWeight(a, b, ev.Raw)
+			if err := l.nw.SetRawWeight(a, b, ev.Raw); err != nil {
+				return skipped
+			}
 			return admit.Decision{Inline: true, Action: NoOp.String(), Op: "mst.reweight"}
 		}
 	}

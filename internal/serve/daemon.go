@@ -132,6 +132,15 @@ func (c Config) validate() error {
 	if c.Trace != nil && c.Events > len(c.Trace) {
 		return fmt.Errorf("serve: events=%d exceeds trace length %d", c.Events, len(c.Trace))
 	}
+	maxRaw := c.Spec.WithDefaults().MaxRaw
+	for i, ev := range c.Trace {
+		if ev.A < 1 || int(ev.A) > c.Spec.N || ev.B < 1 || int(ev.B) > c.Spec.N {
+			return fmt.Errorf("serve: trace event %d (%v %d %d): endpoint outside 1..%d", i, ev.Op, ev.A, ev.B, c.Spec.N)
+		}
+		if ev.Op != faultplan.OpDelete && (ev.Raw < 1 || ev.Raw > maxRaw) {
+			return fmt.Errorf("serve: trace event %d (%v %d %d): raw weight %d outside 1..%d", i, ev.Op, ev.A, ev.B, ev.Raw, maxRaw)
+		}
+	}
 	return nil
 }
 

@@ -69,9 +69,6 @@ type BuildConfig struct {
 	// FindAny configures the per-fragment search; the paper uses
 	// FindAny-C inside Build ST.
 	FindAny findany.Config
-	// Drivers selects the per-fragment driver model (continuation state
-	// machines by default; goroutines as the parity reference).
-	Drivers congest.DriverMode
 }
 
 // DefaultBuild returns the paper-faithful configuration.
@@ -120,11 +117,11 @@ func Build(nw *congest.Network, pr *tree.Protocol, sp *Protocol, cfg BuildConfig
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
 	nw.Spawn("boruvka-st", func(p *congest.Proc) error {
-		var scratch congest.FanoutScratch[findany.Reason]
-		var drivers []*fragDriver
-		var meter congest.PhaseMeter
+		fan := tree.NewFanout(pr, "st", "findany", func() *search {
+			return &search{Machine: findany.NewMachine(), pr: pr, cfg: &cfg}
+		})
 		for phase := 1; phase <= maxPhases; phase++ {
-			stat, err := sp.runPhase(p, pr, cfg, phase, &meter, &scratch, &drivers)
+			stat, err := sp.runPhase(p, pr, cfg.Seed, phase, fan)
 			if err != nil {
 				return err
 			}
@@ -146,51 +143,30 @@ func Build(nw *congest.Network, pr *tree.Protocol, sp *Protocol, cfg BuildConfig
 	return result, err
 }
 
-// fragDriver is the continuation driver of one fragment in one Build-ST
-// phase: FindAny-C, then (on success) the Add-Edge broadcast-and-echo.
-// Drivers are reused across phases; see mst's fragDriver for the model.
-type fragDriver struct {
-	m       *findany.Machine
-	pr      *tree.Protocol
-	leader  congest.NodeID
-	outcome *findany.Reason
-	adding  bool
+// search is one fragment's FindAny-C in a Build-ST phase, seeded per
+// (phase, leader); the fan-out re-arms it across phases.
+type search struct {
+	*findany.Machine
+	pr  *tree.Protocol
+	cfg *BuildConfig
 }
 
-// init arms the driver for one fragment of one phase.
-func (d *fragDriver) init(pr *tree.Protocol, leader congest.NodeID, r *rng.RNG, cfg findany.Config, outcome *findany.Reason) {
-	d.pr, d.leader, d.outcome = pr, leader, outcome
-	d.adding = false
-	d.m.Reset(pr, leader, r, cfg)
+// Arm implements tree.Search.
+func (s *search) Arm(phase int, leader congest.NodeID) {
+	s.Reset(s.pr, leader, fragmentRand(s.cfg.Seed, phase, leader), s.cfg.FindAny)
 }
 
-// Step implements congest.StepDriver.
-func (d *fragDriver) Step(t *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
-	if d.adding {
-		_, err := w.Value()
-		return 0, true, err
-	}
-	next, done, err := d.m.Step(t, w)
-	if !done {
-		return next, false, nil
-	}
-	if err != nil {
-		return 0, true, err
-	}
-	res, _ := d.m.Result()
-	*d.outcome = res.Reason
-	if res.Reason != findany.FoundEdge {
-		return 0, true, nil
-	}
-	d.adding = true
-	return d.pr.StartBroadcastEcho(d.leader, tree.AddEdgeSpec(res.EdgeNum)), false, nil
+// Found implements tree.Search.
+func (s *search) Found() (uint64, bool) {
+	res, _ := s.Result()
+	return res.EdgeNum, res.Reason == findany.FoundEdge
 }
 
 // runPhase: detect and break cycles left by the previous phase's merges,
-// then elect leaders and run FindAny-C per fragment.
-func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, cfg BuildConfig, phase int, meter *congest.PhaseMeter, scratch *congest.FanoutScratch[findany.Reason], drivers *[]*fragDriver) (PhaseStat, error) {
+// then elect leaders and let the fan-out run FindAny-C per fragment.
+func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, seed uint64, phase int, fan *tree.Fanout[*search]) (PhaseStat, error) {
 	nw := sp.nw
-	meter.Begin(nw)
+	fan.Begin()
 	var stat PhaseStat
 
 	elect, err := pr.ElectAll(p)
@@ -200,7 +176,7 @@ func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, cfg BuildConfig
 	stat.CycleNodes = len(elect.CycleNodes)
 	if len(elect.CycleNodes) > 0 {
 		nBefore := countCycles(elect.CycleNodes)
-		if err := sp.breakCycles(p, elect.CycleNodes, phase, cfg.Seed); err != nil {
+		if err := sp.breakCycles(p, elect.CycleNodes, phase, seed); err != nil {
 			return stat, err
 		}
 		// Second election: surviving cycles are wiped entirely.
@@ -228,54 +204,13 @@ func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, cfg BuildConfig
 		stat.CyclesBroken = nBefore - stat.CyclesWiped
 	}
 	stat.Fragments = len(elect.Leaders)
-	if o := nw.Obs(); o != nil {
-		o.PhaseStart("st", phase, stat.Fragments, nw.Now())
+	searches, cost, err := fan.Run(p, phase, elect.Leaders)
+	if err != nil {
+		return stat, err
 	}
-
-	outcomes := scratch.Outcomes(len(elect.Leaders))
-	if cfg.Drivers == congest.DriverGoroutine {
-		procs := scratch.Procs()
-		for i, leader := range elect.Leaders {
-			i, leader := i, leader
-			procs = append(procs, p.GoTagged("findany", uint64(phase), uint64(leader), func(fp *congest.Proc) error {
-				r := fragmentRand(cfg.Seed, phase, leader)
-				res, err := findany.Run(fp, pr, leader, r, cfg.FindAny)
-				if err != nil {
-					return err
-				}
-				outcomes[i] = res.Reason
-				if res.Reason == findany.FoundEdge {
-					if _, err := pr.BroadcastEcho(fp, leader, tree.AddEdgeSpec(res.EdgeNum)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}))
-		}
-		scratch.KeepProcs(procs)
-		if err := p.WaitAll(procs...); err != nil {
-			return stat, err
-		}
-	} else {
-		tasks := scratch.Tasks()
-		for i, leader := range elect.Leaders {
-			for len(*drivers) <= i {
-				*drivers = append(*drivers, &fragDriver{m: findany.NewMachine()})
-			}
-			d := (*drivers)[i]
-			d.init(pr, leader, fragmentRand(cfg.Seed, phase, leader), cfg.FindAny, &outcomes[i])
-			tasks = append(tasks, p.GoStepTagged("findany", uint64(phase), uint64(leader), d))
-		}
-		scratch.KeepTasks(tasks)
-		if err := p.WaitTasks(tasks...); err != nil {
-			return stat, err
-		}
-	}
-	p.AwaitQuiescence()
-	nw.ApplyStaged()
-
-	for _, o := range outcomes {
-		switch o {
+	for _, s := range searches {
+		res, _ := s.Result()
+		switch res.Reason {
 		case findany.FoundEdge:
 			stat.Merges++
 		case findany.EmptyCut:
@@ -284,12 +219,8 @@ func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, cfg BuildConfig
 			stat.GaveUps++
 		}
 	}
-	cost := meter.End()
 	stat.Messages, stat.Bits, stat.Rounds = cost.Messages, cost.Bits, cost.Rounds
 	stat.Classes = cost.Classes
-	if o := nw.Obs(); o != nil {
-		o.PhaseEnd("st", phase, nw.Now(), cost)
-	}
 	return stat, nil
 }
 

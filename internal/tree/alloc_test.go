@@ -79,3 +79,40 @@ func TestUnboxedBroadcastEchoAllocs(t *testing.T) {
 		t.Errorf("unboxed B&E on %d nodes: %.1f allocs, budget 32 — per-node churn reintroduced?", n, avg)
 	}
 }
+
+// TestFanoutWarmPhaseAllocs pins a warm Borůvka fan-out phase at zero
+// allocations: once the first phase has built the searches, their task
+// wrappers and the task slice, and warmed the engine's task pool and
+// session slots, a phase of 256 searches that park, resume and add no
+// edge allocates nothing — arming, spawning, joining, the barrier and the
+// cost bracket included.
+func TestFanoutWarmPhaseAllocs(t *testing.T) {
+	race.SkipAllocTest(t)
+	const n = 256
+	nw, pr := pathNet(t, n)
+	leaders := make([]congest.NodeID, n)
+	for i := range leaders {
+		leaders[i] = congest.NodeID(i + 1)
+	}
+	var avg float64
+	nw.Spawn("controller", func(p *congest.Proc) error {
+		fan := NewFanout(pr, "test", "pick", func() *pickSearch { return &pickSearch{nw: nw} })
+		phase := 0
+		runPhase := func() {
+			phase++
+			fan.Begin()
+			if _, _, err := fan.Run(p, phase, leaders); err != nil {
+				t.Error(err)
+			}
+		}
+		runPhase() // warm: searches, wrappers, task pool, session slots
+		avg = testing.AllocsPerRun(5, runPhase)
+		return nil
+	})
+	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Errorf("warm fan-out phase of %d searches: %.1f allocs, want 0", n, avg)
+	}
+}
