@@ -1,7 +1,8 @@
 // Package admit is the concurrent-repair admission queue: it turns a
 // compiled fault-plan event list into waves of overlapping repair drivers,
 // with deterministic conflict detection on fragment overlap and bounded,
-// seeded retry backoff. See doc.go for the safety argument.
+// seeded retry backoff. See doc.go for the safety argument. RunOne runs
+// the same drivers one at a time for updates applied on their own.
 package admit
 
 import (
@@ -416,6 +417,54 @@ func Run(nw *congest.Network, events []faultplan.Event, l Launcher, cfg Config) 
 	q.Push(events...)
 	err := q.Drain(nw, l)
 	return q.stats, err
+}
+
+// Cost is the metered cost of one repair run by RunOne: the engine's
+// message and bit deltas and the simulated time it took.
+type Cost struct {
+	Messages uint64
+	Bits     uint64
+	Time     int64
+}
+
+// RunOne runs a single repair to completion on an idle network — the
+// one-repair wave of an update applied on its own. The launcher-side
+// topology mutation must already be applied. RunOne brackets the repair
+// for the attached observer under op, runs it as the network's only
+// continuation task, and applies its staged marks once the engine is
+// quiescent. On a driver or engine error nothing is applied and the
+// bracket stays open.
+func RunOne(nw *congest.Network, op string, r Repair) (Cost, error) {
+	base, baseTime := nw.Counters(), nw.Now()
+	obs := nw.Obs()
+	if obs != nil {
+		obs.RepairStart(op, baseTime)
+	}
+	t := nw.SpawnStep(op, r)
+	err := nw.Run()
+	if err == nil {
+		err = t.Err()
+	}
+	if err != nil {
+		return Cost{}, err
+	}
+	nw.ApplyStaged()
+	delta := nw.CountersSince(base)
+	c := Cost{Messages: delta.Messages, Bits: delta.Bits, Time: nw.Now() - baseTime}
+	if obs != nil {
+		obs.RepairDone(op, r.Action(), nw.Now(), c.Time, c.Messages, c.Bits)
+	}
+	return c, nil
+}
+
+// Inline brackets an update resolved without a driver (a no-op) for the
+// attached observer: a zero-cost RepairStart/RepairDone pair at the
+// current time.
+func Inline(nw *congest.Network, op, action string) {
+	if obs := nw.Obs(); obs != nil {
+		obs.RepairStart(op, nw.Now())
+		obs.RepairDone(op, action, nw.Now(), 0, 0, 0)
+	}
 }
 
 func retryDelay(cfg Config, it *item) int {

@@ -15,7 +15,7 @@
 //
 //   - goroutine drivers (Proc): a sequential program written as an
 //     ordinary Go function that parks on Await — the Borůvka phase
-//     controllers and the blocking single-op repairs. Each is spawned
+//     controllers and the repair-wave controller. Each is spawned
 //     before Run (Spawn) and scheduled cooperatively: at any instant
 //     either the engine or exactly one driver executes, so runs are
 //     deterministic for a fixed seed and free of data races by
@@ -26,6 +26,7 @@
 //     no channels and no parked stack. Every fan-out uses these — one
 //     driver per fragment per Borůvka phase, a million at 1M nodes —
 //     spawned from a Proc with GoStepTagged and joined with WaitTasks.
+//     A single repair runs as one task spawned before Run (SpawnStep).
 //     Procs and tasks share one run queue and one scheduling order.
 //
 // Two schedulers implement the paper's two timing models: the synchronous

@@ -9,14 +9,14 @@ import (
 // in flight and no quiescence-completing session can fire — a protocol bug.
 var ErrDeadlock = errors.New("congest: deadlock: drivers blocked with no messages in flight")
 
-// Proc is the context of one driver: the sequential program an initiating
-// node runs (e.g. FindMin's narrowing loop, or the global Borůvka phase
-// controller). Its methods may only be called from within the driver's own
-// function; the engine guarantees that while they run, nothing else does.
+// Proc is the context of one goroutine driver: a sequential program that
+// parks on Await, such as the global Borůvka phase controller. Its methods
+// may only be called from within the driver's own function; the engine
+// guarantees that while they run, nothing else does.
 //
-// Procs are the phase controllers and the blocking single-op drivers; a
-// controller's per-fragment fan-out runs as continuation tasks (see
-// GoStepTagged), not as further Procs.
+// Procs are the phase controllers and the repair-wave controller; a
+// controller's fan-out runs as continuation tasks (see GoStepTagged), not
+// as further Procs, and every search and repair is a StepDriver.
 type Proc struct {
 	nw   *Network
 	name string
@@ -181,14 +181,6 @@ func (p *Proc) AwaitU(sid SessionID) (uint64, error) {
 		return 0, err
 	}
 	return w.U()
-}
-
-// AwaitWake is the raw await: it parks the driver until the session
-// completes and returns the completion itself. Blocking drive loops that
-// step a continuation machine (see StepDriver) use it to hand the machine
-// exactly the Wake the engine would have delivered.
-func (p *Proc) AwaitWake(sid SessionID) (Wake, error) {
-	return p.await(sid)
 }
 
 func (p *Proc) await(sid SessionID) (Wake, error) {

@@ -19,7 +19,6 @@ import (
 
 	"kkt/internal/congest"
 	"kkt/internal/hashing"
-	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
 
@@ -185,16 +184,4 @@ func countFold(node *congest.NodeState, down any, acc, child uint64) uint64 {
 		sum = 3
 	}
 	return sum
-}
-
-// Run executes FindAny (or FindAny-C) from root over the marked tree
-// containing it. If it returns an edge, the edge certainly leaves the
-// tree (the counting test is exact); EmptyCut is w.h.p. correct.
-func Run(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, r *rng.RNG, cfg Config) (Result, error) {
-	// One implementation for both driver models: the blocking form drives
-	// the state machine in place (see Machine), so a goroutine driver and
-	// a continuation task perform the identical operation sequence.
-	m := NewMachine()
-	m.Reset(pr, root, r, cfg)
-	return m.Drive(p)
 }

@@ -39,15 +39,13 @@ func fragmentNet(t *testing.T, g *graph.Graph, frag []uint32) (*congest.Network,
 
 func runFindAny(t *testing.T, nw *congest.Network, pr *tree.Protocol, root congest.NodeID, seed uint64, cfg Config) Result {
 	t.Helper()
-	var res Result
-	nw.Spawn("findany", func(p *congest.Proc) error {
-		r, err := Run(p, pr, root, rng.New(seed), cfg)
-		res = r
-		return err
-	})
+	m := NewMachine()
+	m.Reset(pr, root, rng.New(seed), cfg)
+	nw.SpawnStep("findany", m)
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
+	res, _ := m.Result()
 	return res
 }
 

@@ -27,12 +27,11 @@ const (
 )
 
 // Machine is FindAny (or FindAny-C) as an explicit state machine, the
-// continuation counterpart of Run: the Borůvka-style fan-out in
-// internal/st wraps Machines in continuation tasks instead of parking one
-// goroutine per fragment. Reset re-arms a Machine in place; the embedded
+// package's one implementation: the Borůvka-style fan-out in internal/st
+// and the ST repairs wrap Machines in continuation tasks instead of parking
+// one goroutine per search. Reset re-arms a Machine in place; the embedded
 // probe specs and alpha buffer are reused, so a warm phase allocates
-// nothing per fragment. Run is a Drive loop over the same Step, keeping
-// the two driver models observably identical.
+// nothing per fragment.
 type Machine struct {
 	pr   *tree.Protocol
 	root congest.NodeID
@@ -206,18 +205,4 @@ func (m *Machine) fail(err error) (congest.SessionID, bool, error) {
 		o.Count("findany.error", 1)
 	}
 	return 0, true, err
-}
-
-// Drive runs the machine to completion on a blocking goroutine driver; see
-// findmin.Machine.Drive for why the two driver models stay identical.
-func (m *Machine) Drive(p *congest.Proc) (Result, error) {
-	next, done, _ := m.Step(nil, congest.Wake{})
-	for !done {
-		w, err := p.AwaitWake(next)
-		if err != nil {
-			return m.res, err
-		}
-		next, done, _ = m.Step(nil, w)
-	}
-	return m.Result()
 }

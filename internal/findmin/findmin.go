@@ -13,9 +13,7 @@ import (
 	"math"
 
 	"kkt/internal/congest"
-	"kkt/internal/rng"
 	"kkt/internal/sketch"
-	"kkt/internal/tree"
 )
 
 // q is the paper's lower bound on TestOut's success probability (the odd
@@ -114,21 +112,6 @@ type Result struct {
 	EdgeNum uint64
 	A, B    congest.NodeID
 	Stats   Stats
-}
-
-// Run executes FindMin (or FindMin-C) from root over the marked tree
-// containing it. r supplies the initiator's randomness. The returned edge,
-// when present, is w.h.p. the minimum-composite-weight edge leaving the
-// tree; EmptyCut is w.h.p. correct; FindMin never returns a non-cut edge
-// (TestOut's positives are certain and the final value is a concrete
-// incident edge weight).
-func Run(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, r *rng.RNG, cfg Config) (Result, error) {
-	// One implementation for both driver models: the blocking form drives
-	// the state machine in place (see Machine), so a goroutine driver and
-	// a continuation task perform the identical operation sequence.
-	m := NewMachine()
-	m.Reset(pr, root, r, cfg)
-	return m.Drive(p)
 }
 
 // iterationBudget computes the Count bound of FindMin step 8.

@@ -37,15 +37,13 @@ func fragmentNet(t *testing.T, g *graph.Graph, frag []uint32) (*congest.Network,
 
 func runFindMin(t *testing.T, nw *congest.Network, pr *tree.Protocol, root congest.NodeID, seed uint64, cfg Config) Result {
 	t.Helper()
-	var res Result
-	nw.Spawn("findmin", func(p *congest.Proc) error {
-		r, err := Run(p, pr, root, rng.New(seed), cfg)
-		res = r
-		return err
-	})
+	m := NewMachine()
+	m.Reset(pr, root, rng.New(seed), cfg)
+	nw.SpawnStep("findmin", m)
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
+	res, _ := m.Result()
 	return res
 }
 
@@ -244,14 +242,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	g := graph.Path(2, 5, graph.UnitWeights())
 	nw := congest.NewNetwork(g)
 	pr := tree.Attach(nw)
-	nw.Spawn("bad", func(p *congest.Proc) error {
-		_, err := Run(p, pr, 1, rng.New(1), Config{Variant: Full, Lanes: 1})
-		if err == nil {
-			t.Error("lanes=1 accepted")
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
+	m := NewMachine()
+	m.Reset(pr, 1, rng.New(1), Config{Variant: Full, Lanes: 1})
+	nw.SpawnStep("bad", m)
+	if err := nw.Run(); err == nil {
+		t.Error("lanes=1 accepted")
 	}
 }

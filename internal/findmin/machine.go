@@ -26,18 +26,15 @@ const (
 	msDone
 )
 
-// Machine is FindMin (or FindMin-C) as an explicit state machine: the same
-// narrowing loop as Run, with each broadcast-and-echo await turned into a
-// state. One Machine drives one fragment; the Borůvka fan-out in
-// internal/mst wraps Machines in continuation tasks so a million-fragment
+// Machine is FindMin (or FindMin-C) as an explicit state machine: the
+// narrowing loop with each broadcast-and-echo await turned into a state.
+// One Machine searches from one root; the Borůvka fan-out and the repairs
+// in internal/mst wrap Machines in continuation tasks so a million-fragment
 // phase costs heap objects, not parked goroutine stacks. Reset re-arms a
 // Machine in place — the embedded probe runners and alpha buffer are
-// reused, so a warm phase allocates nothing per fragment.
-//
-// Machine implements the body of congest.StepDriver; the blocking Run is a
-// Drive loop over the same Step, so both driver models execute the
-// identical sequence of engine operations (sessions, sends, RNG draws) and
-// produce byte-identical seeded reports.
+// reused, so a warm phase allocates nothing per fragment. Machine
+// implements congest.StepDriver; run it with Network.SpawnStep or a
+// fan-out.
 type Machine struct {
 	pr   *tree.Protocol
 	root congest.NodeID
@@ -226,20 +223,4 @@ func (m *Machine) fail(err error) (congest.SessionID, bool, error) {
 		o.Count("findmin.error", 1)
 	}
 	return 0, true, err
-}
-
-// Drive runs the machine to completion on a blocking goroutine driver,
-// awaiting each step's session in place. Because Drive and a continuation
-// task execute the very same Step sequence, the two driver models are
-// observably identical.
-func (m *Machine) Drive(p *congest.Proc) (Result, error) {
-	next, done, _ := m.Step(nil, congest.Wake{})
-	for !done {
-		w, err := p.AwaitWake(next)
-		if err != nil {
-			return m.res, err
-		}
-		next, done, _ = m.Step(nil, w)
-	}
-	return m.Result()
 }

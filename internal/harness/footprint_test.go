@@ -6,7 +6,8 @@ import "testing"
 // continuation driver model, measured in-process on builds small enough
 // for a test: each Borůvka-style build runs on exactly one driver
 // goroutine (its phase controller), while the first phase's one-per-node
-// fan-out lives in pooled heap tasks, all live at once.
+// fan-out lives in pooled heap tasks, all live at once. A churn trial's
+// single-op repairs each run as one task, with no driver goroutine at all.
 func TestContinuationDriversCutPeakGoroutines(t *testing.T) {
 	for _, algo := range []string{AlgoMSTBuildAdaptive, AlgoSTBuild, AlgoGHS} {
 		spec := Spec{
@@ -34,6 +35,27 @@ func TestContinuationDriversCutPeakGoroutines(t *testing.T) {
 			}
 			if m.PeakLiveDrivers < spec.N {
 				t.Errorf("peaked at %d live drivers, want >= %d", m.PeakLiveDrivers, spec.N)
+			}
+		})
+	}
+	for _, name := range []string{"mst-repair/gnm/async", "st-repair/ring/sync"} {
+		spec, ok := Builtin().Get(name)
+		if !ok {
+			t.Fatalf("scenario %s not registered", name)
+		}
+		t.Run(name, func(t *testing.T) {
+			m, _, err := RunTrialShards(spec, 5, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Valid {
+				t.Fatal("repaired forest invalid")
+			}
+			if m.PeakDriverGoroutines != 0 {
+				t.Errorf("peaked at %d driver goroutines, want 0 (repairs run as tasks)", m.PeakDriverGoroutines)
+			}
+			if m.PeakDriverTasks < 1 {
+				t.Errorf("peaked at %d tasks, want >= 1", m.PeakDriverTasks)
 			}
 		})
 	}

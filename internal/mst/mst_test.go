@@ -7,6 +7,7 @@ import (
 	"kkt/internal/congest"
 	"kkt/internal/findmin"
 	"kkt/internal/graph"
+	"kkt/internal/obsv"
 	"kkt/internal/rng"
 	"kkt/internal/spanning"
 	"kkt/internal/tree"
@@ -374,6 +375,32 @@ func TestWeightChangeAllCases(t *testing.T) {
 	}
 	apply(nonTree2, nonTree2.Raw+1)
 	checkMSF(t, nw, g)
+}
+
+// TestWeightChangeSameWeightBracketed: an unchanged weight is a no-op that,
+// like every other resolved update, reaches the observer as one zero-cost
+// RepairStart/RepairDone pair — so a Recorder's tally matches the action
+// tally.
+func TestWeightChangeSameWeightBracketed(t *testing.T) {
+	g := graph.MustNew(3, 10)
+	g.MustAddEdge(1, 2, 4)
+	g.MustAddEdge(2, 3, 5)
+	rec := obsv.NewRecorder("test")
+	nw := congest.NewNetwork(g, congest.WithObserver(rec))
+	pr := tree.Attach(nw)
+	nw.SetForest([][2]congest.NodeID{{1, 2}, {2, 3}})
+	rep, err := WeightChange(nw, pr, 1, 2, 4, DefaultRepair(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Action != NoOp || rep.Messages != 0 {
+		t.Fatalf("same-weight change: %v/%d msgs, want no-op/0", rep.Action, rep.Messages)
+	}
+	rp := rec.Snapshot().Repairs
+	if rp.Started != 1 || rp.Finished != 1 || rp.ByAction["mst.reweight/no-op"] != 1 {
+		t.Fatalf("recorder saw started=%d finished=%d by-action=%v, want one mst.reweight/no-op",
+			rp.Started, rp.Finished, rp.ByAction)
+	}
 }
 
 func TestRepairStreamKeepsInvariant(t *testing.T) {

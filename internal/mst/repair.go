@@ -3,9 +3,9 @@ package mst
 import (
 	"fmt"
 
+	"kkt/internal/admit"
 	"kkt/internal/congest"
 	"kkt/internal/findmin"
-	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
 
@@ -55,15 +55,8 @@ func (a Action) String() string {
 
 // Report is the outcome and cost of one repair operation.
 type Report struct {
-	Action   Action
-	Messages uint64
-	Bits     uint64
-	Time     int64
-	// Edge is the replacement/marked edge when Action is Reconnected,
-	// Added or Swapped.
-	Edge [2]congest.NodeID
-	// Stats carries the inner FindMin statistics for delete repairs.
-	Stats findmin.Stats
+	Action Action
+	admit.Cost
 }
 
 // RepairConfig tunes the repair operations.
@@ -80,76 +73,20 @@ func DefaultRepair(seed uint64) RepairConfig {
 	return RepairConfig{Seed: seed, FindMin: findmin.Defaults(findmin.Full)}
 }
 
-// obsRepairStart/obsRepairDone bracket a repair operation for the attached
-// observer (no-ops when none): the round-latency and cost reported are the
-// same deltas the returned Report carries.
-func obsRepairStart(nw *congest.Network, op string) {
-	if o := nw.Obs(); o != nil {
-		o.RepairStart(op, nw.Now())
-	}
-}
-
-func obsRepairDone(nw *congest.Network, op string, rep Report) {
-	if o := nw.Obs(); o != nil {
-		o.RepairDone(op, rep.Action.String(), nw.Now(), rep.Time, rep.Messages, rep.Bits)
-	}
-}
-
 // Delete processes the deletion of link {a,b} (paper §3.2 Delete(u,v)):
 // the link is removed from the topology; if it was a tree edge, the
 // smaller-ID endpoint initiates FindMin over its remaining tree and marks
 // the replacement, if any. The network must be idle (impromptu repair is
 // between-updates state-free).
 func Delete(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg RepairConfig) (Report, error) {
-	before := nw.Counters()
-	beforeTime := nw.Now()
 	existed, wasMarked := nw.DeleteLink(a, b)
 	if !existed {
 		return Report{}, fmt.Errorf("mst: delete of non-existent link {%d,%d}", a, b)
 	}
-	obsRepairStart(nw, "mst.delete")
 	if !wasMarked {
-		rep := Report{Action: NoOp}
-		obsRepairDone(nw, "mst.delete", rep)
-		return rep, nil
+		return noOp(nw, "mst.delete"), nil
 	}
-	u := a
-	if b < u {
-		u = b
-	}
-	var rep Report
-	nw.Spawn(fmt.Sprintf("delete-%d-%d", a, b), func(p *congest.Proc) error {
-		r := rng.New(cfg.Seed ^ uint64(a)<<32 ^ uint64(b))
-		res, err := findmin.Run(p, pr, u, r, cfg.FindMin)
-		if err != nil {
-			return err
-		}
-		rep.Stats = res.Stats
-		switch res.Reason {
-		case findmin.FoundEdge:
-			if _, err := pr.BroadcastEcho(p, u, tree.AddEdgeSpec(res.EdgeNum)); err != nil {
-				return err
-			}
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
-			rep.Action = Reconnected
-			rep.Edge = [2]congest.NodeID{res.A, res.B}
-		case findmin.EmptyCut:
-			rep.Action = Bridge
-		case findmin.GaveUp:
-			rep.Action = Failed
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		return rep, err
-	}
-	c := nw.CountersSince(before)
-	rep.Messages = c.Messages
-	rep.Bits = c.Bits
-	rep.Time = nw.Now() - beforeTime
-	obsRepairDone(nw, "mst.delete", rep)
-	return rep, nil
+	return runRepair(nw, pr, "mst.delete", true, a, b, cfg.Seed^uint64(a)<<32^uint64(b), cfg.FindMin)
 }
 
 // Insert processes the insertion of link {a,b} with the given raw weight
@@ -161,60 +98,7 @@ func Insert(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, raw uin
 	if err := nw.InsertLink(a, b, raw); err != nil {
 		return Report{}, err
 	}
-	return settleUnmarked(nw, pr, a, b, "mst.insert")
-}
-
-// settleUnmarked restores the MSF invariant given that the (existing,
-// unmarked) link {a,b} may now belong in the forest. op labels the
-// enclosing operation for observers.
-func settleUnmarked(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, op string) (Report, error) {
-	before := nw.Counters()
-	beforeTime := nw.Now()
-	obsRepairStart(nw, op)
-	u, v := a, b
-	if v < u {
-		u, v = v, u
-	}
-	newComposite := nw.Node(u).EdgeTo(v).Composite
-	var rep Report
-	nw.Spawn(fmt.Sprintf("insert-%d-%d", a, b), func(p *congest.Proc) error {
-		pm, err := runPathMax(p, pr, u, v)
-		if err != nil {
-			return err
-		}
-		switch {
-		case !pm.Found:
-			// v is in a different tree: the new edge joins two trees.
-			nw.Node(u).StageMark(v)
-			pr.SendMarkX(u, v)
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
-			rep.Action = Added
-			rep.Edge = [2]congest.NodeID{u, v}
-		case newComposite < pm.MaxComposite:
-			// Swap: broadcast "remove heaviest path edge, add {u,v}".
-			spec := swapSpec(pm.MaxEdgeNum, nw.Node(u).EdgeTo(v).EdgeNum)
-			if _, err := pr.BroadcastEcho(p, u, spec); err != nil {
-				return err
-			}
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
-			rep.Action = Swapped
-			rep.Edge = [2]congest.NodeID{u, v}
-		default:
-			rep.Action = Kept
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		return rep, err
-	}
-	c := nw.CountersSince(before)
-	rep.Messages = c.Messages
-	rep.Bits = c.Bits
-	rep.Time = nw.Now() - beforeTime
-	obsRepairDone(nw, op, rep)
-	return rep, nil
+	return runRepair(nw, pr, "mst.insert", false, a, b, 0, cfg.FindMin)
 }
 
 // WeightChange processes a weight change on the existing link {a,b}
@@ -227,7 +111,7 @@ func WeightChange(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, n
 	}
 	oldRaw, wasMarked := he.Raw, he.Marked
 	if newRaw == oldRaw {
-		return Report{Action: NoOp}, nil
+		return noOp(nw, "mst.reweight"), nil
 	}
 	if err := nw.SetRawWeight(a, b, newRaw); err != nil {
 		return Report{}, err
@@ -239,64 +123,37 @@ func WeightChange(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, n
 		// itself stays available as its own (possibly best) replacement.
 		nw.Node(a).SetMark(b, false)
 		nw.Node(b).SetMark(a, false)
-		rep, err := deleteStyleRepair(nw, pr, a, b, cfg)
-		return rep, err
+		return runRepair(nw, pr, "mst.reweight", true, a, b, cfg.Seed^uint64(a)<<32^uint64(b)^0x5851f42d4c957f2d, cfg.FindMin)
 	case !wasMarked && newRaw < oldRaw:
 		// Decrease on a non-tree edge: like an insertion.
-		return settleUnmarked(nw, pr, a, b, "mst.reweight")
+		return runRepair(nw, pr, "mst.reweight", false, a, b, 0, cfg.FindMin)
 	default:
 		// Decrease on a tree edge / increase on a non-tree edge: the MSF
 		// is unchanged.
-		rep := Report{Action: NoOp}
-		obsRepairStart(nw, "mst.reweight")
-		obsRepairDone(nw, "mst.reweight", rep)
-		return rep, nil
+		return noOp(nw, "mst.reweight"), nil
 	}
 }
 
-// deleteStyleRepair runs the FindMin reconnection step of Delete without
-// removing the link.
-func deleteStyleRepair(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg RepairConfig) (Report, error) {
-	before := nw.Counters()
-	beforeTime := nw.Now()
-	obsRepairStart(nw, "mst.reweight")
-	u := a
-	if b < u {
-		u = b
+// noOp reports an update that leaves the forest unchanged, with the
+// zero-cost observer bracket every resolved update gets.
+func noOp(nw *congest.Network, op string) Report {
+	admit.Inline(nw, op, NoOp.String())
+	return Report{Action: NoOp}
+}
+
+// runRepair runs one repair machine on its own, initiated by the
+// smaller-ID endpoint (the paper's initiator) with the other as peer.
+func runRepair(nw *congest.Network, pr *tree.Protocol, op string, deleteStyle bool, a, b congest.NodeID, seed uint64, cfg findmin.Config) (Report, error) {
+	if b < a {
+		a, b = b, a
 	}
-	var rep Report
-	nw.Spawn(fmt.Sprintf("reweight-%d-%d", a, b), func(p *congest.Proc) error {
-		r := rng.New(cfg.Seed ^ uint64(a)<<32 ^ uint64(b) ^ 0x5851f42d4c957f2d)
-		res, err := findmin.Run(p, pr, u, r, cfg.FindMin)
-		if err != nil {
-			return err
-		}
-		rep.Stats = res.Stats
-		switch res.Reason {
-		case findmin.FoundEdge:
-			if _, err := pr.BroadcastEcho(p, u, tree.AddEdgeSpec(res.EdgeNum)); err != nil {
-				return err
-			}
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
-			rep.Action = Reconnected
-			rep.Edge = [2]congest.NodeID{res.A, res.B}
-		case findmin.EmptyCut:
-			rep.Action = Bridge
-		case findmin.GaveUp:
-			rep.Action = Failed
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		return rep, err
+	sr := &stormRepair{nw: nw, pr: pr, fm: findmin.NewMachine()}
+	sr.reset(deleteStyle, a, b, seed, cfg)
+	c, err := admit.RunOne(nw, op, sr)
+	if err != nil {
+		return Report{}, err
 	}
-	c := nw.CountersSince(before)
-	rep.Messages = c.Messages
-	rep.Bits = c.Bits
-	rep.Time = nw.Now() - beforeTime
-	obsRepairDone(nw, "mst.reweight", rep)
-	return rep, nil
+	return Report{Action: sr.action, Cost: c}, nil
 }
 
 // pathMaxResult is the aggregate of the Insert broadcast-and-echo.
@@ -309,18 +166,9 @@ type pathMaxResult struct {
 	MaxEdgeNum   uint64
 }
 
-// runPathMax performs the Insert(u,v) broadcast-and-echo: does v lie in
-// u's tree, and if so what is the heaviest edge on the path u..v?
-func runPathMax(p *congest.Proc, pr *tree.Protocol, root, target congest.NodeID) (pathMaxResult, error) {
-	v, err := pr.BroadcastEcho(p, root, pathMaxSpec(target))
-	if err != nil {
-		return pathMaxResult{}, err
-	}
-	return v.(pathMaxResult), nil
-}
-
-// pathMaxSpec builds the Insert(u,v) broadcast-and-echo spec; shared by the
-// blocking driver above and the wave-mode storm machine.
+// pathMaxSpec builds the Insert(u,v) broadcast-and-echo spec: does target
+// lie in the root's tree, and if so what is the heaviest edge on the path
+// to it?
 func pathMaxSpec(target congest.NodeID) *tree.Spec {
 	return &tree.Spec{
 		Down:     target,

@@ -9,25 +9,26 @@ import (
 	"kkt/internal/tree"
 )
 
-// stormRepair is the wave-mode form of the repair drivers in repair.go: the
-// same operation bodies (FindMin reconnection for delete-style events,
-// path-max settle for insert-style ones) as an explicit continuation state
-// machine, so an admission wave of overlapping repairs costs heap objects,
-// not parked goroutine stacks. Unlike the sequential drivers it never
-// awaits quiescence or applies staged marks itself — the wave controller's
-// single Run/ApplyStaged covers every repair in the wave (see
-// internal/admit's safety argument).
+// stormRepair is the one implementation of every MSF repair: FindMin
+// reconnection for delete-style events, path-max settle for insert-style
+// ones, as an explicit continuation state machine, so an admission wave of
+// overlapping repairs costs heap objects, not parked goroutine stacks. It
+// never awaits quiescence or applies staged marks itself — whoever runs it
+// does, once the engine is quiescent: the wave controller for a whole wave
+// (see internal/admit's safety argument), admit.RunOne for the single-op
+// Delete/Insert/WeightChange in repair.go.
 type stormRepair struct {
 	nw *congest.Network
 	pr *tree.Protocol
 	fm *findmin.Machine
 
 	deleteStyle bool
-	// root is the repair initiator — the endpoint whose side of the live
-	// marked forest the launcher's admission-time probe found smaller, so
-	// the machine's tree traversals stay proportional to the small side
-	// (the fault compiler's Event.A orientation is only a modelled guess;
-	// see admit.SideProber). peer is the other endpoint.
+	// root is the repair initiator and peer the other endpoint. Single
+	// ops root at the smaller ID, the paper's initiator. The storm
+	// launcher roots at the endpoint whose side of the live marked forest
+	// its admission-time probe found smaller, so the machine's tree
+	// traversals stay proportional to the small side (the fault compiler's
+	// Event.A orientation is only a modelled guess; see admit.SideProber).
 	root, peer congest.NodeID
 	seed       uint64
 	cfg        findmin.Config
@@ -111,7 +112,8 @@ func (sr *stormRepair) Step(t *congest.Task, w congest.Wake) (congest.SessionID,
 }
 
 // stepFindMin delegates to the inner FindMin machine and, on completion,
-// dispatches on its result exactly like the blocking delete driver.
+// dispatches on its result: broadcast Add Edge for a found edge, or finish
+// as a bridge or a failed search.
 func (sr *stormRepair) stepFindMin(t *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
 	next, done, err := sr.fm.Step(t, w)
 	if !done {
@@ -135,8 +137,8 @@ func (sr *stormRepair) stepFindMin(t *congest.Task, w congest.Wake) (congest.Ses
 
 // StormLauncher implements admit.Launcher for a maintained weighted MSF:
 // the admission-time classification mirrors Delete/Insert/WeightChange in
-// repair.go — same seed derivations, same inline no-op cases — with the
-// driver bodies run as stormRepair machines.
+// repair.go — same seed derivations, same inline no-op cases, same
+// stormRepair machines.
 type StormLauncher struct {
 	nw    *congest.Network
 	pr    *tree.Protocol

@@ -91,19 +91,51 @@ func WriteCheckpoint(path string, cp Checkpoint) error {
 
 // ReadCheckpoint loads and integrity-checks a checkpoint.
 func ReadCheckpoint(path string) (Checkpoint, error) {
-	var cp Checkpoint
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		return cp, err
+		return Checkpoint{}, err
 	}
+	return decodeCheckpoint(path, blob)
+}
+
+// decodeCheckpoint parses a checkpoint and checks its version, its state
+// digest and its content; name labels errors.
+func decodeCheckpoint(name string, blob []byte) (Checkpoint, error) {
+	var cp Checkpoint
 	if err := json.Unmarshal(blob, &cp); err != nil {
-		return cp, fmt.Errorf("serve: checkpoint %s: %w", path, err)
+		return cp, fmt.Errorf("serve: checkpoint %s: %w", name, err)
 	}
 	if cp.Version != checkpointVersion {
-		return cp, fmt.Errorf("serve: checkpoint %s: version %d, want %d", path, cp.Version, checkpointVersion)
+		return cp, fmt.Errorf("serve: checkpoint %s: version %d, want %d", name, cp.Version, checkpointVersion)
 	}
 	if got := cp.State.Digest(); got != cp.Digest {
-		return cp, fmt.Errorf("serve: checkpoint %s: state digest mismatch (file corrupt?)", path)
+		return cp, fmt.Errorf("serve: checkpoint %s: state digest mismatch (file corrupt?)", name)
+	}
+	if err := cp.validate(); err != nil {
+		return cp, fmt.Errorf("serve: checkpoint %s: %w", name, err)
 	}
 	return cp, nil
+}
+
+// validate rejects content no daemon writes. The digest is a plain sha256
+// anyone can recompute, so it catches corruption but not an edited file;
+// this keeps an edited one from panicking the engine.
+func (cp Checkpoint) validate() error {
+	if cp.Epoch < 0 || cp.EventsDone < 0 {
+		return fmt.Errorf("epoch %d, events_done %d: want >= 0", cp.Epoch, cp.EventsDone)
+	}
+	if err := cp.State.validate(); err != nil {
+		return err
+	}
+	if n := len(cp.Queue.Pending); n != 0 {
+		// The daemon checkpoints only at epoch boundaries, after a full
+		// drain.
+		return fmt.Errorf("queue has %d pending events, want none", n)
+	}
+	for _, kt := range cp.Obs.ByKind {
+		if kt.Kind == "" {
+			return fmt.Errorf("obs: empty message-kind name")
+		}
+	}
+	return nil
 }

@@ -191,8 +191,10 @@ func New(cfg Config) (*Daemon, error) {
 	}, nil
 }
 
-// Resume reconstructs a daemon from a checkpoint. The configuration's
-// fingerprint must match the checkpoint's exactly.
+// Resume reconstructs a daemon from a checkpoint (validated, as
+// ReadCheckpoint returns it). The configuration's fingerprint must match
+// the checkpoint's exactly, and its graph spec must match the state's
+// node count and weight bound.
 func Resume(cfg Config, cp Checkpoint) (*Daemon, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -200,6 +202,13 @@ func Resume(cfg Config, cp Checkpoint) (*Daemon, error) {
 	}
 	if fp := cfg.fingerprint(); !reflect.DeepEqual(fp, cp.Fingerprint) {
 		return nil, fmt.Errorf("serve: checkpoint fingerprint mismatch:\n  config     %+v\n  checkpoint %+v", fp, cp.Fingerprint)
+	}
+	if cp.State.N != cfg.Spec.N || cp.State.MaxRaw != cfg.Spec.MaxRaw {
+		return nil, fmt.Errorf("serve: checkpoint state has n=%d max_raw=%d, spec has n=%d max_raw=%d",
+			cp.State.N, cp.State.MaxRaw, cfg.Spec.N, cfg.Spec.MaxRaw)
+	}
+	if cp.EventsDone > cfg.Events {
+		return nil, fmt.Errorf("serve: checkpoint is %d events in, past the run's %d", cp.EventsDone, cfg.Events)
 	}
 	d := &Daemon{
 		cfg:        cfg,

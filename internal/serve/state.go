@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"sort"
 
 	"kkt/internal/congest"
@@ -99,6 +100,51 @@ func (st State) Graph() *graph.Graph {
 		g.MustAddEdge(e.A, e.B, e.Raw)
 	}
 	return g
+}
+
+// validate checks that st describes a graph with a marked forest: the
+// bit layout fits, edges are sorted and distinct with 1 <= A < B <= N,
+// weights lie in 1..MaxRaw, and the marked edges close no cycle.
+func (st State) validate() error {
+	if _, err := graph.New(st.N, st.MaxRaw); err != nil {
+		return err
+	}
+	// Union-find keyed by endpoint: memory follows the edge list, not N.
+	parent := make(map[uint32]uint32)
+	find := func(v uint32) uint32 {
+		for {
+			p, ok := parent[v]
+			if !ok {
+				return v
+			}
+			if gp, ok := parent[p]; ok {
+				parent[v] = gp // path halving
+				p = gp
+			}
+			v = p
+		}
+	}
+	for i, e := range st.Edges {
+		if e.A < 1 || e.A >= e.B || int64(e.B) > int64(st.N) {
+			return fmt.Errorf("edge {%d,%d}: want 1 <= a < b <= %d", e.A, e.B, st.N)
+		}
+		if i > 0 {
+			if p := st.Edges[i-1]; p.A > e.A || p.A == e.A && p.B >= e.B {
+				return fmt.Errorf("edge {%d,%d} after {%d,%d}: edges must be sorted and distinct", e.A, e.B, p.A, p.B)
+			}
+		}
+		if e.Raw < 1 || e.Raw > st.MaxRaw {
+			return fmt.Errorf("edge {%d,%d}: raw weight %d outside 1..%d", e.A, e.B, e.Raw, st.MaxRaw)
+		}
+		if e.Marked {
+			ra, rb := find(e.A), find(e.B)
+			if ra == rb {
+				return fmt.Errorf("marked edge {%d,%d} closes a cycle", e.A, e.B)
+			}
+			parent[ra] = rb
+		}
+	}
+	return nil
 }
 
 // MarkedPairs returns the marked forest as endpoint pairs, in canonical

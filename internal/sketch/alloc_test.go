@@ -39,7 +39,7 @@ func TestTestOutBroadcastAllocs(t *testing.T) {
 	iv := Interval{Lo: 1, Hi: 1 << 40}
 	wave := func() {
 		nw.Spawn("testout", func(p *congest.Proc) error {
-			_, err := runner.Lanes(p, pr, 1, h, iv, Lanes)
+			_, err := p.AwaitU(runner.Start(pr, 1, h, iv, Lanes))
 			return err
 		})
 		if err := nw.Run(); err != nil {
@@ -65,8 +65,12 @@ func TestHPTestOutBroadcastAllocs(t *testing.T) {
 	iv := Interval{Lo: 1, Hi: 1 << 40}
 	wave := func() {
 		nw.Spawn("hp", func(p *congest.Proc) error {
-			_, err := runner.Run(p, pr, 1, alphas, iv)
-			return err
+			v, err := p.Await(runner.Start(pr, 1, alphas, iv))
+			if err != nil {
+				return err
+			}
+			ConsumeHP(v)
+			return nil
 		})
 		if err := nw.Run(); err != nil {
 			t.Fatal(err)

@@ -149,11 +149,13 @@ func NewHPRunner() *HPRunner {
 }
 
 // Start begins HP-TestOut(root, rng) with the given evaluation points; the
-// session completes with a pooled *hpEval to be consumed with ConsumeHP.
-// Continuation drivers pair Start/ConsumeHP; blocking drivers use Run.
+// session completes with a pooled *hpEval to be consumed with ConsumeHP,
+// which reports whether an edge with composite weight in rng leaves the
+// tree containing root. A false answer is wrong with probability at most
+// (B/p)^len(alphas); a true answer is always correct.
 func (h *HPRunner) Start(pr *tree.Protocol, root congest.NodeID, alphas []uint64, rng Interval) congest.SessionID {
 	if len(alphas) == 0 || len(alphas) > MaxReps {
-		panic("sketch: HPTestOut needs 1..MaxReps alphas")
+		panic("sketch: HP-TestOut needs 1..MaxReps alphas")
 	}
 	ring := modring.Default()
 	reps := copy(h.down.Alphas[:], alphas)
@@ -177,21 +179,4 @@ func ConsumeHP(v any) bool {
 	}
 	hpEvalPool.Put(ev)
 	return leaving
-}
-
-// Run performs HP-TestOut(root, rng) with the given evaluation points and
-// reports whether an edge with composite weight in rng leaves the tree
-// containing root. A false answer is wrong with probability at most
-// (B/p)^len(alphas); a true answer is always correct.
-func (h *HPRunner) Run(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, alphas []uint64, rng Interval) (bool, error) {
-	v, err := p.Await(h.Start(pr, root, alphas, rng))
-	if err != nil {
-		return false, err
-	}
-	return ConsumeHP(v), nil
-}
-
-// HPTestOut is the one-shot form of HPRunner.Run.
-func HPTestOut(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, alphas []uint64, rng Interval) (bool, error) {
-	return NewHPRunner().Run(p, pr, root, alphas, rng)
 }

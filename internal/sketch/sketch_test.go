@@ -35,6 +35,21 @@ func runDriver(t *testing.T, nw *congest.Network, fn func(p *congest.Proc) error
 	}
 }
 
+// testOut awaits one single-lane TestOut probe, the paper's TestOut(x, j, k).
+func testOut(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, h hashing.OddHash, iv Interval) (bool, error) {
+	word, err := p.AwaitU(NewTestOutRunner().Start(pr, root, h, iv, 1))
+	return word != 0, err
+}
+
+// hpTestOut awaits one HP-TestOut probe.
+func hpTestOut(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, alphas []uint64, iv Interval) (bool, error) {
+	v, err := p.Await(NewHPRunner().Start(pr, root, alphas, iv))
+	if err != nil {
+		return false, err
+	}
+	return ConsumeHP(v), nil
+}
+
 func comp(g *graph.Graph, a, b uint32) uint64 {
 	return g.Edge(g.EdgeIndex(a, b)).Raw<<uint(g.Layout.EdgeNumBits) | g.Layout.EdgeNum(a, b)
 }
@@ -43,9 +58,12 @@ func TestSurvey(t *testing.T) {
 	nw, pr, g := fixture(t)
 	var s Survey
 	runDriver(t, nw, func(p *congest.Proc) error {
-		got, err := RunSurvey(p, pr, 1)
-		s = got
-		return err
+		v, err := p.Await(StartSurvey(pr, 1))
+		if err != nil {
+			return err
+		}
+		s = ConsumeSurvey(v)
+		return nil
 	})
 	if s.Size != 3 {
 		t.Errorf("Size = %d, want 3", s.Size)
@@ -120,7 +138,7 @@ func TestTestOutEmptyCutNeverFires(t *testing.T) {
 		full := Interval{Lo: 0, Hi: ^uint64(0) >> 1}
 		for i := 0; i < 100; i++ {
 			h := hashing.NewOddHash(r)
-			got, err := TestOut(p, pr, 2, h, full)
+			got, err := testOut(p, pr, 2, h, full)
 			if err != nil {
 				return err
 			}
@@ -141,7 +159,7 @@ func TestTestOutDetectsCut(t *testing.T) {
 		full := Interval{Lo: 0, Hi: ^uint64(0) >> 1}
 		for i := 0; i < trials; i++ {
 			h := hashing.NewOddHash(r)
-			got, err := TestOut(p, pr, 1, h, full)
+			got, err := testOut(p, pr, 1, h, full)
 			if err != nil {
 				return err
 			}
@@ -167,7 +185,7 @@ func TestTestOutIntervalFilter(t *testing.T) {
 	runDriver(t, nw, func(p *congest.Proc) error {
 		for i := 0; i < 200; i++ {
 			h := hashing.NewOddHash(r)
-			got, err := TestOut(p, pr, 1, h, Interval{Lo: lo, Hi: hi})
+			got, err := testOut(p, pr, 1, h, Interval{Lo: lo, Hi: hi})
 			if err != nil {
 				return err
 			}
@@ -201,7 +219,7 @@ func TestTestOutLanesLocaliseCutEdges(t *testing.T) {
 	runDriver(t, nw, func(p *congest.Proc) error {
 		for i := 0; i < 600; i++ {
 			h := hashing.NewOddHash(r)
-			word, err := TestOutLanes(p, pr, 1, h, rngIv, Lanes)
+			word, err := p.AwaitU(NewTestOutRunner().Start(pr, 1, h, rngIv, Lanes))
 			if err != nil {
 				return err
 			}
@@ -234,21 +252,21 @@ func TestHPTestOutAlwaysRight(t *testing.T) {
 	runDriver(t, nw, func(p *congest.Proc) error {
 		for i := 0; i < 100; i++ {
 			alphas := DrawAlphas(r, 2)
-			got, err := HPTestOut(p, pr, 1, alphas, full)
+			got, err := hpTestOut(p, pr, 1, alphas, full)
 			if err != nil {
 				return err
 			}
 			if !got {
 				t.Fatal("HP-TestOut missed a non-empty cut (prob ~2^-80)")
 			}
-			got, err = HPTestOut(p, pr, 1, alphas, noCut)
+			got, err = hpTestOut(p, pr, 1, alphas, noCut)
 			if err != nil {
 				return err
 			}
 			if got {
 				t.Fatal("HP-TestOut fired on an empty cut interval")
 			}
-			got, err = HPTestOut(p, pr, 1, alphas, onlyLight)
+			got, err = hpTestOut(p, pr, 1, alphas, onlyLight)
 			if err != nil {
 				return err
 			}
@@ -275,7 +293,7 @@ func TestHPTestOutWholeTreeEmptyCut(t *testing.T) {
 	r := rng.New(61)
 	runDriver(t, nw, func(p *congest.Proc) error {
 		for i := 0; i < 50; i++ {
-			got, err := HPTestOut(p, pr, 3, DrawAlphas(r, 1), Interval{Lo: 0, Hi: ^uint64(0) >> 1})
+			got, err := hpTestOut(p, pr, 3, DrawAlphas(r, 1), Interval{Lo: 0, Hi: ^uint64(0) >> 1})
 			if err != nil {
 				return err
 			}
@@ -308,7 +326,7 @@ func TestTestOutMessageCost(t *testing.T) {
 	r := rng.New(71)
 	runDriver(t, nw, func(p *congest.Proc) error {
 		before := nw.Counters()
-		_, err := TestOut(p, pr, 1, hashing.NewOddHash(r), Interval{Lo: 0, Hi: 1 << 40})
+		_, err := testOut(p, pr, 1, hashing.NewOddHash(r), Interval{Lo: 0, Hi: 1 << 40})
 		if err != nil {
 			return err
 		}

@@ -98,14 +98,8 @@ var surveySpec = tree.Spec{
 	Combine:  surveyCombine,
 }
 
-// SurveySpec returns the broadcast-and-echo spec computing Survey. The
-// spec is shared and must not be mutated; echo values are pooled *Survey
-// (RunSurvey copies the aggregate out).
-func SurveySpec() *tree.Spec { return &surveySpec }
-
 // StartSurvey begins the survey broadcast-and-echo from root; the session
 // completes with a pooled *Survey to be consumed with ConsumeSurvey.
-// Continuation drivers pair Start/Consume; blocking drivers use RunSurvey.
 func StartSurvey(pr *tree.Protocol, root congest.NodeID) congest.SessionID {
 	return pr.StartBroadcastEcho(root, &surveySpec)
 }
@@ -117,13 +111,4 @@ func ConsumeSurvey(v any) Survey {
 	s := *sp
 	surveyPool.Put(sp)
 	return s
-}
-
-// RunSurvey performs the survey broadcast-and-echo from root.
-func RunSurvey(p *congest.Proc, pr *tree.Protocol, root congest.NodeID) (Survey, error) {
-	v, err := p.Await(StartSurvey(pr, root))
-	if err != nil {
-		return Survey{}, err
-	}
-	return ConsumeSurvey(v), nil
 }

@@ -137,30 +137,11 @@ func NewTestOutRunner() *TestOutRunner {
 
 // Start begins one TestOut broadcast-and-echo from root over the lane
 // split of rng; the session completes (unboxed) with the parity word.
-// Continuation drivers await the returned session through the engine;
-// blocking drivers use Lanes.
+// Bit i set means lane i certainly contains an edge leaving the tree
+// containing root; a zero bit is wrong with probability at most 7/8 when
+// the lane's cut is non-empty (the paper's TestOut(x, j, k) is the
+// one-lane case). Drivers await the session through the engine.
 func (t *TestOutRunner) Start(pr *tree.Protocol, root congest.NodeID, h hashing.OddHash, rng Interval, nLanes int) congest.SessionID {
 	t.down = testOutDown{Hash: h, Range: rng, NLanes: nLanes, stride: rng.Stride(nLanes)}
 	return pr.StartBroadcastEcho(root, &t.spec)
-}
-
-// Lanes runs one TestOut broadcast-and-echo from root over the lane split
-// of rng and returns the parity word: bit i set means lane i certainly
-// contains an edge leaving the tree. Zero bits are inconclusive.
-func (t *TestOutRunner) Lanes(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, h hashing.OddHash, rng Interval, nLanes int) (uint64, error) {
-	return p.AwaitU(t.Start(pr, root, h, rng, nLanes))
-}
-
-// TestOutLanes is the one-shot form of TestOutRunner.Lanes.
-func TestOutLanes(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, h hashing.OddHash, rng Interval, nLanes int) (uint64, error) {
-	return NewTestOutRunner().Lanes(p, pr, root, h, rng, nLanes)
-}
-
-// TestOut is the single-interval form of the paper's TestOut(x, j, k): it
-// reports whether an edge with composite weight in rng leaves the tree
-// containing root. True is always correct; false is wrong with probability
-// at most 7/8 when the cut is non-empty.
-func TestOut(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, h hashing.OddHash, rng Interval) (bool, error) {
-	word, err := TestOutLanes(p, pr, root, h, rng, 1)
-	return word != 0, err
 }

@@ -3,9 +3,9 @@ package st
 import (
 	"fmt"
 
+	"kkt/internal/admit"
 	"kkt/internal/congest"
 	"kkt/internal/findany"
-	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
 
@@ -45,12 +45,8 @@ func (a Action) String() string {
 
 // Report is the outcome and cost of one ST repair.
 type Report struct {
-	Action   Action
-	Messages uint64
-	Bits     uint64
-	Time     int64
-	Edge     [2]congest.NodeID
-	Stats    findany.Stats
+	Action Action
+	admit.Cost
 }
 
 // RepairConfig tunes ST repair.
@@ -65,73 +61,19 @@ func DefaultRepair(seed uint64) RepairConfig {
 	return RepairConfig{Seed: seed, FindAny: findany.Defaults(findany.Full)}
 }
 
-// obsRepairStart/obsRepairDone bracket a repair operation for the attached
-// observer (no-ops when none).
-func obsRepairStart(nw *congest.Network, op string) {
-	if o := nw.Obs(); o != nil {
-		o.RepairStart(op, nw.Now())
-	}
-}
-
-func obsRepairDone(nw *congest.Network, op string, rep Report) {
-	if o := nw.Obs(); o != nil {
-		o.RepairDone(op, rep.Action.String(), nw.Now(), rep.Time, rep.Messages, rep.Bits)
-	}
-}
-
 // Delete processes the deletion of link {a,b} for a maintained spanning
 // forest (paper §4.3): if it was a tree edge, the smaller-ID endpoint
 // finds any replacement with FindAny. Expected O(n) messages.
 func Delete(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg RepairConfig) (Report, error) {
-	before := nw.Counters()
-	beforeTime := nw.Now()
 	existed, wasMarked := nw.DeleteLink(a, b)
 	if !existed {
 		return Report{}, fmt.Errorf("st: delete of non-existent link {%d,%d}", a, b)
 	}
-	obsRepairStart(nw, "st.delete")
 	if !wasMarked {
-		rep := Report{Action: NoOp}
-		obsRepairDone(nw, "st.delete", rep)
-		return rep, nil
+		admit.Inline(nw, "st.delete", NoOp.String())
+		return Report{Action: NoOp}, nil
 	}
-	u := a
-	if b < u {
-		u = b
-	}
-	var rep Report
-	nw.Spawn(fmt.Sprintf("st-delete-%d-%d", a, b), func(p *congest.Proc) error {
-		r := rng.New(cfg.Seed ^ uint64(a)<<32 ^ uint64(b))
-		res, err := findany.Run(p, pr, u, r, cfg.FindAny)
-		if err != nil {
-			return err
-		}
-		rep.Stats = res.Stats
-		switch res.Reason {
-		case findany.FoundEdge:
-			if _, err := pr.BroadcastEcho(p, u, tree.AddEdgeSpec(res.EdgeNum)); err != nil {
-				return err
-			}
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
-			rep.Action = Reconnected
-			rep.Edge = [2]congest.NodeID{res.A, res.B}
-		case findany.EmptyCut:
-			rep.Action = Bridge
-		case findany.GaveUp:
-			rep.Action = Failed
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		return rep, err
-	}
-	c := nw.CountersSince(before)
-	rep.Messages = c.Messages
-	rep.Bits = c.Bits
-	rep.Time = nw.Now() - beforeTime
-	obsRepairDone(nw, "st.delete", rep)
-	return rep, nil
+	return runRepair(nw, pr, "st.delete", true, a, b, cfg.Seed^uint64(a)<<32^uint64(b), cfg.FindAny)
 }
 
 // Insert processes the insertion of link {a,b}: for an unweighted
@@ -142,54 +84,26 @@ func Insert(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg Rep
 	if err := nw.InsertLink(a, b, 1); err != nil {
 		return Report{}, err
 	}
-	before := nw.Counters()
-	beforeTime := nw.Now()
-	obsRepairStart(nw, "st.insert")
-	u, v := a, b
-	if v < u {
-		u, v = v, u
-	}
-	var rep Report
-	nw.Spawn(fmt.Sprintf("st-insert-%d-%d", a, b), func(p *congest.Proc) error {
-		found, err := runContains(p, pr, u, v)
-		if err != nil {
-			return err
-		}
-		if found {
-			rep.Action = NoOp // same tree: a spanning forest ignores it
-			return nil
-		}
-		nw.Node(u).StageMark(v)
-		pr.SendMarkX(u, v)
-		p.AwaitQuiescence()
-		nw.ApplyStaged()
-		rep.Action = Added
-		rep.Edge = [2]congest.NodeID{u, v}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		return rep, err
-	}
-	c := nw.CountersSince(before)
-	rep.Messages = c.Messages
-	rep.Bits = c.Bits
-	rep.Time = nw.Now() - beforeTime
-	obsRepairDone(nw, "st.insert", rep)
-	return rep, nil
+	return runRepair(nw, pr, "st.insert", false, a, b, 0, cfg.FindAny)
 }
 
-// runContains asks, with one broadcast-and-echo, whether target is in
-// root's tree.
-func runContains(p *congest.Proc, pr *tree.Protocol, root, target congest.NodeID) (bool, error) {
-	v, err := pr.BroadcastEcho(p, root, containsSpec(target))
+// runRepair runs one repair machine on its own, initiated by the
+// smaller-ID endpoint (the paper's initiator) with the other as peer.
+func runRepair(nw *congest.Network, pr *tree.Protocol, op string, deleteStyle bool, a, b congest.NodeID, seed uint64, cfg findany.Config) (Report, error) {
+	if b < a {
+		a, b = b, a
+	}
+	sr := &stormRepair{nw: nw, pr: pr, fa: findany.NewMachine()}
+	sr.reset(deleteStyle, a, b, seed, cfg)
+	c, err := admit.RunOne(nw, op, sr)
 	if err != nil {
-		return false, err
+		return Report{}, err
 	}
-	return v.(bool), nil
+	return Report{Action: sr.action, Cost: c}, nil
 }
 
-// containsSpec builds the membership broadcast-and-echo spec; shared by the
-// blocking driver above and the wave-mode storm machine.
+// containsSpec builds the membership broadcast-and-echo spec: is target
+// in the root's tree?
 func containsSpec(target congest.NodeID) *tree.Spec {
 	return &tree.Spec{
 		Down:     target,

@@ -9,20 +9,22 @@ import (
 	"kkt/internal/tree"
 )
 
-// stormRepair is the wave-mode form of the ST repair drivers in repair.go:
-// FindAny reconnection for deletes, a membership broadcast-and-echo for
-// inserts, as an explicit continuation state machine. Quiescence and
-// staged-mark application are the wave controller's job (see
-// internal/admit).
+// stormRepair is the one implementation of every ST repair: FindAny
+// reconnection for deletes, a membership broadcast-and-echo for inserts,
+// as an explicit continuation state machine. Quiescence and staged-mark
+// application are the runner's job: the wave controller for a wave (see
+// internal/admit), admit.RunOne for the single-op Delete/Insert in
+// repair.go.
 type stormRepair struct {
 	nw *congest.Network
 	pr *tree.Protocol
 	fa *findany.Machine
 
 	deleteStyle bool
-	// root is the repair initiator — the endpoint the launcher's
-	// admission-time probe put on the smaller side of the live marked
-	// forest (see admit.SideProber); peer is the other endpoint.
+	// root is the repair initiator and peer the other endpoint: the
+	// smaller ID for single ops (the paper's initiator), the endpoint the
+	// launcher's admission-time probe put on the smaller side of the live
+	// marked forest for storms (see admit.SideProber).
 	root, peer congest.NodeID
 	seed       uint64
 	cfg        findany.Config

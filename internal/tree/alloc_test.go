@@ -60,7 +60,7 @@ func TestUnboxedBroadcastEchoAllocs(t *testing.T) {
 	}
 	wave := func() {
 		nw.Spawn("be", func(p *congest.Proc) error {
-			got, err := pr.BroadcastEchoU(p, 1, spec)
+			got, err := p.AwaitU(pr.StartBroadcastEcho(1, spec))
 			if err != nil {
 				return err
 			}

@@ -157,19 +157,6 @@ func (pr *Protocol) StartBroadcastEcho(root congest.NodeID, spec *Spec) congest.
 	return sid
 }
 
-// BroadcastEcho is the blocking driver helper: start, await, return.
-func (pr *Protocol) BroadcastEcho(p *congest.Proc, root congest.NodeID, spec *Spec) (any, error) {
-	sid := pr.StartBroadcastEcho(root, spec)
-	return p.Await(sid)
-}
-
-// BroadcastEchoU is BroadcastEcho for unboxed-lane specs: the root's word
-// comes back without ever being boxed.
-func (pr *Protocol) BroadcastEchoU(p *congest.Proc, root congest.NodeID, spec *Spec) (uint64, error) {
-	sid := pr.StartBroadcastEcho(root, spec)
-	return p.AwaitU(sid)
-}
-
 // runDownAt performs the on-broadcast work at a node: side effects, local
 // compute, forwarding, and the immediate echo when the node is a leaf.
 // All engine calls go through nw — the network view the caller was handed

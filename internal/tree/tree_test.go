@@ -44,7 +44,7 @@ func TestBroadcastEchoSum(t *testing.T) {
 			nw, pr := pathNet(t, n)
 			var got uint64
 			nw.Spawn("be", func(p *congest.Proc) error {
-				v, err := pr.BroadcastEcho(p, root, sumSpec())
+				v, err := p.Await(pr.StartBroadcastEcho(root, sumSpec()))
 				if err != nil {
 					return err
 				}
@@ -73,7 +73,7 @@ func TestBroadcastEchoSingleton(t *testing.T) {
 	pr := Attach(nw)
 	var got uint64
 	nw.Spawn("be", func(p *congest.Proc) error {
-		v, err := pr.BroadcastEcho(p, 2, sumSpec())
+		v, err := p.Await(pr.StartBroadcastEcho(2, sumSpec()))
 		if err != nil {
 			return err
 		}
@@ -96,7 +96,7 @@ func TestBroadcastEchoRounds(t *testing.T) {
 	const n = 8
 	nw, pr := pathNet(t, n)
 	nw.Spawn("be", func(p *congest.Proc) error {
-		_, err := pr.BroadcastEcho(p, 1, sumSpec())
+		_, err := p.Await(pr.StartBroadcastEcho(1, sumSpec()))
 		return err
 	})
 	if err := nw.Run(); err != nil {
@@ -112,7 +112,7 @@ func TestBroadcastEchoAsync(t *testing.T) {
 	nw, pr := pathNet(t, n, congest.WithAsync(12), congest.WithSeed(7))
 	var got uint64
 	nw.Spawn("be", func(p *congest.Proc) error {
-		v, err := pr.BroadcastEcho(p, 4, sumSpec())
+		v, err := p.Await(pr.StartBroadcastEcho(4, sumSpec()))
 		if err != nil {
 			return err
 		}
@@ -150,7 +150,7 @@ func TestBroadcastEchoChildEdgeValues(t *testing.T) {
 	}
 	var got uint64
 	nw.Spawn("be", func(p *congest.Proc) error {
-		v, err := pr.BroadcastEcho(p, 1, spec)
+		v, err := p.Await(pr.StartBroadcastEcho(1, spec))
 		if err != nil {
 			return err
 		}
@@ -181,7 +181,7 @@ func TestBroadcastEchoOnDownEmit(t *testing.T) {
 		}
 	}
 	nw.Spawn("be", func(p *congest.Proc) error {
-		if _, err := pr.BroadcastEcho(p, 1, spec); err != nil {
+		if _, err := p.Await(pr.StartBroadcastEcho(1, spec)); err != nil {
 			return err
 		}
 		p.AwaitQuiescence()
@@ -206,7 +206,7 @@ func TestBroadcastEchoPanicsOnCycle(t *testing.T) {
 	nw.SetForest([][2]congest.NodeID{{1, 2}, {2, 3}, {3, 4}, {1, 4}})
 	pr := Attach(nw)
 	nw.Spawn("be", func(p *congest.Proc) error {
-		_, err := pr.BroadcastEcho(p, 1, sumSpec())
+		_, err := p.Await(pr.StartBroadcastEcho(1, sumSpec()))
 		return err
 	})
 	defer func() {
