@@ -55,7 +55,8 @@ func (gf graphFlags) spec() serve.GraphSpec {
 }
 
 // parseChurn parses the --churn plan string: a comma-separated k=v list
-// whose keys mirror faultplan.Plan ("tree-deletes=3,deletes=2,inserts=2").
+// whose keys mirror faultplan.Plan ("tree-deletes=3,deletes=2,inserts=2"),
+// and validates the result (faultplan.Plan.Validate bounds every count).
 func parseChurn(s string) (faultplan.Plan, error) {
 	var p faultplan.Plan
 	for _, kv := range strings.Split(s, ",") {
@@ -68,7 +69,7 @@ func parseChurn(s string) (faultplan.Plan, error) {
 			return p, fmt.Errorf("churn: %q is not key=value", kv)
 		}
 		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || n < 0 {
+		if err != nil {
 			return p, fmt.Errorf("churn: bad count in %q", kv)
 		}
 		switch strings.TrimSpace(k) {
@@ -97,6 +98,9 @@ func parseChurn(s string) (faultplan.Plan, error) {
 		default:
 			return p, fmt.Errorf("churn: unknown stage %q", k)
 		}
+	}
+	if err := p.Validate(); err != nil {
+		return p, fmt.Errorf("churn: %w", err)
 	}
 	return p, nil
 }
@@ -295,9 +299,6 @@ func cmdTrace(args []string, stdout, stderr io.Writer) error {
 		err := errors.New("churn: empty plan compiles to zero events")
 		fmt.Fprintln(stderr, "kkt:", err)
 		return usageError{err}
-	}
-	if err := plan.Validate(); err != nil {
-		return err
 	}
 	g := spec.Build(0)
 	var forest []int

@@ -282,9 +282,34 @@ func TestParseChurn(t *testing.T) {
 	if p.TreeEdgeDeletes != 3 || p.Deletes != 2 || p.Inserts != 1 || p.Heals != 4 {
 		t.Errorf("parsed plan wrong: %+v", p)
 	}
-	for _, bad := range []string{"deletes", "deletes=-1", "deletes=x", "bogus=1"} {
+	for _, bad := range []string{"deletes", "deletes=-1", "deletes=x", "bogus=1", "partition-size=1048577"} {
 		if _, err := parseChurn(bad); err == nil {
 			t.Errorf("parseChurn(%q) accepted", bad)
+		}
+	}
+}
+
+// TestHugeChurnRejected: counts past the fault-plan limit (1<<20) are
+// usage errors at parse time, for serve and trace alike. Unbounded, the
+// first plan runs faultplan's background block out of memory and the
+// second spins in Compile, deaf to SIGTERM (shutdown is checked between
+// epochs).
+func TestHugeChurnRejected(t *testing.T) {
+	graph := []string{"--family", "gnm", "--n", "64", "--m", "192"}
+	for _, churn := range []string{
+		"deletes=3000000000",
+		"partitions=900000000000",
+		"tree-deletes=1048577",
+		"burst-radius=1048577,bursts=1",
+	} {
+		for _, cmd := range [][]string{
+			append([]string{"serve", "--events", "10", "--churn", churn}, graph...),
+			append([]string{"trace", "--churn", churn}, graph...),
+		} {
+			code, _, stderr := exec(t, cmd...)
+			if code != 2 || !strings.Contains(stderr, "exceeds the limit") {
+				t.Errorf("kkt %s: exit %d, stderr %q; want exit 2 and the limit named", strings.Join(cmd, " "), code, stderr)
+			}
 		}
 	}
 }

@@ -164,8 +164,9 @@ type Queue struct {
 	pending []*item
 	nextIdx int
 
-	// per-wave scratch, reused across waves
-	uf      *unionFind
+	// labels are the wave-start components, kept across waves; the rest
+	// is per-wave scratch.
+	labels  labels
 	claimed map[int32]bool
 	blocked map[uint64]bool
 	wave    []launchItem
@@ -177,7 +178,6 @@ func NewQueue(cfg Config) *Queue {
 	return &Queue{
 		cfg:     cfg,
 		stats:   Stats{Actions: make(map[string]int)},
-		uf:      newUnionFind(),
 		claimed: make(map[int32]bool),
 		blocked: make(map[uint64]bool),
 		wave:    make([]launchItem, 0, cfg.Wave),
@@ -202,10 +202,10 @@ func (q *Queue) Pending() int { return len(q.pending) }
 func (q *Queue) Stats() Stats { return q.stats }
 
 // RunWave executes one admission scan and, if any drivers were admitted,
-// one engine wave: recompute wave-start component labels from the marked
-// forest, admit pending events in order under the claims discipline, run
-// all admitted drivers concurrently as continuation tasks on one engine
-// Run, then apply staged marks. An all-backoff scan launches nothing but
+// one engine wave: bring the wave-start component labels up to date with
+// the marked forest, admit pending events in order under the claims
+// discipline, run all admitted drivers concurrently as continuation tasks
+// on one engine Run, then apply staged marks. An all-backoff scan launches nothing but
 // still makes progress (delays decrement; the head of the queue admits at
 // delay 0). Returns the number of drivers launched.
 func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
@@ -216,7 +216,7 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 	obs := nw.Obs()
 
 	// Wave-start labels: components of the currently-marked forest.
-	q.uf.reset(nw)
+	q.labels.update(nw)
 	for k := range q.claimed {
 		delete(q.claimed, k)
 	}
@@ -227,12 +227,12 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 
 	claim := func(nodes ...congest.NodeID) bool {
 		for _, v := range nodes {
-			if q.claimed[q.uf.find(int32(v))] {
+			if q.claimed[q.labels.of[v]] {
 				return false
 			}
 		}
 		for _, v := range nodes {
-			q.claimed[q.uf.find(int32(v))] = true
+			q.claimed[q.labels.of[v]] = true
 		}
 		return true
 	}
@@ -276,11 +276,8 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 			q.stats.Actions[dec.Action]++
 			if dec.Action == Skipped {
 				q.stats.Skipped++
-			} else if obs != nil {
-				// Zero-cost bracket, mirroring the sequential no-op
-				// paths.
-				obs.RepairStart(dec.Op, nw.Now())
-				obs.RepairDone(dec.Op, dec.Action, nw.Now(), 0, 0, 0)
+			} else {
+				Inline(nw, dec.Op, dec.Action)
 			}
 		default:
 			q.stats.Repairs++
@@ -473,55 +470,4 @@ func retryDelay(cfg Config, it *item) int {
 		return 0
 	}
 	return backoffDelay(cfg.Seed, it.idx, it.retries, cfg.MaxBackoff)
-}
-
-// unionFind labels the components of the marked forest at wave start. The
-// scratch is reused across waves.
-type unionFind struct {
-	parent []int32
-}
-
-func newUnionFind() *unionFind { return &unionFind{} }
-
-func (u *unionFind) reset(nw *congest.Network) {
-	n := nw.N()
-	if cap(u.parent) < n+1 {
-		u.parent = make([]int32, n+1)
-	}
-	u.parent = u.parent[:n+1]
-	for i := range u.parent {
-		u.parent[i] = int32(i)
-	}
-	for v := 1; v <= n; v++ {
-		ns := nw.Node(congest.NodeID(v))
-		for i := range ns.Edges {
-			he := &ns.Edges[i]
-			if he.Marked && he.Neighbor > ns.ID {
-				u.union(int32(v), int32(he.Neighbor))
-			}
-		}
-	}
-}
-
-// find with path halving; deterministic.
-func (u *unionFind) find(v int32) int32 {
-	for u.parent[v] != v {
-		u.parent[v] = u.parent[u.parent[v]]
-		v = u.parent[v]
-	}
-	return v
-}
-
-// union attaches the larger root under the smaller: labels are canonical
-// smallest-member IDs, independent of union order.
-func (u *unionFind) union(a, b int32) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if ra < rb {
-		u.parent[rb] = ra
-	} else {
-		u.parent[ra] = rb
-	}
 }

@@ -4,8 +4,8 @@
 // other, so running them concurrently on one engine Run produces a valid
 // forest — the same invariant each repair restores in isolation.
 //
-// The claims discipline: before a wave runs, component labels are computed
-// once by union-find over the marked edges (the wave-start forest). A
+// The claims discipline: before a wave runs, every node carries the label
+// of its component of the marked edges (the wave-start forest). A
 // delete of a marked edge claims the component containing it; an insert
 // (and its weight-change analogue) claims both endpoints' components; a
 // weight increase on a marked edge claims its component. Claims are
@@ -24,7 +24,26 @@
 // marks therefore land entirely inside claimed territory, and no two
 // repairs share a claim — so no repair can see another's traversal or
 // staged marks. One ApplyStaged at wave end commits them all, and the next
-// wave's labels are recomputed from the result.
+// wave's labels are brought up to date from the result.
+//
+// Maintained labels: the labels are kept across the waves of one network,
+// not recomputed. The queue turns on the network's mark log
+// (congest.Network.LogMarks), which records every mark flip: admission's
+// DeleteLink of a marked edge and SetMark unmarks, and ApplyStaged's
+// commits. At wave start the flips net out per edge into removals and
+// additions. Each removal splits one component; walking both halves
+// alternately (Even and Shiloach, JACM 1981) over the forest without the
+// additions finds the smaller half in O(its size), and it gets a fresh
+// label. Each addition that joins two components relabels the smaller
+// one. So a wave's bookkeeping is proportional to the small sides its
+// repairs touched, not to n. The labels are rebuilt by a full walk on a
+// network the queue has not seen, when the log is incomplete (SetForest
+// rewrote the marks), or when two removals fall under one label. The
+// claims discipline rules that last case out: a claimed component runs
+// one repair, and a repair removes at most one of its edges (the deleted
+// or unmarked edge, or the path maximum an insert swaps out). Claims only
+// compare labels, so any labelling with the component partition admits
+// the same events as the canonical one.
 //
 // Inline admissions (delete of an unmarked edge, no-op weight changes) may
 // touch unclaimed components, but they only add or remove NON-tree edges

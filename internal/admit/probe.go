@@ -1,16 +1,20 @@
 package admit
 
-import "kkt/internal/congest"
+import (
+	"math"
+
+	"kkt/internal/congest"
+)
 
 // SideCap bounds the launcher-side orientation probes, mirroring the fault
 // compiler's compile-time cap (faultplan's orientSideCap): a marked-forest
 // side this large counts as "big" and the walk stops. The probe is cheap
 // relative to a launched repair — a repair's broadcast-and-echoes cost at
-// least one message per side node, so a capped BFS is a rounding error —
-// and it is what keeps adversarial storms feasible: by admission time the
-// compiler's modelled forest has drifted (every repair re-marks a
-// replacement edge the model cannot predict), so only a probe of the live
-// forest can still find the genuinely small side.
+// least one message per side node, and the probe walks only about twice
+// the smaller side — and it is what keeps adversarial storms feasible: by
+// admission time the compiler's modelled forest has drifted (every repair
+// re-marks a replacement edge the model cannot predict), so only a probe
+// of the live forest can still find the genuinely small side.
 const SideCap = 4096
 
 // SideProber orients a repair at admission time: it orders the two
@@ -21,66 +25,124 @@ const SideCap = 4096
 // repair's broadcasts will cover — the deleted or unmarked edge is no
 // longer part of the forest, and a just-inserted edge is not yet marked.
 //
-// The walk is centralized controller work, like the wave-start union-find:
-// it sends no messages and costs no rounds. It is deterministic at any
-// shard count because NodeState.Edges is sorted by neighbour ID.
+// The walk is centralized controller work, like the wave-start labels: it
+// sends no messages and costs no rounds. It is deterministic at any shard
+// count because NodeState.Edges is sorted by neighbour ID.
 //
 // The scratch is reused across calls; a prober is not safe for concurrent
 // use (launchers run admission scans single-threaded).
 type SideProber struct {
-	seen  []bool
-	queue []congest.NodeID
+	d duel
 }
 
 // NewSideProber returns an empty prober; scratch grows on first use.
 func NewSideProber() *SideProber { return &SideProber{} }
 
 // Smaller returns the endpoints ordered so the first one's marked-forest
-// component is no larger than the second's, as far as a walk capped at
-// SideCap nodes can tell. When both sides reach the cap the original
-// order is kept.
+// component is no larger than the second's, as far as walks capped at
+// SideCap nodes can tell: it returns (b, a) iff
+// min(|comp b|, SideCap) < min(|comp a|, SideCap), and keeps the order on
+// a tie or when a and b share a component. The two components are walked
+// alternately, so a probe costs O(smaller side), not a capped walk of the
+// big one.
 func (p *SideProber) Smaller(nw *congest.Network, a, b congest.NodeID) (congest.NodeID, congest.NodeID) {
-	sa := p.compSize(nw, a)
-	if sa < SideCap {
-		if sb := p.compSize(nw, b); sb < sa {
-			return b, a
-		}
-		return a, b
-	}
-	if p.compSize(nw, b) < SideCap {
+	if bSmaller, _ := p.d.run(nw, a, b, SideCap); bSmaller {
 		return b, a
 	}
 	return a, b
 }
 
-// compSize counts the nodes reachable from start over marked edges,
-// stopping at SideCap.
-func (p *SideProber) compSize(nw *congest.Network, start congest.NodeID) int {
-	if n := nw.N(); cap(p.seen) < n+1 {
-		p.seen = make([]bool, n+1)
-	} else {
-		p.seen = p.seen[:n+1]
+// duel walks the marked forest breadth-first from two nodes alternately,
+// one node expansion per side per round, and stops as soon as the sizes
+// compare: the trick of Even and Shiloach (An On-Line Edge-Deletion
+// Problem, JACM 1981) that makes a cut's smaller side cost O(its size)
+// however big the other side is. Each walk tags the nodes it reaches with
+// its own stamp, so the stamps need no clearing between runs.
+type duel struct {
+	stamp []uint32
+	tag   uint32 // last stamp handed out
+	a, b  walk
+	// avoid, when set, names marked edges the walks must not cross.
+	avoid func(v, to congest.NodeID) bool
+}
+
+// walk is one side of a duel.
+type walk struct {
+	q    []congest.NodeID
+	head int
+	tag  uint32
+}
+
+// done reports whether the walk is exhausted or has reached limit; its
+// count len(q) is then final, min(|side|, limit).
+func (w *walk) done(limit int) bool { return w.head == len(w.q) || len(w.q) >= limit }
+
+// run walks from a and b, up to limit nodes a side. It reports
+// bSmaller = min(|side b|, limit) < min(|side a|, limit), and met when the
+// walks reached a common node (a and b share a component; bSmaller is then
+// false). When it returns without meeting, the smaller side's walk
+// (d.b if bSmaller, d.a otherwise) is done: below limit, its queue holds
+// the whole side.
+func (d *duel) run(nw *congest.Network, a, b congest.NodeID, limit int) (bSmaller, met bool) {
+	if n := nw.N() + 1; len(d.stamp) < n {
+		d.stamp, d.tag = make([]uint32, n), 0
 	}
-	p.queue = p.queue[:0]
-	p.queue = append(p.queue, start)
-	p.seen[start] = true
-	for qi := 0; qi < len(p.queue) && len(p.queue) < SideCap; qi++ {
-		ns := nw.Node(p.queue[qi])
-		for i := range ns.Edges {
-			he := &ns.Edges[i]
-			if !he.Marked || p.seen[he.Neighbor] {
-				continue
-			}
-			p.seen[he.Neighbor] = true
-			p.queue = append(p.queue, he.Neighbor)
-			if len(p.queue) >= SideCap {
-				break
-			}
+	if d.tag > math.MaxUint32-2 {
+		clear(d.stamp)
+		d.tag = 0
+	}
+	d.a = walk{q: append(d.a.q[:0], a), tag: d.tag + 1}
+	d.b = walk{q: append(d.b.q[:0], b), tag: d.tag + 2}
+	d.tag += 2
+	if a == b {
+		return false, true
+	}
+	d.stamp[a], d.stamp[b] = d.a.tag, d.b.tag
+	for {
+		da, db := d.a.done(limit), d.b.done(limit)
+		switch {
+		case da && db:
+			return len(d.b.q) < len(d.a.q), false
+		case da && len(d.b.q) > len(d.a.q):
+			return false, false
+		case db && len(d.a.q) > len(d.b.q):
+			return true, false
+		}
+		if !da && d.expand(nw, &d.a, d.b.tag, limit) {
+			return false, true
+		}
+		if !db && d.expand(nw, &d.b, d.a.tag, limit) {
+			return false, true
 		}
 	}
-	size := len(p.queue)
-	for _, v := range p.queue {
-		p.seen[v] = false
+}
+
+// expand visits the marked neighbours of w's next queued node. It reports
+// whether it reached a node tagged other.
+func (d *duel) expand(nw *congest.Network, w *walk, other uint32, limit int) (met bool) {
+	v := w.q[w.head]
+	w.head++
+	ns := nw.Node(v)
+	for i := range ns.Edges {
+		he := &ns.Edges[i]
+		if !he.Marked {
+			continue
+		}
+		to := he.Neighbor
+		if d.avoid != nil && d.avoid(v, to) {
+			continue
+		}
+		switch d.stamp[to] {
+		case w.tag:
+			continue
+		case other:
+			return true
+		}
+		d.stamp[to] = w.tag
+		w.q = append(w.q, to)
+		if len(w.q) >= limit {
+			return false
+		}
 	}
-	return size
+	return false
 }

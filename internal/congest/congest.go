@@ -174,9 +174,10 @@ func (ns *NodeState) EdgeTo(neighbor NodeID) *HalfEdge {
 // neighbour-ID map.
 func (ns *NodeState) EdgeIndex(neighbor NodeID) int { return ns.edgePos(neighbor) }
 
-// SetMark sets this endpoint's mark on the edge toward neighbor. It
-// reports whether the edge exists.
-func (ns *NodeState) SetMark(neighbor NodeID, marked bool) bool {
+// setMark sets this endpoint's mark on the edge toward neighbor, bypassing
+// the mark log (SetForest invalidates it instead). It reports whether the
+// edge exists.
+func (ns *NodeState) setMark(neighbor NodeID, marked bool) bool {
 	he := ns.EdgeTo(neighbor)
 	if he == nil {
 		return false
@@ -198,12 +199,16 @@ func (ns *NodeState) StageUnmark(neighbor NodeID) {
 	ns.staged = append(ns.staged, stagedMark{neighbor: neighbor, marked: false})
 }
 
-// ApplyStaged applies this node's deferred mark changes in order and
-// returns the number of changes dropped because their edge vanished while
-// the instruction was in flight.
-func (ns *NodeState) ApplyStaged() (dropped int) {
+// applyStaged applies this node's deferred mark changes in order, appends
+// every change that flips a mark to log when log is non-nil, and returns
+// the number of changes dropped because their edge vanished while the
+// instruction was in flight.
+func (ns *NodeState) applyStaged(log *[]MarkFlip) (dropped int) {
 	for _, s := range ns.staged {
 		if he := ns.EdgeTo(s.neighbor); he != nil {
+			if log != nil && he.Marked != s.marked {
+				*log = append(*log, MarkFlip{At: ns.ID, To: s.neighbor, Marked: s.marked})
+			}
 			he.Marked = s.marked
 		} else {
 			dropped++
@@ -346,6 +351,12 @@ type Network struct {
 	msgFree []*Message // recycled Message structs
 
 	stagedDrops uint64 // staged mark changes dropped on vanished edges
+
+	// markLog records mark flips while markLogOn (see LogMarks);
+	// markLogLost is set when SetForest rewrote the marks behind it.
+	markLog     []MarkFlip
+	markLogOn   bool
+	markLogLost bool
 
 	// shards is the configured shard count (1 = single-threaded); see
 	// shard.go for the engine and the determinism contract. asyncMode
@@ -912,6 +923,9 @@ func (nw *Network) LaneID() int {
 // sides and unmarks everything else. Setup helper for tests/benchmarks;
 // models a network that already maintains a forest.
 func (nw *Network) SetForest(edges [][2]NodeID) {
+	if nw.markLogOn {
+		nw.markLog, nw.markLogLost = nw.markLog[:0], true
+	}
 	for v := 1; v <= nw.N(); v++ {
 		ns := nw.nodes[v]
 		for i := range ns.Edges {
@@ -919,7 +933,7 @@ func (nw *Network) SetForest(edges [][2]NodeID) {
 		}
 	}
 	for _, e := range edges {
-		if !nw.nodes[e[0]].SetMark(e[1], true) || !nw.nodes[e[1]].SetMark(e[0], true) {
+		if !nw.nodes[e[0]].setMark(e[1], true) || !nw.nodes[e[1]].setMark(e[0], true) {
 			panic(fmt.Sprintf("congest: SetForest: edge {%d,%d} does not exist", e[0], e[1]))
 		}
 	}
@@ -953,9 +967,61 @@ func (nw *Network) MarkedEdges() [][2]NodeID {
 // and costs no messages. Changes whose edge vanished in flight are
 // dropped and tallied; see StagedDrops.
 func (nw *Network) ApplyStaged() {
-	for v := 1; v <= nw.N(); v++ {
-		nw.stagedDrops += uint64(nw.nodes[v].ApplyStaged())
+	var log *[]MarkFlip
+	if nw.markLogOn {
+		log = &nw.markLog
 	}
+	for v := 1; v <= nw.N(); v++ {
+		nw.stagedDrops += uint64(nw.nodes[v].applyStaged(log))
+	}
+}
+
+// SetMark sets the mark of the existing link {a,b} at both endpoints, an
+// immediate mark change made between engine runs (e.g. a repair
+// controller unmarking a tree edge whose weight rose). It reports whether
+// the link exists.
+func (nw *Network) SetMark(a, b NodeID, marked bool) bool {
+	ha, hb := nw.nodes[a].EdgeTo(b), nw.nodes[b].EdgeTo(a)
+	if ha == nil || hb == nil {
+		return false
+	}
+	if nw.markLogOn {
+		if ha.Marked != marked {
+			nw.markLog = append(nw.markLog, MarkFlip{At: a, To: b, Marked: marked})
+		}
+		if hb.Marked != marked {
+			nw.markLog = append(nw.markLog, MarkFlip{At: b, To: a, Marked: marked})
+		}
+	}
+	ha.Marked, hb.Marked = marked, marked
+	return true
+}
+
+// MarkFlip is one logged mark change: node At's half of the link toward To
+// became Marked. Deleting a marked link logs a flip to false.
+type MarkFlip struct {
+	At, To NodeID
+	Marked bool
+}
+
+// LogMarks turns the mark log on: from now on every flip of a half-edge's
+// mark — by ApplyStaged, SetMark, or DeleteLink of a marked link — is
+// recorded until TakeMarks hands it over. It is for consumers that keep
+// state derived from the marked forest across engine runs (admit's
+// wave-start labels); builds never turn it on, and off it costs one branch
+// per ApplyStaged node.
+func (nw *Network) LogMarks() { nw.markLogOn = true }
+
+// TakeMarks returns the flips logged since LogMarks or the previous
+// TakeMarks, in order, and empties the log. complete is false when
+// SetForest rewrote the marks in between (or the log is off): the flips
+// then do not account for the change, and the consumer must rebuild from
+// the marks themselves. The slice is reused by later logging; consume it
+// before the next mark change.
+func (nw *Network) TakeMarks() (flips []MarkFlip, complete bool) {
+	flips, complete = nw.markLog, nw.markLogOn && !nw.markLogLost
+	nw.markLog, nw.markLogLost = nw.markLog[:0], false
+	return flips, complete
 }
 
 // StagedDrops returns the number of staged mark changes that were dropped
@@ -974,6 +1040,9 @@ func (nw *Network) DeleteLink(a, b NodeID) (existed, wasMarked bool) {
 		return false, false
 	}
 	wasMarked = he.Marked
+	if wasMarked && nw.markLogOn {
+		nw.markLog = append(nw.markLog, MarkFlip{At: a, To: b, Marked: false})
+	}
 	nw.removeHalf(a, b)
 	nw.removeHalf(b, a)
 	nw.lastDeleteSeq = nw.nextSeq

@@ -406,7 +406,7 @@ func TestMarkedEdgesInvariant(t *testing.T) {
 		t.Fatalf("marked edges = %v", me)
 	}
 	// break the invariant deliberately: one-sided mark must panic.
-	nw.Node(2).SetMark(3, true)
+	nw.Node(2).setMark(3, true)
 	defer func() {
 		if recover() == nil {
 			t.Error("one-sided mark not caught")

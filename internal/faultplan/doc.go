@@ -10,8 +10,9 @@
 //
 //   - Determinism: Compile(plan, g, forest, seed) is a pure function of
 //     its arguments — same inputs, byte-identical event list. All
-//     randomness comes from the seed; map iteration never leaks into
-//     ordering (the forest model is walked in sorted-key order).
+//     randomness comes from the seed, and the model is walked in sorted
+//     adjacency order (forest edges are a flag on each adjacency entry,
+//     not a map).
 //   - Self-consistency: the compiler maintains its own mutable model of
 //     the evolving topology and never emits an event that is invalid
 //     against that model — no delete of an absent edge, no insert of a
@@ -23,6 +24,10 @@
 //     replacement edges the compiler cannot predict, so "tree edge"
 //     targeting degrades to "former tree edge" late in a plan. Targeting
 //     guides the adversary; correctness never depends on it.
+//   - Orientation cost: the probes that put an edge's smaller forest side
+//     first (Event.A) walk both sides alternately and stop once the
+//     smaller one is done, so they cost O(smaller side) even when the
+//     other side is the rest of a 100k-node tree.
 //   - Minimization: every event records its Stage, so a failing trial
 //     reduces to (seed, plan prefix): replay the compiled list up to the
 //     failing index to reproduce exactly.

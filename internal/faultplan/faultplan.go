@@ -1,7 +1,9 @@
 package faultplan
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"kkt/internal/graph"
@@ -45,10 +47,10 @@ func (o Op) String() string {
 // the 100k-node remainder. Orientation is a performance hint only;
 // correctness never depends on it.
 type Event struct {
-	Op   Op     `json:"op"`
-	A    uint32 `json:"a"`
-	B    uint32 `json:"b"`
-	Raw  uint64 `json:"raw,omitempty"` // insert weight / new weight
+	Op  Op     `json:"op"`
+	A   uint32 `json:"a"`
+	B   uint32 `json:"b"`
+	Raw uint64 `json:"raw,omitempty"` // insert weight / new weight
 	// Stage names the plan stage that emitted the event ("partition",
 	// "burst", "bridge", "tree", "hub", "random", "heal") — the handle for
 	// minimizing a failure to a plan prefix.
@@ -117,7 +119,14 @@ func (p Plan) Approx() int {
 		p.HubDeletes + p.Deletes + p.Inserts + p.WeightChanges + p.Heals
 }
 
-// Validate rejects malformed plans.
+// maxCount bounds every plan field. Compilation cost and memory grow with
+// the counts (the background block alone allocates one slot per event),
+// so an unchecked count from a command line could exhaust memory or spin
+// in Compile for hours.
+const maxCount = 1 << 20
+
+// Validate rejects malformed plans: negative counts, and counts, region
+// sizes or burst radii above maxCount.
 func (p Plan) Validate() error {
 	for _, c := range []struct {
 		name string
@@ -132,14 +141,19 @@ func (p Plan) Validate() error {
 		if c.v < 0 {
 			return fmt.Errorf("faultplan: negative %s (%d)", c.name, c.v)
 		}
+		if c.v > maxCount {
+			return fmt.Errorf("faultplan: %s %d exceeds the limit %d", c.name, c.v, maxCount)
+		}
 	}
 	return nil
 }
 
 // half is one directed adjacency entry of the compiler's topology model.
+// tree marks an edge of the modelled forest on both of its halves.
 type half struct {
-	to  uint32
-	raw uint64
+	to   uint32
+	raw  uint64
+	tree bool
 }
 
 // model is the compiler's mutable view of the topology: sorted adjacency
@@ -153,8 +167,7 @@ type half struct {
 type model struct {
 	n      int
 	maxRaw uint64
-	adj    [][]half        // 1-based
-	tree   map[uint64]bool // packed lo<<32|hi keys of modelled forest edges
+	adj    [][]half // 1-based
 	events []Event
 	r      *rng.RNG
 
@@ -162,16 +175,12 @@ type model struct {
 	// for the heal stage, in deletion order.
 	healPool []Event
 
-	// scratch for BFS stages.
-	visited []bool
-	queue   []uint32
-}
-
-func edgeKey(a, b uint32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(b)
+	// scratch for the walks: seen holds one visited bit per walk (bit 1,
+	// plus bit 2 for the second walk of an orientation probe) and is all
+	// zero between walks.
+	seen   []uint8
+	queue  []uint32
+	queueB []uint32
 }
 
 // Compile turns a plan into its reproducible event list for the given
@@ -180,37 +189,7 @@ func edgeKey(a, b uint32) uint64 {
 // event (deleting an absent edge, inserting a present one) against its own
 // model of the evolving topology.
 func Compile(p Plan, g *graph.Graph, forest []int, seed uint64) []Event {
-	m := &model{
-		n:       g.N,
-		maxRaw:  g.MaxRaw,
-		adj:     make([][]half, g.N+1),
-		tree:    make(map[uint64]bool, len(forest)),
-		r:       rng.New(seed ^ 0xa0761d6478bd642f),
-		visited: make([]bool, g.N+1),
-	}
-	deg := make([]int, g.N+1)
-	for _, e := range g.Edges() {
-		deg[e.A]++
-		deg[e.B]++
-	}
-	for v := 1; v <= g.N; v++ {
-		if deg[v] > 0 {
-			m.adj[v] = make([]half, 0, deg[v])
-		}
-	}
-	for _, e := range g.Edges() {
-		m.adj[e.A] = append(m.adj[e.A], half{to: e.B, raw: e.Raw})
-		m.adj[e.B] = append(m.adj[e.B], half{to: e.A, raw: e.Raw})
-	}
-	for v := 1; v <= g.N; v++ {
-		a := m.adj[v]
-		sort.Slice(a, func(i, j int) bool { return a[i].to < a[j].to })
-	}
-	for _, ei := range forest {
-		e := g.Edge(ei)
-		m.tree[edgeKey(e.A, e.B)] = true
-	}
-
+	m := newModel(g, forest, seed)
 	m.partitions(p)
 	m.bursts(p)
 	m.bridges(p)
@@ -221,31 +200,78 @@ func Compile(p Plan, g *graph.Graph, forest []int, seed uint64) []Event {
 	return m.events
 }
 
-// --- model mutation (keeps adjacency + forest approximation in sync) ---
-
-func (m *model) hasEdge(a, b uint32) bool {
-	adj := m.adj[a]
-	i := sort.Search(len(adj), func(i int) bool { return adj[i].to >= b })
-	return i < len(adj) && adj[i].to == b
+// newModel builds the compiler's model of g with the given forest edges
+// flagged. The adjacency slices share one backing array, each capped at its
+// node's degree, so a later insert reallocates only its own node's slice.
+func newModel(g *graph.Graph, forest []int, seed uint64) *model {
+	m := &model{
+		n:      g.N,
+		maxRaw: g.MaxRaw,
+		adj:    make([][]half, g.N+1),
+		r:      rng.New(seed ^ 0xa0761d6478bd642f),
+		seen:   make([]uint8, g.N+1),
+	}
+	deg := make([]int, g.N+1)
+	for _, e := range g.Edges() {
+		deg[e.A]++
+		deg[e.B]++
+	}
+	backing := make([]half, 2*g.M())
+	off := 0
+	for v := 1; v <= g.N; v++ {
+		m.adj[v] = backing[off : off : off+deg[v]]
+		off += deg[v]
+	}
+	for _, e := range g.Edges() {
+		m.adj[e.A] = append(m.adj[e.A], half{to: e.B, raw: e.Raw})
+		m.adj[e.B] = append(m.adj[e.B], half{to: e.A, raw: e.Raw})
+	}
+	for v := 1; v <= g.N; v++ {
+		slices.SortFunc(m.adj[v], func(x, y half) int { return cmp.Compare(x.to, y.to) })
+	}
+	for _, ei := range forest {
+		e := g.Edge(ei)
+		m.adj[e.A][m.pos(e.A, e.B)].tree = true
+		m.adj[e.B][m.pos(e.B, e.A)].tree = true
+	}
+	return m
 }
 
-func (m *model) rawOf(a, b uint32) (uint64, bool) {
+// --- model mutation (keeps adjacency + forest approximation in sync) ---
+
+// pos returns the position of b in a's sorted adjacency, or -1.
+func (m *model) pos(a, b uint32) int {
 	adj := m.adj[a]
 	i := sort.Search(len(adj), func(i int) bool { return adj[i].to >= b })
 	if i < len(adj) && adj[i].to == b {
-		return adj[i].raw, true
+		return i
+	}
+	return -1
+}
+
+func (m *model) hasEdge(a, b uint32) bool { return m.pos(a, b) >= 0 }
+
+// isTree reports whether {a,b} is a modelled forest edge.
+func (m *model) isTree(a, b uint32) bool {
+	i := m.pos(a, b)
+	return i >= 0 && m.adj[a][i].tree
+}
+
+func (m *model) rawOf(a, b uint32) (uint64, bool) {
+	if i := m.pos(a, b); i >= 0 {
+		return m.adj[a][i].raw, true
 	}
 	return 0, false
 }
 
 func (m *model) removeHalf(a, b uint32) {
-	adj := m.adj[a]
-	i := sort.Search(len(adj), func(i int) bool { return adj[i].to >= b })
-	if i < len(adj) && adj[i].to == b {
-		m.adj[a] = append(adj[:i], adj[i+1:]...)
+	if i := m.pos(a, b); i >= 0 {
+		m.adj[a] = append(m.adj[a][:i], m.adj[a][i+1:]...)
 	}
 }
 
+// addHalf inserts a non-forest half-edge (inserted edges never join the
+// modelled forest).
 func (m *model) addHalf(a, b uint32, raw uint64) {
 	adj := m.adj[a]
 	i := sort.Search(len(adj), func(i int) bool { return adj[i].to >= b })
@@ -263,7 +289,6 @@ func (m *model) del(a, b uint32, stage string, pool bool) bool {
 	}
 	m.removeHalf(a, b)
 	m.removeHalf(b, a)
-	delete(m.tree, edgeKey(a, b))
 	ev := Event{Op: OpDelete, A: a, B: b, Raw: raw, Stage: stage}
 	m.events = append(m.events, ev)
 	if pool {
@@ -291,7 +316,7 @@ func (m *model) ins(a, b uint32, raw uint64, stage string) bool {
 func (m *model) region(start uint32, size, radius int) []uint32 {
 	m.queue = m.queue[:0]
 	m.queue = append(m.queue, start)
-	m.visited[start] = true
+	m.seen[start] = 1
 	dist := map[uint32]int{start: 0}
 	for qi := 0; qi < len(m.queue) && len(m.queue) < size; qi++ {
 		v := m.queue[qi]
@@ -299,10 +324,10 @@ func (m *model) region(start uint32, size, radius int) []uint32 {
 			continue
 		}
 		for _, h := range m.adj[v] {
-			if m.visited[h.to] {
+			if m.seen[h.to] != 0 {
 				continue
 			}
-			m.visited[h.to] = true
+			m.seen[h.to] = 1
 			dist[h.to] = dist[v] + 1
 			m.queue = append(m.queue, h.to)
 			if len(m.queue) >= size {
@@ -312,7 +337,7 @@ func (m *model) region(start uint32, size, radius int) []uint32 {
 	}
 	out := append([]uint32(nil), m.queue...)
 	for _, v := range out {
-		m.visited[v] = false
+		m.seen[v] = 0
 	}
 	return out
 }
@@ -345,12 +370,12 @@ func (m *model) partitions(p Plan) {
 	for i := 0; i < p.Partitions; i++ {
 		// Sample tree edges; keep the one with the largest small side
 		// still under the region budget. Earlier regions delete tree
-		// edges, so stale candidates are re-checked against m.tree.
+		// edges, so stale candidates are re-checked against the model.
 		var ra, rb uint32
 		best := 0
 		for s := 0; s < samples && len(cand) > 0; s++ {
 			e := cand[m.r.Intn(len(cand))]
-			if !m.tree[edgeKey(e[0], e[1])] {
+			if !m.isTree(e[0], e[1]) {
 				continue
 			}
 			a, b := e[0], e[1]
@@ -398,17 +423,17 @@ func (m *model) partitions(p Plan) {
 func (m *model) treeSide(a, b uint32, limit int) []uint32 {
 	m.queue = m.queue[:0]
 	m.queue = append(m.queue, a)
-	m.visited[a] = true
+	m.seen[a] = 1
 	for qi := 0; qi < len(m.queue) && len(m.queue) < limit; qi++ {
 		v := m.queue[qi]
 		for _, h := range m.adj[v] {
-			if m.visited[h.to] || !m.tree[edgeKey(v, h.to)] {
+			if m.seen[h.to] != 0 || !h.tree {
 				continue
 			}
 			if v == a && h.to == b {
 				continue // do not cross the boundary edge itself
 			}
-			m.visited[h.to] = true
+			m.seen[h.to] = 1
 			m.queue = append(m.queue, h.to)
 			if len(m.queue) >= limit {
 				break
@@ -417,7 +442,7 @@ func (m *model) treeSide(a, b uint32, limit int) []uint32 {
 	}
 	out := append([]uint32(nil), m.queue...)
 	for _, v := range out {
-		m.visited[v] = false
+		m.seen[v] = 0
 	}
 	return out
 }
@@ -434,19 +459,16 @@ func (m *model) bursts(p Plan) {
 		reg := m.region(center, m.n+1, radius)
 		for _, v := range reg {
 			// Snapshot the incident edges: del mutates adj[v].
-			inc := make([][2]uint32, 0, len(m.adj[v]))
-			for _, h := range m.adj[v] {
-				inc = append(inc, [2]uint32{v, h.to})
-			}
+			inc := append([]half(nil), m.adj[v]...)
 			// Non-forest edges first, forest edges last, so the repairs for
 			// the tree edges face the already-thinned cut.
-			for _, e := range inc {
-				if !m.tree[edgeKey(e[0], e[1])] {
-					m.del(e[0], e[1], "burst", true)
+			for _, h := range inc {
+				if !h.tree {
+					m.del(v, h.to, "burst", true)
 				}
 			}
-			for _, e := range inc {
-				m.del(e[0], e[1], "burst", true)
+			for _, h := range inc {
+				m.del(v, h.to, "burst", true)
 			}
 		}
 	}
@@ -540,17 +562,16 @@ func (m *model) treeDeletes(p Plan) {
 	}
 }
 
-// treeEdgeList returns the modelled forest edges in deterministic
-// (sorted-key) order — the tree map must never be ranged directly.
+// treeEdgeList returns the modelled forest edges as (lower, higher)
+// endpoint pairs in ascending order.
 func (m *model) treeEdgeList() [][2]uint32 {
-	keys := make([]uint64, 0, len(m.tree))
-	for k := range m.tree {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([][2]uint32, len(keys))
-	for i, k := range keys {
-		out[i] = [2]uint32{uint32(k >> 32), uint32(k)}
+	var out [][2]uint32
+	for v := uint32(1); int(v) <= m.n; v++ {
+		for _, h := range m.adj[v] {
+			if h.tree && h.to > v {
+				out = append(out, [2]uint32{v, h.to})
+			}
+		}
 	}
 	return out
 }
@@ -578,7 +599,7 @@ func (m *model) hubDeletes(p Plan) {
 			break
 		}
 		for _, h := range m.adj[v] {
-			if m.tree[edgeKey(v, h.to)] {
+			if h.tree {
 				a, b := m.orientSmall(v, h.to)
 				m.del(a, b, "hub", false)
 				done++
@@ -627,10 +648,8 @@ func (m *model) background(p Plan) {
 
 func (m *model) setRaw(a, b uint32, raw uint64) {
 	for _, v := range [2][2]uint32{{a, b}, {b, a}} {
-		adj := m.adj[v[0]]
-		i := sort.Search(len(adj), func(i int) bool { return adj[i].to >= v[1] })
-		if i < len(adj) && adj[i].to == v[1] {
-			adj[i].raw = raw
+		if i := m.pos(v[0], v[1]); i >= 0 {
+			m.adj[v[0]][i].raw = raw
 		}
 	}
 }
@@ -650,21 +669,21 @@ func (m *model) pickEdge() (uint32, uint32, bool) {
 }
 
 // sideSize counts the nodes reachable from a over modelled forest edges
-// without crossing {a,b}, stopping at limit. Uses the shared BFS scratch.
+// without crossing {a,b}, stopping at limit. Uses the shared walk scratch.
 func (m *model) sideSize(a, b uint32, limit int) int {
 	m.queue = m.queue[:0]
 	m.queue = append(m.queue, a)
-	m.visited[a] = true
+	m.seen[a] = 1
 	for qi := 0; qi < len(m.queue) && len(m.queue) < limit; qi++ {
 		v := m.queue[qi]
 		for _, h := range m.adj[v] {
-			if m.visited[h.to] || !m.tree[edgeKey(v, h.to)] {
+			if m.seen[h.to] != 0 || !h.tree {
 				continue
 			}
 			if v == a && h.to == b {
 				continue // do not cross the faulted edge itself
 			}
-			m.visited[h.to] = true
+			m.seen[h.to] = 1
 			m.queue = append(m.queue, h.to)
 			if len(m.queue) >= limit {
 				break
@@ -673,7 +692,7 @@ func (m *model) sideSize(a, b uint32, limit int) int {
 	}
 	size := len(m.queue)
 	for _, v := range m.queue {
-		m.visited[v] = false
+		m.seen[v] = 0
 	}
 	return size
 }
@@ -684,36 +703,94 @@ const orientSideCap = 4096
 
 // orientSmall orders a forest edge so the smaller side (up to the probe
 // cap) comes first — the Event.A initiator contract.
-func (m *model) orientSmall(a, b uint32) (uint32, uint32) {
-	sa := m.sideSize(a, b, orientSideCap)
-	if sa < orientSideCap {
-		sb := m.sideSize(b, a, orientSideCap)
-		if sb < sa {
-			return b, a
-		}
-		return a, b
-	}
-	if m.sideSize(b, a, orientSideCap) < orientSideCap {
-		return b, a
-	}
-	return a, b
-}
+func (m *model) orientSmall(a, b uint32) (uint32, uint32) { return m.orient(a, b, b, a) }
 
 // orientSmallComp orders an insert's endpoints so the one in the smaller
 // modelled forest component (up to the probe cap) comes first: when the
 // insert joins two trees, the repair's path probe then covers the small
-// tree. Passing 0 as the excluded neighbor makes sideSize walk the whole
-// component (node IDs are 1-based).
-func (m *model) orientSmallComp(a, b uint32) (uint32, uint32) {
-	sa := m.sideSize(a, 0, orientSideCap)
-	if sa < orientSideCap {
-		sb := m.sideSize(b, 0, orientSideCap)
-		if sb < sa {
-			return b, a
+// tree. No edge is excluded (node IDs are 1-based, so 0 matches none).
+func (m *model) orientSmallComp(a, b uint32) (uint32, uint32) { return m.orient(a, b, 0, 0) }
+
+// sideWalk is one of an orientation probe's two breadth-first walks over
+// modelled forest edges.
+type sideWalk struct {
+	q    []uint32
+	head int
+	bit  uint8  // this walk's seen bit
+	skip uint32 // neighbour the start node must not cross to (0 = none)
+}
+
+// done reports whether the walk is exhausted or has reached the cap; its
+// count len(q) is then final, min(|side|, orientSideCap).
+func (w *sideWalk) done() bool { return w.head == len(w.q) || len(w.q) >= orientSideCap }
+
+// expand visits the next queued node's forest neighbours. It reports
+// whether it reached a node the other walk has seen: both walks are then
+// in one component.
+func (m *model) expand(w *sideWalk, other uint8) (met bool) {
+	v := w.q[w.head]
+	w.head++
+	for _, h := range m.adj[v] {
+		if !h.tree || (v == w.q[0] && h.to == w.skip) {
+			continue
 		}
-		return a, b
+		s := m.seen[h.to]
+		if s&other != 0 {
+			return true
+		}
+		if s&w.bit != 0 {
+			continue
+		}
+		m.seen[h.to] |= w.bit
+		w.q = append(w.q, h.to)
+		if len(w.q) >= orientSideCap {
+			return false
+		}
 	}
-	if m.sideSize(b, 0, orientSideCap) < orientSideCap {
+	return false
+}
+
+// orient returns (b, a) iff min(|side b|, cap) < min(|side a|, cap), where
+// a's side is its modelled forest component without crossing to skipA
+// (likewise b). It walks both sides alternately (Even and Shiloach, "An
+// On-Line Edge-Deletion Problem", JACM 1981) and stops once one side is
+// done and the other has passed its count, so a probe costs O(smaller
+// side) instead of a capped walk of the big one. Walks that meet share a
+// component, whose two sides are equal: the order is kept.
+func (m *model) orient(a, b, skipA, skipB uint32) (uint32, uint32) {
+	wa := sideWalk{q: append(m.queue[:0], a), bit: 1, skip: skipA}
+	wb := sideWalk{q: append(m.queueB[:0], b), bit: 2, skip: skipB}
+	m.seen[a] |= 1
+	m.seen[b] |= 2
+	swap := false
+	for {
+		da, db := wa.done(), wb.done()
+		if da && db {
+			swap = len(wb.q) < len(wa.q)
+			break
+		}
+		if da && len(wb.q) > len(wa.q) {
+			break
+		}
+		if db && len(wa.q) > len(wb.q) {
+			swap = true
+			break
+		}
+		if !da && m.expand(&wa, 2) {
+			break
+		}
+		if !db && m.expand(&wb, 1) {
+			break
+		}
+	}
+	for _, v := range wa.q {
+		m.seen[v] = 0
+	}
+	for _, v := range wb.q {
+		m.seen[v] = 0
+	}
+	m.queue, m.queueB = wa.q[:0], wb.q[:0]
+	if swap {
 		return b, a
 	}
 	return a, b

@@ -163,6 +163,12 @@ func TestValidateAndEmpty(t *testing.T) {
 	if err := (Plan{Deletes: -1}).Validate(); err == nil {
 		t.Fatal("negative count validated")
 	}
+	if err := (Plan{PartitionSize: maxCount + 1}).Validate(); err == nil {
+		t.Fatal("partition size above maxCount validated")
+	}
+	if err := (Plan{Deletes: maxCount, BurstRadius: maxCount}).Validate(); err != nil {
+		t.Fatalf("counts at maxCount rejected: %v", err)
+	}
 	if err := fullPlan().Validate(); err != nil {
 		t.Fatalf("full plan rejected: %v", err)
 	}
@@ -172,4 +178,12 @@ func TestValidateAndEmpty(t *testing.T) {
 	if fullPlan().Empty() {
 		t.Fatal("full plan Empty")
 	}
+}
+
+// edgeKey packs an unordered node pair as lo<<32|hi.
+func edgeKey(a, b uint32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
 }

@@ -178,7 +178,7 @@ func countLocal(node *congest.NodeState, downAny any) uint64 {
 // countFold sums child counters with the same saturation the old
 // slice-fold applied after summing: values stay in [0,3], and min(3, .)
 // per fold equals one cap at the end for non-negative addends.
-func countFold(node *congest.NodeState, down any, acc, child uint64) uint64 {
+func countFold(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
 	sum := acc + child
 	if sum > 3 {
 		sum = 3

@@ -121,8 +121,7 @@ func WeightChange(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, n
 		// Increase on a tree edge: both endpoints observe the change and
 		// unmark; then repair exactly like a deletion, except the edge
 		// itself stays available as its own (possibly best) replacement.
-		nw.Node(a).SetMark(b, false)
-		nw.Node(b).SetMark(a, false)
+		nw.SetMark(a, b, false)
 		return runRepair(nw, pr, "mst.reweight", true, a, b, cfg.Seed^uint64(a)<<32^uint64(b)^0x5851f42d4c957f2d, cfg.FindMin)
 	case !wasMarked && newRaw < oldRaw:
 		// Decrease on a non-tree edge: like an insertion.
@@ -156,44 +155,40 @@ func runRepair(nw *congest.Network, pr *tree.Protocol, op string, deleteStyle bo
 	return Report{Action: sr.action, Cost: c}, nil
 }
 
-// pathMaxResult is the aggregate of the Insert broadcast-and-echo.
-type pathMaxResult struct {
-	// Found: the target node is in the tree.
-	Found bool
-	// MaxComposite / MaxEdgeNum identify the heaviest edge on the tree
-	// path from the root to the target (valid when Found).
-	MaxComposite uint64
-	MaxEdgeNum   uint64
-}
+// Path-max echo words. A node echoes pathMissing when the target is not in
+// its subtree, pathAtTarget when it is the target, and otherwise the
+// largest composite weight on the tree path from it down to the target.
+// Composites are at least 1<<EdgeNumBits > 1, so the three never collide,
+// and the heaviest edge's number is the composite's low EdgeNumBits
+// (bitwidth.Layout.SplitComposite).
+const (
+	pathMissing  uint64 = 0
+	pathAtTarget uint64 = 1
+)
 
 // pathMaxSpec builds the Insert(u,v) broadcast-and-echo spec: does target
 // lie in the root's tree, and if so what is the heaviest edge on the path
-// to it?
+// to it? The echo is one word on the unboxed lane; UpBits still charges
+// the paper's found flag, composite weight and edge number.
 func pathMaxSpec(target congest.NodeID) *tree.Spec {
 	return &tree.Spec{
 		Down:     target,
 		DownBits: 32,
 		UpBits:   1 + 64 + 64,
-		Local: func(node *congest.NodeState, down any) any {
-			return pathMaxResult{Found: node.ID == down.(congest.NodeID)}
-		},
-		Combine: func(node *congest.NodeState, down, local any, children []tree.ChildEcho) any {
-			res := local.(pathMaxResult)
-			for _, c := range children {
-				cr := c.Value.(pathMaxResult)
-				if !cr.Found {
-					continue
-				}
-				// extend the child's path by the connecting tree edge. It
-				// still exists: a marked edge is deleted only under the
-				// repair's admit claim.
-				res.Found = true
-				res.MaxComposite, res.MaxEdgeNum = cr.MaxComposite, cr.MaxEdgeNum
-				if he := node.EdgeTo(c.From); he.Composite > res.MaxComposite {
-					res.MaxComposite, res.MaxEdgeNum = he.Composite, he.EdgeNum
-				}
+		LocalU: func(node *congest.NodeState, down any) uint64 {
+			if node.ID == down.(congest.NodeID) {
+				return pathAtTarget
 			}
-			return res
+			return pathMissing
+		},
+		CombineU: func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
+			if child == pathMissing {
+				return acc
+			}
+			// Extend the child's path by the connecting tree edge. It still
+			// exists: a marked edge is deleted only under the repair's admit
+			// claim. At most one child's subtree holds the target.
+			return max(acc, child, node.EdgeTo(from).Composite)
 		},
 	}
 }

@@ -78,13 +78,12 @@ func (sr *stormRepair) Step(t *congest.Task, w congest.Wake) (congest.SessionID,
 		return 0, true, nil
 
 	case srPathMax:
-		v, err := w.Value()
+		pm, err := w.U()
 		if err != nil {
 			return 0, true, err
 		}
-		pm := v.(pathMaxResult)
 		switch {
-		case !pm.Found:
+		case pm == pathMissing:
 			// peer is in a different tree: the new edge joins two trees.
 			// The far half arrives via markx before the wave's Run
 			// quiesces.
@@ -92,9 +91,12 @@ func (sr *stormRepair) Step(t *congest.Task, w congest.Wake) (congest.SessionID,
 			sr.pr.SendMarkX(sr.root, sr.peer)
 			sr.action = Added
 			return 0, true, nil
-		case sr.nw.Node(sr.root).EdgeTo(sr.peer).Composite < pm.MaxComposite:
+		case sr.nw.Node(sr.root).EdgeTo(sr.peer).Composite < pm:
+			// pm is the path's maximum composite (pathAtTarget, an empty
+			// path, is below every composite and so keeps the forest).
 			sr.st = srSwap
-			spec := swapSpec(pm.MaxEdgeNum, sr.nw.Node(sr.root).EdgeTo(sr.peer).EdgeNum)
+			_, maxEdgeNum := sr.nw.Layout().SplitComposite(pm)
+			spec := swapSpec(maxEdgeNum, sr.nw.Node(sr.root).EdgeTo(sr.peer).EdgeNum)
 			return sr.pr.StartBroadcastEcho(sr.root, spec), false, nil
 		default:
 			sr.action = Kept
@@ -228,8 +230,7 @@ func (l *StormLauncher) Admit(ev faultplan.Event, opSeed uint64, claim admit.Cla
 			if err := l.nw.SetRawWeight(a, b, ev.Raw); err != nil {
 				return skipped
 			}
-			l.nw.Node(a).SetMark(b, false)
-			l.nw.Node(b).SetMark(a, false)
+			l.nw.SetMark(a, b, false)
 			root, peer := l.probe.Smaller(l.nw, a, b)
 			sr := l.get()
 			sr.reset(true, root, peer, l.cfg.Seed^uint64(a)<<32^uint64(b)^0x5851f42d4c957f2d, l.cfg.FindMin)

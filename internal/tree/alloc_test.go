@@ -41,9 +41,10 @@ func TestElectionWaveAllocs(t *testing.T) {
 }
 
 // TestUnboxedBroadcastEchoAllocs pins an unboxed-lane broadcast-and-echo
-// (the TestOut shape: XOR-folded words) on a 256-node marked path at
-// constant allocations: pooled beStates, slot-indexed specs, unboxed
-// echoes in Message.U, and CompleteSessionU/AwaitU end to end.
+// (the TestOut shape: words folded as they arrive) with an OnDown hook on
+// a 256-node marked path at constant allocations: pooled beStates,
+// slot-indexed specs, unboxed echoes in Message.U, an Emit value instead
+// of a per-node closure, and CompleteSessionU/AwaitU end to end.
 func TestUnboxedBroadcastEchoAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
 	const n = 256
@@ -54,9 +55,10 @@ func TestUnboxedBroadcastEchoAllocs(t *testing.T) {
 		LocalU: func(node *congest.NodeState, down any) uint64 {
 			return uint64(node.ID)
 		},
-		CombineU: func(node *congest.NodeState, down any, acc, child uint64) uint64 {
+		CombineU: func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
 			return acc + child
 		},
+		OnDown: func(node *congest.NodeState, down any, emit Emit) {},
 	}
 	wave := func() {
 		nw.Spawn("be", func(p *congest.Proc) error {

@@ -17,8 +17,19 @@ type ChildEcho struct {
 
 // Emit lets OnDown side effects send extra protocol messages from the
 // receiving node (e.g. forwarding an add-edge instruction across the new
-// edge).
-type Emit func(to congest.NodeID, kind congest.KindID, bits int, payload any)
+// edge). It is a plain value — the network view, the node and the session
+// — so handing one to OnDown at every node allocates nothing.
+type Emit struct {
+	nw   *congest.Network
+	from congest.NodeID
+	sid  congest.SessionID
+}
+
+// Send sends one message from the receiving node, in the broadcast's
+// session.
+func (e Emit) Send(to congest.NodeID, kind congest.KindID, bits int, payload any) {
+	e.nw.Send(e.from, to, kind, e.sid, bits, payload)
+}
 
 // Spec describes one broadcast-and-echo: what the root broadcasts, what
 // each node computes locally, and how echoes aggregate. The functions are
@@ -33,9 +44,11 @@ type Emit func(to congest.NodeID, kind congest.KindID, bits int, payload any)
 //
 //   - the unboxed lane (LocalU/CombineU): echo values are single uint64
 //     words (parities, XORs, small counters — the dominant case in the
-//     paper's sketches). Words travel in Message.U, fold into a per-node
-//     accumulator as they arrive, and complete the session via
-//     CompleteSessionU — no interface allocation anywhere on the path.
+//     paper's sketches — and path maxima). Words travel in Message.U, fold
+//     into a per-node accumulator as they arrive, and complete the session
+//     via CompleteSessionU — no interface allocation anywhere on the path.
+//     CombineU gets the echoing child's ID, as ChildEcho.From does, so a
+//     fold that needs the connecting edge looks it up with node.EdgeTo.
 type Spec struct {
 	// Down is the broadcast payload, forwarded unchanged down the tree.
 	Down any
@@ -53,13 +66,13 @@ type Spec struct {
 	// LocalU, when non-nil, selects the unboxed lane and computes the
 	// node's own word. Local and Combine must be nil then.
 	LocalU func(node *congest.NodeState, down any) uint64
-	// CombineU folds one child's echo word into the accumulator (unboxed
-	// lane). The fold must be commutative and associative, since echoes
-	// fold in arrival order. nil means XOR.
-	CombineU func(node *congest.NodeState, down any, acc, child uint64) uint64
+	// CombineU folds the echo word child of the child from into the
+	// accumulator (unboxed lane). The fold must be commutative and
+	// associative, since echoes fold in arrival order. nil means XOR.
+	CombineU func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64
 	// OnDown, if non-nil, runs at every node when the broadcast arrives
-	// (including the root at start) and may mutate local state and emit
-	// extra messages. Used for marking instructions.
+	// (including the root at start) and may mutate local state and send
+	// extra messages through emit. Used for marking instructions.
 	OnDown func(node *congest.NodeState, down any, emit Emit)
 }
 
@@ -163,9 +176,7 @@ func (pr *Protocol) StartBroadcastEcho(root congest.NodeID, spec *Spec) congest.
 // — so a shard worker's sends and completions land in its own lane.
 func (pr *Protocol) runDownAt(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState) {
 	if spec.OnDown != nil {
-		spec.OnDown(node, spec.Down, func(to congest.NodeID, kind congest.KindID, bits int, payload any) {
-			nw.Send(node.ID, to, kind, sid, bits, payload)
-		})
+		spec.OnDown(node, spec.Down, Emit{nw: nw, from: node.ID, sid: sid})
 	}
 	if spec.unboxed() {
 		st.acc = spec.LocalU(node, spec.Down)
@@ -238,7 +249,7 @@ func (pr *Protocol) onUp(nw *congest.Network, node *congest.NodeState, msg *cong
 	}
 	if spec.unboxed() {
 		if spec.CombineU != nil {
-			st.acc = spec.CombineU(node, spec.Down, st.acc, msg.U)
+			st.acc = spec.CombineU(node, spec.Down, st.acc, msg.From, msg.U)
 		} else {
 			st.acc ^= msg.U
 		}

@@ -24,8 +24,9 @@
 // session→spec bindings live in a slot-indexed table keyed by the
 // engine's recycled session slots (validated by the full packed ID, so a
 // recycled slot never aliases), election receipts are bitmasks over each
-// node's sorted edge slice in a reusable buffer, and single-word echoes
-// travel unboxed (Spec.LocalU/CombineU over Message.U).
+// node's sorted edge slice in a reusable buffer, single-word echoes
+// travel unboxed (Spec.LocalU/CombineU over Message.U), and OnDown hooks
+// send through an Emit value, not a per-node closure.
 //
 // Shard safety. Handlers route every engine call through the *Network
 // view they are handed, so sends and completions land in the correct

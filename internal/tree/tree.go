@@ -102,7 +102,7 @@ func AddEdgeSpec(edgeNum uint64) *Spec {
 				he := &node.Edges[i]
 				if he.EdgeNum == en && !he.Marked {
 					node.StageMark(he.Neighbor)
-					emit(he.Neighbor, KindMarkX, 16, nil)
+					emit.Send(he.Neighbor, KindMarkX, 16, nil)
 				}
 			}
 		},

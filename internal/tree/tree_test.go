@@ -177,7 +177,7 @@ func TestBroadcastEchoOnDownEmit(t *testing.T) {
 	spec.OnDown = func(node *congest.NodeState, down any, emit Emit) {
 		if node.ID == 3 {
 			node.StageMark(5)
-			emit(5, KindMarkX, 16, nil)
+			emit.Send(5, KindMarkX, 16, nil)
 		}
 	}
 	nw.Spawn("be", func(p *congest.Proc) error {
