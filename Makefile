@@ -22,6 +22,7 @@ bench:
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkSend$$|BenchmarkSendAsync$$|BenchmarkDeliverScattered$$' -benchtime 200000x -benchmem ./internal/congest
 	$(GO) test -run '^$$' -bench BenchmarkNewNetwork -benchtime 200x -benchmem ./internal/congest
+	$(GO) test -run '^$$' -bench BenchmarkBroadcastEcho -benchtime 20x -benchmem ./internal/tree
 	$(GO) test -run '^$$' -bench BenchmarkBuildMST -benchtime 10x -benchmem ./internal/mst
 	$(GO) test -run '^$$' -bench BenchmarkRepairStorm -benchtime 10x -benchmem ./internal/harness
 

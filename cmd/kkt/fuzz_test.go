@@ -38,3 +38,28 @@ func FuzzParseChurn(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseLadder feeds arbitrary --ladder strings through the grammar.
+// Nothing may panic, and every accepted ladder must be a non-empty list of
+// at most maxLadderRungs sizes in [1, maxLadderSize]. The seed corpus in
+// testdata/fuzz/FuzzParseLadder holds the three inputs that once panicked
+// (a 10^15-rung ladder), tried to allocate 800 MB (10^8 rungs) or
+// overflowed a k-suffixed size to a negative n.
+func FuzzParseLadder(f *testing.F) {
+	f.Add("256:4096:5")
+	f.Add("64,128, 256")
+	f.Fuzz(func(t *testing.T, s string) {
+		sizes, err := parseLadder(s)
+		if err != nil {
+			return
+		}
+		if len(sizes) == 0 || len(sizes) > maxLadderRungs {
+			t.Fatalf("parseLadder(%q) accepted %d sizes, want 1..%d", s, len(sizes), maxLadderRungs)
+		}
+		for _, n := range sizes {
+			if n < 1 || n > maxLadderSize {
+				t.Fatalf("parseLadder(%q) accepted size %d outside [1,%d]", s, n, maxLadderSize)
+			}
+		}
+	})
+}

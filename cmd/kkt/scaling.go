@@ -152,9 +152,17 @@ func splitVocab(stderr io.Writer, what, flagVal string, vocab []string, rename m
 	return out, nil
 }
 
+// Ladder bounds: a sweep has at most maxLadderRungs rungs, and no rung
+// exceeds maxLadderSize nodes (16× the largest scenario, gnm-1m).
+const (
+	maxLadderRungs = 64
+	maxLadderSize  = 1 << 24
+)
+
 // parseLadder parses the --ladder flag: either "lo:hi:rungs" (a geometric
 // ladder from lo to hi in the given number of rungs) or an explicit comma
-// list of sizes. Sizes take a k suffix meaning ×1024.
+// list of sizes. Sizes take a k suffix meaning ×1024. Rung counts and
+// sizes are bounded (maxLadderRungs, maxLadderSize).
 func parseLadder(s string) ([]int, error) {
 	if strings.Contains(s, ":") {
 		parts := strings.Split(s, ":")
@@ -170,8 +178,8 @@ func parseLadder(s string) ([]int, error) {
 			return nil, fmt.Errorf("malformed ladder %q: %v", s, err)
 		}
 		rungs, err := strconv.Atoi(parts[2])
-		if err != nil || rungs < 2 {
-			return nil, fmt.Errorf("malformed ladder %q: rung count %q, want an integer >= 2", s, parts[2])
+		if err != nil || rungs < 2 || rungs > maxLadderRungs {
+			return nil, fmt.Errorf("malformed ladder %q: rung count %q, want an integer >= 2 (at most %d)", s, parts[2], maxLadderRungs)
 		}
 		if lo >= hi {
 			return nil, fmt.Errorf("malformed ladder %q: lo %d not below hi %d", s, lo, hi)
@@ -195,6 +203,9 @@ func parseLadder(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("malformed ladder %q: %v", s, err)
 		}
+		if len(out) == maxLadderRungs {
+			return nil, fmt.Errorf("malformed ladder %q: more than %d sizes", s, maxLadderRungs)
+		}
 		out = append(out, n)
 	}
 	if len(out) == 0 {
@@ -203,7 +214,8 @@ func parseLadder(s string) ([]int, error) {
 	return out, nil
 }
 
-// parseSize parses one ladder size, accepting a k suffix (×1024).
+// parseSize parses one ladder size in [1, maxLadderSize], accepting a k
+// suffix (×1024).
 func parseSize(s string) (int, error) {
 	mult := 1
 	if strings.HasSuffix(s, "k") || strings.HasSuffix(s, "K") {
@@ -211,8 +223,8 @@ func parseSize(s string) (int, error) {
 		s = s[:len(s)-1]
 	}
 	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("size %q, want a positive integer (k suffix = ×1024)", s)
+	if err != nil || n <= 0 || n > maxLadderSize/mult {
+		return 0, fmt.Errorf("size %q, want a positive integer up to %d (k suffix = ×1024)", s, maxLadderSize)
 	}
 	return n * mult, nil
 }

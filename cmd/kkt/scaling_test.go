@@ -95,6 +95,9 @@ func TestScalingMalformedLadderExitsTwo(t *testing.T) {
 		{"512,512", "want >= 2"},
 		{"4,64", "too small"},
 		{",", "no sizes"},
+		{"256:4096:999999999999999", "at most 64"},
+		{"256:4096:100000000", "at most 64"},
+		{"9223372036854775807k,300", "positive integer up to"},
 	}
 	for _, tc := range cases {
 		code, _, stderr := exec(t, "scaling", "--ladder", tc.ladder)

@@ -94,8 +94,9 @@ type NodeState struct {
 
 	// sess holds per-protocol automaton state keyed by session ID: a tiny
 	// linear-scanned vector instead of a map, because a node participates
-	// in at most a handful of sessions at once (its fragment's
-	// broadcast-and-echo plus a global election). The full packed ID —
+	// in at most a handful of sessions at once (a global election, and the
+	// rare second broadcast-and-echo that overflows package tree's
+	// per-node slot). The full packed ID —
 	// slot plus generation serial — is compared, so a recycled slot can
 	// never alias a stale entry. Entry capacity is retained across
 	// sessions, so steady-state stores allocate nothing.
@@ -147,16 +148,55 @@ func linkLive(node *NodeState, m *Message, watermark uint64) bool {
 	return m.seq > watermark || node.edgePos(m.From) >= 0
 }
 
-// warmNode is one step of the delivery warm pass: before a batch's
-// handlers run, a tight loop of independent loads touches every
-// destination's NodeState and first half-edge, so the CPU overlaps the
-// cache misses the handlers would otherwise take one at a time. Callers
-// add the sum to a field, which keeps the loads live.
+// warmNode is one step of the delivery warm pass: a tight loop of
+// independent loads touches every destination's NodeState and first
+// half-edge of a delivery window, so the CPU overlaps the cache misses the
+// handlers would otherwise take one at a time. Callers add the sum to a
+// field, which keeps the loads live.
 func warmNode(ns *NodeState) uint64 {
 	if len(ns.Edges) > 0 {
 		return uint64(ns.Edges[0].Neighbor)
 	}
 	return 0
+}
+
+// warmWindow is the number of messages the delivery loop warms ahead of
+// their handlers. Warming a whole round first would be undone on a large
+// round: by the time a handler ran, the lines warmed for it would have
+// left L2. A window of 64 messages keeps enough independent misses in
+// flight while their lines are still resident when the handlers need them.
+const warmWindow = 64
+
+// deliver runs the handlers of msgs in order on the network view v and
+// recycles each message, warming (warmNode) and then delivering one window
+// of warmWindow messages at a time. Delivery order is msgs order, so the
+// windows are invisible to every observable. parents, non-nil only on a
+// shard view, holds each message's global batch index: the lane key of
+// every effect its handler emits. A message whose link vanished while it
+// was in flight (linkLive against watermark) is dropped, as the model
+// says. deliver returns the number of handlers that ran.
+func (v *Network) deliver(msgs []*Message, parents []int32, watermark uint64) (handled uint64) {
+	for lo := 0; lo < len(msgs); lo += warmWindow {
+		win := msgs[lo:min(lo+warmWindow, len(msgs))]
+		var warm uint64
+		for _, m := range win {
+			warm += warmNode(v.nodes[m.To])
+		}
+		v.warmSink += warm
+		for i, m := range win {
+			if parents != nil {
+				v.lane.parent = parents[lo+i]
+			}
+			node := v.nodes[m.To]
+			if linkLive(node, m, watermark) {
+				v.handlers[m.Kind](v, node, m) // non-nil: send checks registration
+				handled++
+			}
+			v.putMessage(m)
+			win[i] = nil
+		}
+	}
+	return handled
 }
 
 // EdgeTo returns the half-edge toward the given neighbour, or nil.
@@ -334,8 +374,8 @@ type Network struct {
 	// DeleteLink (see linkLive). Exact because send panics on a missing
 	// link and only DeleteLink removes one.
 	lastDeleteSeq uint64
-	// warmSink accumulates the batch warm pass's loads (see warmNode), so
-	// the compiler cannot discard them.
+	// warmSink accumulates the delivery warm pass's loads (see warmNode),
+	// so the compiler cannot discard them.
 	warmSink uint64
 
 	// fifoTomb preserves per-directed-link FIFO state (HalfEdge.lastSched)
@@ -690,20 +730,35 @@ func (nw *Network) putMessage(m *Message) {
 // the model: the link must exist and the payload must fit the budget.
 // Every send is charged to the counters.
 func (nw *Network) Send(from, to NodeID, kind KindID, sid SessionID, bits int, payload any) {
-	nw.send(from, to, kind, sid, bits, payload, 0)
+	nw.sendAt(from, -1, to, kind, sid, bits, payload, 0)
 }
 
 // SendU is Send with an unboxed single-word payload: the word travels in
 // Message.U, so protocol words (parities, XORs, counters) never allocate.
 func (nw *Network) SendU(from, to NodeID, kind KindID, sid SessionID, bits int, u uint64) {
-	nw.send(from, to, kind, sid, bits, nil, u)
+	nw.sendAt(from, -1, to, kind, sid, bits, nil, u)
 }
 
-func (nw *Network) send(from, to NodeID, kind KindID, sid SessionID, bits int, payload any, u uint64) {
+// SendAt is Send for a caller that already walks the sender's Edges: ei is
+// the position of the half-edge toward to. One load checks it, and a stale
+// position (the topology changed since the caller read it) falls back to
+// the search, so the effect, the FIFO cell and the no-such-link panic are
+// exactly Send's.
+func (nw *Network) SendAt(from NodeID, ei int, to NodeID, kind KindID, sid SessionID, bits int, payload any) {
+	nw.sendAt(from, ei, to, kind, sid, bits, payload, 0)
+}
+
+// SendUAt is SendU by half-edge position (see SendAt).
+func (nw *Network) SendUAt(from NodeID, ei int, to NodeID, kind KindID, sid SessionID, bits int, u uint64) {
+	nw.sendAt(from, ei, to, kind, sid, bits, nil, u)
+}
+
+func (nw *Network) sendAt(from NodeID, ei int, to NodeID, kind KindID, sid SessionID, bits int, payload any, u uint64) {
 	ns := nw.nodes[from]
-	ei := ns.edgePos(to)
-	if ei < 0 {
-		panic(fmt.Sprintf("congest: %d -> %d: no such link (kind %q)", from, to, kind))
+	if uint(ei) >= uint(len(ns.Edges)) || ns.Edges[ei].Neighbor != to {
+		if ei = ns.edgePos(to); ei < 0 {
+			panic(fmt.Sprintf("congest: %d -> %d: no such link (kind %q)", from, to, kind))
+		}
 	}
 	total := bits + FramingBits
 	if total > nw.budget {

@@ -40,6 +40,14 @@
 //
 // # Invariants
 //
+// Delivery. Each batch is delivered in windows of 64 messages: a tight
+// loop first touches every destination's NodeState (warmNode), so their
+// cache misses overlap, then the window's handlers run in batch order.
+// One helper (Network.deliver) serves the inline path and the shard
+// workers. Callers that already walk a node's Edges send by half-edge
+// position (SendAt, SendUAt): one load checks the position, and a stale
+// one falls back to the neighbour search, so the effect is exactly Send's.
+//
 // Zero-alloc hot paths. Steady-state message delivery allocates nothing:
 // message kinds are interned to small integer KindIDs (dispatch via
 // slice, counters via array), Message structs are recycled through free

@@ -286,22 +286,7 @@ func (nw *Network) Run() error {
 			if se != nil && len(batch) >= shardMinBatch {
 				nw.deliverSharded(se, batch)
 			} else {
-				var warm uint64
-				for _, m := range batch {
-					warm += warmNode(nw.nodes[m.To])
-				}
-				nw.warmSink += warm
-				for i, m := range batch {
-					h := nw.handlers[m.Kind] // non-nil: Send checks registration
-					node := nw.nodes[m.To]
-					if linkLive(node, m, nw.lastDeleteSeq) {
-						h(nw, node, m)
-					}
-					// else: the link vanished while the message was in flight
-					// (dynamic deletion). The model drops it.
-					nw.putMessage(m)
-					batch[i] = nil
-				}
+				nw.deliver(batch, nil, nw.lastDeleteSeq)
 			}
 			if nw.obs != nil {
 				// The batch is fully applied (sharded rounds: lanes merged

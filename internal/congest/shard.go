@@ -59,16 +59,8 @@ type shardLane struct {
 	// the round; folded into shardEngine.load at the barrier so observers
 	// see per-shard work attribution without touching worker state.
 	handled  uint64
-	warmSink uint64 // the warm pass's sum (see warmNode)
 	panicked bool
 	panicVal any
-}
-
-// subMsg is one batch entry routed to a shard: the message plus its global
-// batch index.
-type subMsg struct {
-	m   *Message
-	idx int32
 }
 
 // shardEngine is the per-network sharded executor. The views, lanes and
@@ -84,7 +76,10 @@ type shardEngine struct {
 	// roundFn is the hoisted worker closure: one allocation per engine,
 	// not one per round.
 	roundFn func(s int)
-	sub     [][]subMsg
+	// sub is each shard's slice of the round, in batch order, and subIdx
+	// the global batch index of each of its messages.
+	sub    [][]*Message
+	subIdx [][]int32
 	// owner is the destination shard per batch index this round; uint16
 	// covers the partition's 1024-shard cap.
 	owner []uint16
@@ -105,11 +100,12 @@ func (nw *Network) ensureShardEngine() *shardEngine {
 	se := nw.shardEng
 	if se == nil {
 		se = &shardEngine{
-			part:  shard.NewPartition(nw.N(), nw.shards),
-			views: make([]*Network, nw.shards),
-			lanes: make([]*shardLane, nw.shards),
-			sub:   make([][]subMsg, nw.shards),
-			load:  make([]uint64, nw.shards),
+			part:   shard.NewPartition(nw.N(), nw.shards),
+			views:  make([]*Network, nw.shards),
+			lanes:  make([]*shardLane, nw.shards),
+			sub:    make([][]*Message, nw.shards),
+			subIdx: make([][]int32, nw.shards),
+			load:   make([]uint64, nw.shards),
 		}
 		for s := 0; s < nw.shards; s++ {
 			se.lanes[s] = &shardLane{id: s, out: &se.out}
@@ -139,7 +135,8 @@ func (nw *Network) deliverSharded(se *shardEngine, batch []*Message) {
 	for i, m := range batch {
 		s := se.part.Of(int(m.To))
 		se.owner = append(se.owner, uint16(s))
-		se.sub[s] = append(se.sub[s], subMsg{m: m, idx: int32(i)})
+		se.sub[s] = append(se.sub[s], m)
+		se.subIdx[s] = append(se.subIdx[s], int32(i))
 	}
 	se.out.Reset(len(se.lanes))
 	se.watermark = nw.lastDeleteSeq
@@ -203,30 +200,14 @@ func (nw *Network) deliverSharded(se *shardEngine, batch []*Message) {
 func (se *shardEngine) runShard(s int) {
 	v := se.views[s]
 	l := v.lane
-	sub := se.sub[s]
 	defer func() {
-		se.sub[s] = sub[:0]
+		se.sub[s] = se.sub[s][:0]
+		se.subIdx[s] = se.subIdx[s][:0]
 		if r := recover(); r != nil {
 			l.panicked, l.panicVal = true, r
 		}
 	}()
-	var warm uint64
-	for _, sm := range sub {
-		warm += warmNode(v.nodes[sm.m.To])
-	}
-	l.warmSink += warm
-	for _, sm := range sub {
-		m := sm.m
-		l.parent = sm.idx
-		h := v.handlers[m.Kind] // non-nil: Send checks registration
-		node := v.nodes[m.To]
-		if linkLive(node, m, se.watermark) {
-			h(v, node, m)
-			l.handled++
-		}
-		// else: the link vanished while the message was in flight.
-		v.putMessage(m)
-	}
+	l.handled += v.deliver(se.sub[s], se.subIdx[s], se.watermark)
 }
 
 // closeShardEngine parks the executor at Run end: worker goroutines exit,

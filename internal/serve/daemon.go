@@ -246,15 +246,29 @@ func (d *Daemon) Run(ctx context.Context) (Summary, error) {
 		epochSeed := mixSeed(cfg.Seed, d.epoch)
 		g := d.state.Graph()
 
-		var events []faultplan.Event
+		// whole is the epoch's full event list; the Events budget may cut
+		// the last epoch short of it.
+		var whole []faultplan.Event
 		if cfg.Trace != nil {
-			events = cfg.Trace[d.eventsDone:min(d.eventsDone+cfg.EpochEvents, cfg.Events)]
+			whole = cfg.Trace[d.eventsDone:min(d.eventsDone+cfg.EpochEvents, len(cfg.Trace))]
 		} else {
 			compiled := faultplan.Compile(cfg.Churn, g, d.state.MarkedIndices(g), epochSeed)
 			if len(compiled) == 0 {
 				return d.summary(), fmt.Errorf("serve: churn plan compiled to zero events at epoch %d", d.epoch)
 			}
-			events = compiled[:min(cfg.EpochEvents, cfg.Events-d.eventsDone, len(compiled))]
+			whole = compiled[:min(cfg.EpochEvents, len(compiled))]
+		}
+		events := whole[:min(len(whole), cfg.Events-d.eventsDone)]
+		// A budget-truncated epoch is never checkpointed: resuming after
+		// it would start the next epoch mid-way through this one's events,
+		// and every later epoch boundary (and the digest) would differ
+		// from the uninterrupted run's. The resume point stays at this
+		// epoch's start, so a resumed run replays the epoch whole.
+		truncated := len(events) < len(whole)
+		if truncated && cfg.CheckpointPath != "" {
+			if err := WriteCheckpoint(cfg.CheckpointPath, d.checkpoint()); err != nil {
+				return d.summary(), fmt.Errorf("serve: checkpoint: %w", err)
+			}
 		}
 
 		opts := []congest.Option{congest.WithSeed(epochSeed)}
@@ -299,7 +313,7 @@ func (d *Daemon) Run(ctx context.Context) (Summary, error) {
 		d.eventsDone += len(events)
 
 		checkpointed := false
-		if cfg.CheckpointPath != "" && (d.epoch%cfg.CheckpointEvery == 0 || d.eventsDone >= cfg.Events) {
+		if cfg.CheckpointPath != "" && !truncated && (d.epoch%cfg.CheckpointEvery == 0 || d.eventsDone >= cfg.Events) {
 			if err := WriteCheckpoint(cfg.CheckpointPath, d.checkpoint()); err != nil {
 				return d.summary(), fmt.Errorf("serve: checkpoint: %w", err)
 			}

@@ -139,6 +139,66 @@ func TestCancelThenResume(t *testing.T) {
 	}
 }
 
+// TestResumeAfterBudgetCut reproduces the CI serve smoke gate: the churn
+// plan compiles 12 events per epoch, so a run cut by an Events budget of
+// 128 ends mid-way through epoch 11. That partial epoch must not become
+// the resume point; the checkpoint stays at the last whole-epoch boundary,
+// and a resumed run that replays the cut epoch whole reaches the
+// uninterrupted run's digest, for mst and st alike.
+func TestResumeAfterBudgetCut(t *testing.T) {
+	for _, tc := range []struct {
+		algo, want string // want pins the CI gate's reference digest
+	}{
+		{"mst", "sha256:ab38558287b633248da26ed5e7552130f7ceabf56536e47e7fef260fca5b932c"},
+		{"st", ""},
+	} {
+		t.Run(tc.algo, func(t *testing.T) {
+			cfg := Config{
+				Spec:        GraphSpec{Family: "gnm", N: 256, M: 768, Seed: 11},
+				Algo:        tc.algo,
+				Seed:        77,
+				Wave:        8,
+				EpochEvents: 16,
+				Churn:       faultplan.Plan{TreeEdgeDeletes: 4, Deletes: 3, Inserts: 3, WeightChanges: 2},
+				Events:      256,
+			}
+			run := func(d *Daemon, err error) Summary {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, err := d.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sum
+			}
+			ref := run(New(cfg))
+			if tc.want != "" && ref.Digest != tc.want {
+				t.Fatalf("reference digest %s, want %s", ref.Digest, tc.want)
+			}
+
+			cut := cfg
+			cut.Events = 128
+			cut.CheckpointPath = filepath.Join(t.TempDir(), "serve.ckpt")
+			run(New(cut))
+			cp, err := ReadCheckpoint(cut.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.EventsDone != 120 || cp.Epoch != 10 {
+				t.Fatalf("checkpoint at epoch %d, %d events; want the whole-epoch boundary 10, 120", cp.Epoch, cp.EventsDone)
+			}
+			cfg.CheckpointPath = cut.CheckpointPath
+			res := run(Resume(cfg, cp))
+			if res.Digest != ref.Digest || res.Epochs != ref.Epochs || !reflect.DeepEqual(res.Stats, ref.Stats) {
+				t.Errorf("resumed run diverged:\n resumed   %d epochs %s %+v\n reference %d epochs %s %+v",
+					res.Epochs, res.Digest, res.Stats, ref.Epochs, ref.Digest, ref.Stats)
+			}
+		})
+	}
+}
+
 // TestResumeRejectsMismatchedConfig: a checkpoint must not resume under
 // a configuration that would fork the event sequence.
 func TestResumeRejectsMismatchedConfig(t *testing.T) {

@@ -42,7 +42,7 @@ func TestElectionWaveAllocs(t *testing.T) {
 
 // TestUnboxedBroadcastEchoAllocs pins an unboxed-lane broadcast-and-echo
 // (the TestOut shape: words folded as they arrive) with an OnDown hook on
-// a 256-node marked path at constant allocations: pooled beStates,
+// a 256-node marked path at constant allocations: per-node state slots,
 // slot-indexed specs, unboxed echoes in Message.U, an Emit value instead
 // of a per-node closure, and CompleteSessionU/AwaitU end to end.
 func TestUnboxedBroadcastEchoAllocs(t *testing.T) {
@@ -75,7 +75,7 @@ func TestUnboxedBroadcastEchoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wave() // warm the beState pool and message free list
+	wave() // warm the session slots and message free list
 	avg := testing.AllocsPerRun(5, wave)
 	if avg > 32 {
 		t.Errorf("unboxed B&E on %d nodes: %.1f allocs, budget 32 — per-node churn reintroduced?", n, avg)

@@ -79,43 +79,100 @@ type Spec struct {
 // unboxed reports which echo lane the spec uses.
 func (s *Spec) unboxed() bool { return s.LocalU != nil }
 
-// beState is the per-node automaton state of one broadcast-and-echo.
-// States are recycled through the Protocol's free list; children keeps its
-// backing array across sessions, so a warm protocol performs whole
-// broadcast-and-echoes without allocating.
+// beState is one node's automaton state in one broadcast-and-echo.
 type beState struct {
-	parent   congest.NodeID // 0 at the root
-	expected int            // children still to echo
-	children []ChildEcho    // boxed lane only
-	local    any            // boxed lane
-	acc      uint64         // unboxed lane accumulator
+	parent congest.NodeID // 0 at the root
+	// parentPos is the parent's half-edge position in node.Edges, recorded
+	// by the child loop so the echo is sent by position (-1 at the root).
+	parentPos int32
+	expected  int32  // children still to echo
+	acc       uint64 // unboxed lane accumulator
+	// box holds the boxed lane's values at a node that waits for
+	// children; nil on the unboxed lane and at leaves, which echo at once.
+	box *beBox
 }
 
-// getBE pops a recycled beState (or allocates) and initialises it. The
-// lane index keys the per-shard free list: handlers pass the lane of the
-// network view they were handed, so workers only ever touch their own
-// list.
-func (pr *Protocol) getBE(lane int, parent congest.NodeID) *beState {
-	free := pr.beFree[lane]
+// beBox is the boxed lane's buffer at a node waiting for children: the
+// node's Local value and its children's echoes. It is pooled rather than
+// held in the slot because only those nodes need it: inline, it would
+// nearly double every node's slot, and a serve daemon, which builds a
+// fresh network (so a fresh slot array) every epoch, pays that in peak
+// RSS. Boxes recycle through the Protocol's per-lane free lists, and
+// children keeps its backing array, so a warm protocol allocates none.
+type beBox struct {
+	local    any
+	children []ChildEcho
+}
+
+// beSlot is one node's entry in the Protocol's dense slot array: the
+// state of the broadcast-and-echo stamped in sid (0 = free), held inline
+// in 40 bytes.
+type beSlot struct {
+	sid congest.SessionID
+	beState
+}
+
+// claimBE returns node's fresh state for session sid with the given
+// parent: its slot when free, else an overflow state kept in the node's
+// session vector (a node in two live sessions at once). A node that
+// already holds state for sid got a second broadcast — the marked
+// subgraph is not a tree.
+//
+// Shard safety: a node's slot is only touched by handlers at that node
+// (one shard) or by a driver between rounds.
+func (pr *Protocol) claimBE(node *congest.NodeState, sid congest.SessionID, parent congest.NodeID) *beState {
+	sl := &pr.slots[node.ID]
+	if sl.sid == 0 {
+		sl.sid = sid
+		sl.parent, sl.parentPos = parent, -1
+		return &sl.beState
+	}
+	if sl.sid == sid || node.SessionState(sid) != nil {
+		panic(fmt.Sprintf("tree: node %d got a second broadcast in session %d — marked subgraph is not a tree", node.ID, sid))
+	}
+	st := &beState{parent: parent, parentPos: -1}
+	node.SetSessionState(sid, st)
+	return st
+}
+
+// stateBE returns node's state for session sid, or nil.
+func (pr *Protocol) stateBE(node *congest.NodeState, sid congest.SessionID) *beState {
+	if sl := &pr.slots[node.ID]; sl.sid == sid {
+		return &sl.beState
+	}
+	st, _ := node.SessionState(sid).(*beState)
+	return st
+}
+
+// releaseBE frees node's state for session sid.
+func (pr *Protocol) releaseBE(node *congest.NodeState, sid congest.SessionID) {
+	sl := &pr.slots[node.ID]
+	if sl.sid != sid {
+		node.SetSessionState(sid, nil)
+		return
+	}
+	sl.beState = beState{}
+	sl.sid = 0
+}
+
+// getBox pops a recycled box from the lane's free list, or allocates one.
+func (pr *Protocol) getBox(lane int) *beBox {
+	free := pr.boxFree[lane]
 	if n := len(free); n > 0 {
-		st := free[n-1]
+		b := free[n-1]
 		free[n-1] = nil
-		pr.beFree[lane] = free[:n-1]
-		st.parent = parent
-		return st
+		pr.boxFree[lane] = free[:n-1]
+		return b
 	}
-	return &beState{parent: parent}
+	return &beBox{}
 }
 
-// putBE recycles a finished beState, dropping value references for GC but
-// keeping slice capacity.
-func (pr *Protocol) putBE(lane int, st *beState) {
-	for i := range st.children {
-		st.children[i] = ChildEcho{}
-	}
-	st.children = st.children[:0]
-	*st = beState{children: st.children}
-	pr.beFree[lane] = append(pr.beFree[lane], st)
+// putBox recycles a box, dropping value references for GC but keeping
+// the children capacity.
+func (pr *Protocol) putBox(lane int, b *beBox) {
+	clear(b.children)
+	*b = beBox{children: b.children[:0]}
+	pr.boxFree[lane] = append(pr.boxFree[lane], b)
 }
 
 // setSpec binds a session to its spec in the slot-indexed table (no map
@@ -165,64 +222,81 @@ func (pr *Protocol) StartBroadcastEcho(root congest.NodeID, spec *Spec) congest.
 	sid := pr.nw.NewSession(nil)
 	pr.setSpec(sid, spec)
 	node := pr.nw.Node(root)
-	st := pr.getBE(pr.nw.LaneID(), 0)
-	pr.runDownAt(pr.nw, node, sid, spec, st)
+	pr.runDownAt(pr.nw, node, sid, spec, pr.claimBE(node, sid, 0))
 	return sid
 }
 
 // runDownAt performs the on-broadcast work at a node: side effects, local
 // compute, forwarding, and the immediate echo when the node is a leaf.
-// All engine calls go through nw — the network view the caller was handed
-// — so a shard worker's sends and completions land in its own lane.
+// The child loop sends by half-edge position and records the parent's
+// position for the echo. All engine calls go through nw — the network
+// view the caller was handed — so a shard worker's sends and completions
+// land in its own lane.
 func (pr *Protocol) runDownAt(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState) {
 	if spec.OnDown != nil {
 		spec.OnDown(node, spec.Down, Emit{nw: nw, from: node.ID, sid: sid})
 	}
+	var local any
 	if spec.unboxed() {
 		st.acc = spec.LocalU(node, spec.Down)
 	} else if spec.Local != nil {
-		st.local = spec.Local(node, spec.Down)
+		local = spec.Local(node, spec.Down)
 	}
 	for i := range node.Edges {
 		he := &node.Edges[i]
-		if he.Marked && he.Neighbor != st.parent {
+		if !he.Marked {
+			continue
+		}
+		if he.Neighbor == st.parent {
+			st.parentPos = int32(i)
+		} else {
 			st.expected++
-			nw.Send(node.ID, he.Neighbor, KindDown, sid, spec.DownBits, spec.Down)
+			nw.SendAt(node.ID, i, he.Neighbor, KindDown, sid, spec.DownBits, spec.Down)
 		}
 	}
 	if st.expected == 0 {
-		pr.echoUp(nw, node, sid, spec, st)
+		pr.echoUp(nw, node, sid, spec, st, local)
 		return
 	}
-	node.SetSessionState(sid, st)
+	if !spec.unboxed() {
+		st.box = pr.getBox(nw.LaneID())
+		st.box.local = local
+	}
 }
 
-// echoUp finishes a node: aggregates and either completes the session (at
-// the root) or echoes to the parent.
-func (pr *Protocol) echoUp(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState) {
-	parent := st.parent
-	lane := nw.LaneID()
+// echoUp finishes a node: aggregates, releases its state, and either
+// completes the session (at the root) or echoes to the parent. On the
+// boxed lane a leaf passes its Local value; a node that waited for
+// children has it in its box.
+func (pr *Protocol) echoUp(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState, local any) {
+	parent, pos := st.parent, int(st.parentPos)
 	if spec.unboxed() {
 		val := st.acc
-		node.SetSessionState(sid, nil)
-		pr.putBE(lane, st)
+		pr.releaseBE(node, sid)
 		if parent == 0 {
 			pr.clearSpec(sid)
 			nw.CompleteSessionU(sid, val, nil)
 			return
 		}
-		nw.SendU(node.ID, parent, KindUp, sid, spec.UpBits, val)
+		nw.SendUAt(node.ID, pos, parent, KindUp, sid, spec.UpBits, val)
 		return
 	}
-	val := spec.Combine(node, spec.Down, st.local, st.children)
-	node.SetSessionState(sid, nil)
-	pr.putBE(lane, st)
+	var children []ChildEcho
+	box := st.box
+	if box != nil {
+		local, children = box.local, box.children
+	}
+	val := spec.Combine(node, spec.Down, local, children)
+	if box != nil {
+		pr.putBox(nw.LaneID(), box)
+	}
+	pr.releaseBE(node, sid)
 	if parent == 0 {
 		pr.clearSpec(sid)
 		nw.CompleteSession(sid, val, nil)
 		return
 	}
-	nw.Send(node.ID, parent, KindUp, sid, spec.UpBits, val)
+	nw.SendAt(node.ID, pos, parent, KindUp, sid, spec.UpBits, val)
 }
 
 func (pr *Protocol) onDown(nw *congest.Network, node *congest.NodeState, msg *congest.Message) {
@@ -230,11 +304,7 @@ func (pr *Protocol) onDown(nw *congest.Network, node *congest.NodeState, msg *co
 	if spec == nil {
 		panic(fmt.Sprintf("tree: down message for unknown session %d", msg.Session))
 	}
-	if node.SessionState(msg.Session) != nil {
-		panic(fmt.Sprintf("tree: node %d got a second broadcast in session %d — marked subgraph is not a tree", node.ID, msg.Session))
-	}
-	st := pr.getBE(nw.LaneID(), msg.From)
-	pr.runDownAt(nw, node, msg.Session, spec, st)
+	pr.runDownAt(nw, node, msg.Session, spec, pr.claimBE(node, msg.Session, msg.From))
 }
 
 func (pr *Protocol) onUp(nw *congest.Network, node *congest.NodeState, msg *congest.Message) {
@@ -242,9 +312,8 @@ func (pr *Protocol) onUp(nw *congest.Network, node *congest.NodeState, msg *cong
 	if spec == nil {
 		panic(fmt.Sprintf("tree: up message for unknown session %d", msg.Session))
 	}
-	raw := node.SessionState(msg.Session)
-	st, ok := raw.(*beState)
-	if !ok {
+	st := pr.stateBE(node, msg.Session)
+	if st == nil {
 		panic(fmt.Sprintf("tree: node %d got echo without broadcast state in session %d", node.ID, msg.Session))
 	}
 	if spec.unboxed() {
@@ -254,10 +323,10 @@ func (pr *Protocol) onUp(nw *congest.Network, node *congest.NodeState, msg *cong
 			st.acc ^= msg.U
 		}
 	} else {
-		st.children = append(st.children, ChildEcho{From: msg.From, Value: msg.Payload})
+		st.box.children = append(st.box.children, ChildEcho{From: msg.From, Value: msg.Payload})
 	}
 	st.expected--
 	if st.expected == 0 {
-		pr.echoUp(nw, node, msg.Session, spec, st)
+		pr.echoUp(nw, node, msg.Session, spec, st, nil)
 	}
 }

@@ -1,0 +1,60 @@
+package tree
+
+import (
+	"testing"
+
+	"kkt/internal/congest"
+	"kkt/internal/graph"
+	"kkt/internal/rng"
+)
+
+// BenchmarkBroadcastEcho is one unboxed-lane broadcast-and-echo per op
+// (the TestOut shape: a word per node, folded as echoes arrive) over a
+// random recursive spanning tree of 2^17 nodes. The tree is about 30
+// levels deep, so its rounds carry thousands of messages, far more than
+// the engine's delivery warm window; BenchmarkDeliverScattered's
+// 1024-message batches never are. Node state, tree slots and messages
+// miss cache as they do in a large Borůvka phase.
+func BenchmarkBroadcastEcho(b *testing.B) {
+	const n = 1 << 17
+	r := rng.New(5)
+	g := graph.MustNew(n, 1024)
+	forest := make([][2]congest.NodeID, 0, n-1)
+	for v := 2; v <= n; v++ {
+		u := 1 + r.Intn(v-1)
+		g.MustAddEdge(uint32(u), uint32(v), 1+uint64(r.Intn(1024)))
+		forest = append(forest, [2]congest.NodeID{congest.NodeID(u), congest.NodeID(v)})
+	}
+	nw := congest.NewNetwork(g)
+	nw.SetForest(forest)
+	pr := Attach(nw)
+	spec := &Spec{
+		DownBits: 8,
+		UpBits:   64,
+		LocalU:   func(node *congest.NodeState, down any) uint64 { return uint64(node.ID) },
+		CombineU: func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
+			return acc + child
+		},
+	}
+	waves := func(count int) {
+		nw.Spawn("be", func(p *congest.Proc) error {
+			for i := 0; i < count; i++ {
+				got, err := p.AwaitU(pr.StartBroadcastEcho(1, spec))
+				if err != nil {
+					return err
+				}
+				if want := uint64(n) * (n + 1) / 2; got != want {
+					b.Errorf("sum = %d, want %d", got, want)
+				}
+			}
+			return nil
+		})
+		if err := nw.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	waves(1) // warm the message free list, the round buffers and the slots
+	b.ReportAllocs()
+	b.ResetTimer()
+	waves(b.N)
+}

@@ -18,11 +18,21 @@
 //
 // # Invariants
 //
+// Per-node broadcast-and-echo slots. Each node's broadcast-and-echo state
+// (beState) lives inline in a dense slot array owned by the Protocol,
+// indexed by node ID and stamped with the session ID (0 = free). The
+// child loop sends down by half-edge position (congest.SendAt) and
+// records the parent's position, so the echo goes up by position too. A
+// node in two live sessions at once keeps the second session's state in
+// its NodeState session vector, the overflow. On the boxed lane, a node
+// waiting for children also holds a pooled box for its Local value and
+// the children's echoes (beBox); leaves and the unboxed lane need none.
+//
 // Zero-alloc steady state. A warm Protocol performs whole
 // broadcast-and-echoes and election waves without allocating: per-node
-// automaton states (beState) recycle through lane-indexed free lists,
-// session→spec bindings live in a slot-indexed table keyed by the
-// engine's recycled session slots (validated by the full packed ID, so a
+// automaton states live in the slot array, boxes recycle through
+// lane-indexed free lists, session→spec bindings live in a slot-indexed
+// table keyed by the engine's recycled session slots (validated by the full packed ID, so a
 // recycled slot never aliases), election receipts are bitmasks over each
 // node's sorted edge slice in a reusable buffer, single-word echoes
 // travel unboxed (Spec.LocalU/CombineU over Message.U), and OnDown hooks
@@ -30,7 +40,9 @@
 //
 // Shard safety. Handlers route every engine call through the *Network
 // view they are handed, so sends and completions land in the correct
-// shard lane; per-lane beState free lists mean workers never contend.
+// shard lane; a handler touches only the slot of the node it runs at,
+// and a node's messages are all handled in one shard, so workers never
+// share a slot, and per-lane box free lists mean they never contend.
 // Drivers write spec-table entries between rounds; a handler only reads
 // them, and only the root node's handler (one node, hence one shard)
 // clears a session's entry — the table needs no locks.

@@ -27,9 +27,13 @@ type Protocol struct {
 	// session's root is one node, so one shard) their own slots, which
 	// keeps the table shard-safe without locks.
 	specs []specSlot
-	// beFree recycles per-node broadcast-and-echo automaton states, one
-	// free list per execution lane so shard workers never contend.
-	beFree [][]*beState
+	// slots holds each node's broadcast-and-echo state, indexed by node
+	// ID and stamped with its session (see claimBE). A node in two live
+	// sessions at once keeps the second in its session vector.
+	slots []beSlot
+	// boxFree recycles the boxed lane's per-node echo buffers (beBox),
+	// one free list per execution lane so shard workers never contend.
+	boxFree [][]*beBox
 	// electBuf is the reusable per-node election state array; electSid is
 	// the session currently borrowing it (0 = free). A second concurrent
 	// wave — which never happens in the paper's algorithms — falls back to
@@ -49,9 +53,10 @@ type specSlot struct {
 // instance. Call exactly once per network.
 func Attach(nw *congest.Network) *Protocol {
 	pr := &Protocol{
-		nw:     nw,
-		beFree: make([][]*beState, nw.Lanes()),
-		r:      nw.Rand(),
+		nw:      nw,
+		slots:   make([]beSlot, nw.N()+1),
+		boxFree: make([][]*beBox, nw.Lanes()),
+		r:       nw.Rand(),
 	}
 	nw.RegisterHandler(KindDown, pr.onDown)
 	nw.RegisterHandler(KindUp, pr.onUp)

@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"kkt/internal/congest"
@@ -392,4 +394,121 @@ func TestElectConcurrentWithSecondWave(t *testing.T) {
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBroadcastEchoOverflow runs two broadcast-and-echoes at once over
+// the same marked path, rooted at its two ends, so every node holds state
+// in two live sessions: the second to reach a node finds the node's slot
+// taken and keeps its state in the node's session vector. Both sessions
+// must still aggregate correctly, on both echo lanes and under both
+// schedulers.
+func TestBroadcastEchoOverflow(t *testing.T) {
+	const n = 9
+	want := uint64(n*(n+1)) / 2
+	for _, sched := range []struct {
+		name string
+		opts []congest.Option
+	}{
+		{"sync", nil},
+		{"async", []congest.Option{congest.WithAsync(12), congest.WithSeed(7)}},
+	} {
+		for _, unboxed := range []bool{false, true} {
+			nw, pr := pathNet(t, n, sched.opts...)
+			overflows := 0
+			spec := sumSpec()
+			if unboxed {
+				spec = &Spec{
+					DownBits: 8,
+					UpBits:   32,
+					LocalU:   func(node *congest.NodeState, down any) uint64 { return uint64(node.ID) },
+					CombineU: func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
+						return acc + child
+					},
+				}
+			}
+			// OnDown runs after the node claimed its state: a slot stamped
+			// with another session means this one overflowed.
+			spec.OnDown = func(node *congest.NodeState, down any, emit Emit) {
+				if pr.slots[node.ID].sid != emit.sid {
+					overflows++
+				}
+			}
+			var got [2]uint64
+			var sids [2]congest.SessionID
+			nw.Spawn("be", func(p *congest.Proc) error {
+				sids = [2]congest.SessionID{pr.StartBroadcastEcho(1, spec), pr.StartBroadcastEcho(n, spec)}
+				for i, sid := range sids {
+					if unboxed {
+						v, err := p.AwaitU(sid)
+						if err != nil {
+							return err
+						}
+						got[i] = v
+						continue
+					}
+					v, err := p.Await(sid)
+					if err != nil {
+						return err
+					}
+					got[i] = v.(uint64)
+				}
+				return nil
+			})
+			if err := nw.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got != [2]uint64{want, want} {
+				t.Errorf("%s unboxed=%v: sums = %v, want %d each", sched.name, unboxed, got, want)
+			}
+			if overflows == 0 {
+				t.Errorf("%s unboxed=%v: no node held two sessions; the overflow path went untested", sched.name, unboxed)
+			}
+			for v := 1; v <= n; v++ {
+				node := nw.Node(congest.NodeID(v))
+				if pr.slots[v].sid != 0 || node.SessionState(sids[0]) != nil || node.SessionState(sids[1]) != nil {
+					t.Fatalf("%s unboxed=%v: node %d kept broadcast state after both sessions ended", sched.name, unboxed, v)
+				}
+			}
+		}
+	}
+}
+
+// TestBroadcastEchoStatePanics pins the tree-discipline panics on both
+// state homes, the slot and the overflow: a second broadcast in a session
+// the node already holds, and an echo in a session it holds no state for.
+func TestBroadcastEchoStatePanics(t *testing.T) {
+	nw, pr := pathNet(t, 3)
+	spec := sumSpec()
+	var sids [3]congest.SessionID
+	for i := range sids {
+		sids[i] = nw.NewSession(nil)
+		pr.setSpec(sids[i], spec)
+	}
+	node := nw.Node(2)
+	pr.claimBE(node, sids[0], 1) // the slot
+	pr.claimBE(node, sids[1], 1) // overflow
+	mustPanic := func(what, substr string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if s, _ := r.(string); !strings.Contains(s, substr) {
+				t.Errorf("%s: panic %v, want one containing %q", what, r, substr)
+			}
+		}()
+		f()
+	}
+	for i, sid := range sids[:2] {
+		mustPanic(fmt.Sprintf("second broadcast, session %d", i), "second broadcast", func() {
+			pr.onDown(nw, node, &congest.Message{From: 3, To: 2, Kind: KindDown, Session: sid})
+		})
+	}
+	up := func(sid congest.SessionID) func() {
+		return func() { pr.onUp(nw, node, &congest.Message{From: 3, To: 2, Kind: KindUp, Session: sid}) }
+	}
+	mustPanic("echo in a session without state", "echo without broadcast state", up(sids[2]))
+	pr.releaseBE(node, sids[1])
+	mustPanic("echo after the overflow state was released", "echo without broadcast state", up(sids[1]))
+	pr.releaseBE(node, sids[0])
+	mustPanic("echo after the slot was released", "echo without broadcast state", up(sids[0]))
 }
