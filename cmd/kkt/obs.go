@@ -265,8 +265,8 @@ func holdObs(stderr io.Writer) {
 func printFootprint(stderr io.Writer, results []harness.Result) {
 	for _, res := range results {
 		for _, t := range res.Trials {
-			fmt.Fprintf(stderr, "footprint: %s trial %d: peak_driver_goroutines=%d peak_driver_tasks=%d peak_live_drivers=%d heap_sys_mb=%d async_conflicts=%d\n",
-				res.Spec.Name, t.Trial, t.PeakDriverGoroutines, t.PeakDriverTasks, t.PeakLiveDrivers, t.HeapSysMB, t.AsyncConflicts)
+			fmt.Fprintf(stderr, "footprint: %s trial %d: peak_driver_tasks=%d peak_live_drivers=%d heap_sys_mb=%d async_conflicts=%d\n",
+				res.Spec.Name, t.Trial, t.PeakDriverTasks, t.PeakLiveDrivers, t.HeapSysMB, t.AsyncConflicts)
 		}
 	}
 }

@@ -121,7 +121,6 @@ type launchItem struct {
 	idx    int
 	op     string
 	driver Repair
-	task   *congest.Task
 }
 
 // opSeedPrime matches the sequential storm harness's per-op seed mixing.
@@ -308,16 +307,9 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 	}
 	waveNo := uint64(q.stats.Waves)
 	q.stats.Waves++
-	nw.Spawn("repair-wave", func(p *congest.Proc) error {
-		for i := range wave {
-			wave[i].task = p.GoStepTagged("repair", waveNo, uint64(wave[i].idx), wave[i].driver)
-		}
-		tasks := make([]*congest.Task, len(wave))
-		for i := range wave {
-			tasks[i] = wave[i].task
-		}
-		return p.WaitTasks(tasks...)
-	})
+	for i := range wave {
+		nw.SpawnStep("repair", waveNo, uint64(wave[i].idx), wave[i].driver)
+	}
 	if err := nw.Run(); err != nil {
 		return len(wave), err
 	}
@@ -340,7 +332,6 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 		}
 		l.Release(wave[i].driver)
 		wave[i].driver = nil
-		wave[i].task = nil
 	}
 	return len(wave), nil
 }
@@ -437,12 +428,8 @@ func RunOne(nw *congest.Network, op string, r Repair) (Cost, error) {
 	if obs != nil {
 		obs.RepairStart(op, baseTime)
 	}
-	t := nw.SpawnStep(op, r)
-	err := nw.Run()
-	if err == nil {
-		err = t.Err()
-	}
-	if err != nil {
+	nw.SpawnStep(op, 0, 0, r)
+	if err := nw.Run(); err != nil {
 		return Cost{}, err
 	}
 	nw.ApplyStaged()

@@ -32,13 +32,9 @@ func TestAsyncDeliverPathAllocs(t *testing.T) {
 	kind := Kind("alloc.async")
 	nw.RegisterHandler(kind, func(*Network, *NodeState, *Message) {})
 	wave := func() {
-		nw.Spawn("sender", func(p *Proc) error {
-			for i := 0; i < msgs; i++ {
-				nw.Send(1, 2, kind, 0, 8, nil)
-			}
-			p.AwaitQuiescence()
-			return nil
-		})
+		for i := 0; i < msgs; i++ {
+			nw.Send(1, 2, kind, 0, 8, nil)
+		}
 		if err := nw.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -57,13 +53,9 @@ func TestSyncDeliverPathAllocs(t *testing.T) {
 	kind := Kind("alloc.sync")
 	nw.RegisterHandler(kind, func(*Network, *NodeState, *Message) {})
 	wave := func() {
-		nw.Spawn("sender", func(p *Proc) error {
-			for i := 0; i < msgs; i++ {
-				nw.Send(1, 2, kind, 0, 8, nil)
-			}
-			p.AwaitQuiescence()
-			return nil
-		})
+		for i := 0; i < msgs; i++ {
+			nw.Send(1, 2, kind, 0, 8, nil)
+		}
 		if err := nw.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +66,7 @@ func TestSyncDeliverPathAllocs(t *testing.T) {
 }
 
 // TestSessionLifecycleAllocs pins the session slot table: creating,
-// completing and awaiting sessions recycles slots instead of allocating
+// completing and taking sessions recycles slots instead of allocating
 // session records or map entries.
 func TestSessionLifecycleAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
@@ -86,18 +78,15 @@ func TestSessionLifecycleAllocs(t *testing.T) {
 		nw.CompleteSessionU(msg.Session, msg.U, nil)
 	})
 	wave := func() {
-		nw.Spawn("driver", func(p *Proc) error {
-			for i := 0; i < sessions; i++ {
-				sid := nw.NewSession(nil)
-				nw.SendU(1, 2, kind, sid, 8, uint64(i))
-				if u, err := p.AwaitU(sid); err != nil || u != uint64(i) {
-					t.Errorf("session %d: u=%d err=%v", i, u, err)
-				}
+		for i := 0; i < sessions; i++ {
+			sid := nw.NewSession(nil)
+			nw.SendU(1, 2, kind, sid, 8, uint64(i))
+			if err := nw.Run(); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		})
-		if err := nw.Run(); err != nil {
-			t.Fatal(err)
+			if u, err := nw.Take(sid).U(); err != nil || u != uint64(i) {
+				t.Errorf("session %d: u=%d err=%v", i, u, err)
+			}
 		}
 	}
 	wave()

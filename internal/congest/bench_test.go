@@ -16,20 +16,15 @@ func BenchmarkSend(b *testing.B) {
 	g := graph.Path(2, 1, graph.UnitWeights())
 	nw := NewNetwork(g)
 	nw.RegisterHandler(benchNoop, func(*Network, *NodeState, *Message) {})
-	nw.Spawn("sender", func(p *Proc) error {
-		for i := 0; i < b.N; i++ {
-			nw.Send(1, 2, benchNoop, 0, 8, nil)
-			if i%1024 == 1023 {
-				p.AwaitQuiescence()
-			}
-		}
-		p.AwaitQuiescence()
-		return nil
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := nw.Run(); err != nil {
-		b.Fatal(err)
+	for i := 0; i < b.N; i++ {
+		nw.Send(1, 2, benchNoop, 0, 8, nil)
+		if i%1024 == 1023 || i == b.N-1 {
+			if err := nw.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -40,20 +35,15 @@ func BenchmarkSendAsync(b *testing.B) {
 	g := graph.Path(2, 1, graph.UnitWeights())
 	nw := NewNetwork(g, WithAsync(4), WithSeed(7))
 	nw.RegisterHandler(benchNoop, func(*Network, *NodeState, *Message) {})
-	nw.Spawn("sender", func(p *Proc) error {
-		for i := 0; i < b.N; i++ {
-			nw.Send(1, 2, benchNoop, 0, 8, nil)
-			if i%1024 == 1023 {
-				p.AwaitQuiescence()
-			}
-		}
-		p.AwaitQuiescence()
-		return nil
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := nw.Run(); err != nil {
-		b.Fatal(err)
+	for i := 0; i < b.N; i++ {
+		nw.Send(1, 2, benchNoop, 0, 8, nil)
+		if i%1024 == 1023 || i == b.N-1 {
+			if err := nw.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -77,21 +67,16 @@ func BenchmarkDeliverScattered(b *testing.B) {
 			links[i] = [2]NodeID{NodeID(e.B), NodeID(e.A)}
 		}
 	}
-	nw.Spawn("sender", func(p *Proc) error {
-		for i := 0; i < b.N; i++ {
-			l := links[i&(len(links)-1)]
-			nw.Send(l[0], l[1], benchNoop, 0, 8, nil)
-			if i%batch == batch-1 {
-				p.AwaitQuiescence()
-			}
-		}
-		p.AwaitQuiescence()
-		return nil
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := nw.Run(); err != nil {
-		b.Fatal(err)
+	for i := 0; i < b.N; i++ {
+		l := links[i&(len(links)-1)]
+		nw.Send(l[0], l[1], benchNoop, 0, 8, nil)
+		if i%batch == batch-1 || i == b.N-1 {
+			if err := nw.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

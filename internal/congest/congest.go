@@ -37,9 +37,8 @@ const (
 func (sid SessionID) Slot() int { return int(sid & sessSlotMask) }
 
 // Serial returns the session's creation serial: the n-th NewSession call
-// on a network returns serial n. Serials are what deterministic derived
-// randomness (e.g. tree.Protocol.NodeRand) should hash, since they do not
-// depend on slot recycling order.
+// on a network returns serial n. Unlike the packed ID it does not depend
+// on slot recycling order; observers and watchdog dumps report it.
 func (sid SessionID) Serial() uint64 { return uint64(sid >> sessSlotBits) }
 
 // FramingBits is charged on top of each message's declared payload for the
@@ -311,11 +310,11 @@ func (ns *NodeState) SetSessionState(sid SessionID, st any) {
 // duration of the call — the engine recycles it afterwards.
 type Handler func(nw *Network, node *NodeState, msg *Message)
 
-// session tracks one protocol execution and the driver (if any) waiting on
+// session tracks one protocol execution and the task (if any) parked on
 // its completion. Sessions live by value in the engine's slot table
 // (Network.slots); id == 0 marks a free slot. A slot is recycled as soon
-// as its result has been handed to a driver — at completion when a waiter
-// is already parked, otherwise when a later Await consumes the stored
+// as its result has been handed over — at completion when a task is
+// already parked, otherwise when a later Step or Take consumes the stored
 // result — so the table stays as small as the peak number of concurrent
 // sessions.
 type session struct {
@@ -325,10 +324,8 @@ type session struct {
 	resultU   uint64
 	result    any
 	err       error
-	waiter    *Proc
-	// twaiter is the continuation-task counterpart of waiter: at most one
-	// of the two is set. A parked task is resumed by the engine's run
-	// queue exactly where a parked goroutine driver would have been.
+	// twaiter is the task parked on this session, if any; completion puts
+	// it back on the engine's run queue.
 	twaiter *Task
 	// onQuiescence, if set, lets the session complete when the network
 	// goes quiescent (no messages in flight, no runnable drivers) — this
@@ -412,25 +409,18 @@ type Network struct {
 	// nil and all operations apply directly.
 	lane *shardLane
 
-	// allProcs lists every driver goroutine spawned since the last Run
-	// teardown; live counts the unfinished drivers, goroutines and tasks
-	// alike. See proc.go.
-	allProcs []*Proc
+	// tasks lists the continuation tasks spawned for the current Run, in
+	// spawn order; live counts the unfinished ones. taskFree recycles
+	// finished tasks across Runs. Tasks are plain heap objects — no
+	// goroutine, no channels — which is what keeps a million-fragment
+	// fan-out at tens of bytes per driver. See cont.go.
+	tasks    []*Task
 	live     int
-
-	// taskFree recycles finished continuation tasks across spawns within
-	// one Run; allTasks lists every live-or-parked task for deadlock
-	// diagnostics. Tasks are plain heap objects — no goroutine, no
-	// channels — which is what keeps a million-fragment fan-out at tens of
-	// bytes per driver instead of a parked stack. See cont.go.
 	taskFree []*Task
-	allTasks []*Task
 
-	// Driver high-water marks (see DriverStats): peakProcs tracks driver
-	// goroutines ever created, peakTasks continuation tasks ever created,
-	// peakLive the maximum concurrently-unfinished drivers of both kinds.
+	// Driver high-water marks (see DriverStats): peakTasks counts the tasks
+	// ever created, peakLive the maximum concurrently-unfinished tasks.
 	// Monotone across Runs so a trial reports its true peak.
-	peakProcs int
 	peakTasks int
 	peakLive  int
 
@@ -450,21 +440,18 @@ type Network struct {
 	wdChecks       uint64
 }
 
-// wakeup is one runnable-driver entry on the engine's run queue: exactly
-// one of p (goroutine driver) or t (continuation task) is set. The queue
-// is drained strictly in append order, which is what makes driver
-// scheduling — and with it session serials and every derived random draw —
-// identical across shard counts.
+// wakeup is one runnable-task entry on the engine's run queue. The queue
+// is drained strictly in append order, which is what makes task
+// scheduling — and with it session serials and every derived random draw
+// — identical across shard counts.
 type wakeup struct {
-	p *Proc
 	t *Task
 	w Wake
 }
 
-// Wake is the completion of an awaited session as delivered to a driver:
-// the result (boxed or unboxed) plus the session error. Goroutine drivers
-// consume it through Await/AwaitU; continuation drivers receive it as the
-// argument of their next Step.
+// Wake is the completion of a session as handed to a driver: the result
+// (boxed or unboxed) plus the session error. A parked task receives it as
+// the argument of its next Step; code between Runs gets it from Take.
 type Wake struct {
 	result  any
 	u       uint64 // unboxed result lane (CompleteSessionU)
@@ -475,12 +462,11 @@ type Wake struct {
 // Err returns the session error carried by the wake. Continuation drivers
 // must check it first in every resumed Step and finish with the error —
 // that is how deadlock unwinding (and any other forced completion)
-// propagates through state machines, mirroring how a goroutine driver's
-// Await returns the error up its call stack.
+// propagates through state machines.
 func (w Wake) Err() error { return w.err }
 
-// Value returns the boxed result, with exactly Proc.Await's semantics: an
-// unboxed completion comes back as a boxed uint64.
+// Value returns the boxed result: an unboxed completion comes back as a
+// boxed uint64.
 func (w Wake) Value() (any, error) {
 	if w.unboxed {
 		return w.u, w.err
@@ -488,9 +474,9 @@ func (w Wake) Value() (any, error) {
 	return w.result, w.err
 }
 
-// U returns the unboxed single-word result, with exactly Proc.AwaitU's
-// semantics: a boxed completion whose result is not a uint64 is an error,
-// never a silent zero.
+// U returns the unboxed single-word result. A boxed completion whose
+// result is not a uint64 is an error, never a silent zero: that would mask
+// a boxed/unboxed lane mismatch at the call site.
 func (w Wake) U() (uint64, error) {
 	if w.unboxed {
 		return w.u, w.err
@@ -865,7 +851,7 @@ func (nw *Network) NewSession(onQuiescence func() (any, error)) SessionID {
 	return sid
 }
 
-// CompleteSession finishes a session with a result; the waiting driver (if
+// CompleteSession finishes a session with a result; the parked task (if
 // any) becomes runnable. Completing an already-complete session panics —
 // that is always a protocol bug.
 func (nw *Network) CompleteSession(sid SessionID, result any, err error) {
@@ -873,7 +859,7 @@ func (nw *Network) CompleteSession(sid SessionID, result any, err error) {
 }
 
 // CompleteSessionU finishes a session with an unboxed single-word result
-// (consumed via Proc.AwaitU) — the completion counterpart of SendU.
+// (read with Wake.U) — the completion counterpart of SendU.
 func (nw *Network) CompleteSessionU(sid SessionID, u uint64, err error) {
 	nw.completeSession(sid, Wake{u: u, unboxed: true, err: err})
 }
@@ -904,18 +890,10 @@ func (nw *Network) completeSession(sid SessionID, w Wake) {
 		// single-threaded order at any shard count.
 		nw.obs.SessionDone(sid.Serial(), nw.sched.now(), w.err != nil)
 	}
-	if s.waiter != nil {
-		// The parked driver receives the result directly through its
-		// wakeup; nothing will look the session up again, so the slot
-		// recycles immediately.
-		nw.runq = append(nw.runq, wakeup{p: s.waiter, w: w})
-		nw.freeSession(s)
-		return
-	}
 	if s.twaiter != nil {
-		// Same for a parked continuation task: it joins the run queue in
-		// completion order, so task scheduling interleaves with goroutine
-		// drivers exactly as the completion stream dictates.
+		// The parked task receives the result directly through its wakeup,
+		// joining the run queue in completion order; nothing will look the
+		// session up again, so the slot recycles immediately.
 		nw.runq = append(nw.runq, wakeup{t: s.twaiter, w: w})
 		nw.freeSession(s)
 		return

@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -25,15 +24,13 @@ func TestPingPong(t *testing.T) {
 	nw.RegisterHandler(Kind("pong"), func(nw *Network, node *NodeState, msg *Message) {
 		nw.CompleteSession(msg.Session, msg.Payload, nil)
 	})
-	var result any
-	nw.Spawn("pinger", func(p *Proc) error {
-		sid = nw.NewSession(nil)
-		nw.Send(1, 2, Kind("ping"), sid, 8, "hi")
-		r, err := p.Await(sid)
-		result = r
-		return err
-	})
+	sid = nw.NewSession(nil)
+	nw.Send(1, 2, Kind("ping"), sid, 8, "hi")
 	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	result, err := nw.Take(sid).Value()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if result != "hi back" {
@@ -65,13 +62,12 @@ func TestSyncChainTakesOneRoundPerHop(t *testing.T) {
 		}
 		nw.Send(node.ID, next, Kind("fwd"), msg.Session, 8, nil)
 	})
-	nw.Spawn("chain", func(p *Proc) error {
-		sid := nw.NewSession(nil)
-		nw.Send(1, 2, Kind("fwd"), sid, 8, nil)
-		_, err := p.Await(sid)
-		return err
-	})
+	sid := nw.NewSession(nil)
+	nw.Send(1, 2, Kind("fwd"), sid, 8, nil)
 	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Take(sid).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if nw.Now() != n-1 {
@@ -125,25 +121,10 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 	nw.RegisterHandler(Kind("k"), func(*Network, *NodeState, *Message) {})
 }
 
-func TestDeadlockDetectedAndUnwound(t *testing.T) {
-	nw := buildNet(t, 2)
-	var sawErr error
-	nw.Spawn("stuck", func(p *Proc) error {
-		sid := nw.NewSession(nil) // nobody will complete this
-		_, err := p.Await(sid)
-		sawErr = err
-		return err
-	})
-	err := nw.Run()
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("Run error = %v, want deadlock", err)
-	}
-	if !errors.Is(sawErr, ErrDeadlock) {
-		t.Fatalf("driver did not observe deadlock: %v", sawErr)
-	}
-}
-
-func TestAwaitQuiescenceBarriers(t *testing.T) {
+// TestRunReturnsAtQuiescence: Run is the controllers' phase barrier, so it
+// returns only once no message is in flight, after firing the quiescence
+// sessions; a session nobody completed stays open and cannot be taken.
+func TestRunReturnsAtQuiescence(t *testing.T) {
 	nw := buildNet(t, 3)
 	delivered := 0
 	nw.RegisterHandler(Kind("slow"), func(nw *Network, node *NodeState, msg *Message) {
@@ -152,20 +133,31 @@ func TestAwaitQuiescenceBarriers(t *testing.T) {
 			nw.Send(node.ID, n, Kind("slow"), msg.Session, 8, nil)
 		}
 	})
-	nw.Spawn("driver", func(p *Proc) error {
-		sid := nw.NewSession(nil)
-		nw.Send(1, 2, Kind("slow"), sid, 8, nil)
-		p.AwaitQuiescence()
-		if delivered != 2 {
-			t.Errorf("barrier released early: delivered = %d", delivered)
-		}
-		// the fire-and-forget session is still open; complete it so Run
-		// does not call it a leak... sessions without waiters are fine.
-		nw.CompleteSession(sid, nil, nil)
-		return nil
+	sid := nw.NewSession(nil)
+	nw.Send(1, 2, Kind("slow"), sid, 8, nil)
+	firedAt := -1
+	q := nw.NewSession(func() (any, error) {
+		firedAt = delivered
+		return nil, nil
 	})
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if delivered != 2 || firedAt != 2 {
+		t.Errorf("barrier released early: delivered = %d, quiescence fired after %d", delivered, firedAt)
+	}
+	if err := nw.Take(q).Err(); err != nil {
+		t.Errorf("quiescence session: %v", err)
+	}
+	if err := nw.Take(sid).Err(); err == nil {
+		t.Error("took a session nobody completed")
+	}
+	nw.CompleteSession(sid, nil, nil)
+	if err := nw.Take(sid).Err(); err != nil {
+		t.Error(err)
+	}
+	if open := nw.DriverStats().OpenSessions; open != 0 {
+		t.Errorf("%d sessions left open", open)
 	}
 }
 
@@ -178,15 +170,14 @@ func TestAsyncDeliversEverythingFIFO(t *testing.T) {
 			nw.CompleteSession(msg.Session, nil, nil)
 		}
 	})
-	nw.Spawn("sender", func(p *Proc) error {
-		sid := nw.NewSession(nil)
-		for i := 0; i < 10; i++ {
-			nw.Send(1, 2, Kind("seq"), sid, 8, i)
-		}
-		_, err := p.Await(sid)
-		return err
-	})
+	sid := nw.NewSession(nil)
+	for i := 0; i < 10; i++ {
+		nw.Send(1, 2, Kind("seq"), sid, 8, i)
+	}
 	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Take(sid).Err(); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range got {
@@ -216,13 +207,12 @@ func TestAsyncDeterministicPerSeed(t *testing.T) {
 				nw.Send(node.ID, he.Neighbor, Kind("gossip"), msg.Session, 8, nil)
 			}
 		})
-		nw.Spawn("g", func(p *Proc) error {
-			sid := nw.NewSession(nil)
-			nw.Send(1, 2, Kind("gossip"), sid, 8, nil)
-			_, err := p.Await(sid)
-			return err
-		})
+		sid := nw.NewSession(nil)
+		nw.Send(1, 2, Kind("gossip"), sid, 8, nil)
 		if err := nw.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.Take(sid).Err(); err != nil {
 			t.Fatal(err)
 		}
 		return nw.Now()
@@ -243,19 +233,19 @@ func TestDeleteLinkDropsInFlight(t *testing.T) {
 	type link = [2]NodeID
 	cases := []struct {
 		name  string
-		drive func(nw *Network, p *Proc, send func(from, to NodeID))
+		drive func(nw *Network, send func(from, to NodeID))
 		want  []link // delivered (from, to), by destination then arrival
 	}{
 		{
 			name: "deleted-in-flight",
-			drive: func(nw *Network, p *Proc, send func(from, to NodeID)) {
+			drive: func(nw *Network, send func(from, to NodeID)) {
 				send(1, 2)
 				nw.DeleteLink(1, 2)
 			},
 		},
 		{
 			name: "delete-then-reinsert",
-			drive: func(nw *Network, p *Proc, send func(from, to NodeID)) {
+			drive: func(nw *Network, send func(from, to NodeID)) {
 				send(1, 2)
 				nw.DeleteLink(1, 2)
 				if err := nw.InsertLink(1, 2, 1); err != nil {
@@ -266,7 +256,7 @@ func TestDeleteLinkDropsInFlight(t *testing.T) {
 		},
 		{
 			name: "sent-after-unrelated-delete",
-			drive: func(nw *Network, p *Proc, send func(from, to NodeID)) {
+			drive: func(nw *Network, send func(from, to NodeID)) {
 				nw.DeleteLink(3, 4)
 				send(1, 2)
 				send(3, 2)
@@ -275,11 +265,13 @@ func TestDeleteLinkDropsInFlight(t *testing.T) {
 		},
 		{
 			name: "delete-mid-run",
-			drive: func(nw *Network, p *Proc, send func(from, to NodeID)) {
+			drive: func(nw *Network, send func(from, to NodeID)) {
 				send(1, 2)
 				send(2, 3)
 				send(3, 4)
-				p.AwaitQuiescence()
+				if err := nw.Run(); err != nil {
+					t.Error(err)
+				}
 				send(1, 2)
 				send(3, 4)
 				nw.DeleteLink(3, 4)
@@ -307,11 +299,7 @@ func TestDeleteLinkDropsInFlight(t *testing.T) {
 					nw.RegisterHandler(kind, func(nw *Network, node *NodeState, msg *Message) {
 						got[node.ID] = append(got[node.ID], msg.From)
 					})
-					nw.Spawn("driver", func(p *Proc) error {
-						tc.drive(nw, p, func(from, to NodeID) { nw.Send(from, to, kind, 0, 8, nil) })
-						p.AwaitQuiescence()
-						return nil
-					})
+					tc.drive(nw, func(from, to NodeID) { nw.Send(from, to, kind, 0, 8, nil) })
 					if err := nw.Run(); err != nil {
 						t.Fatal(err)
 					}
@@ -430,20 +418,15 @@ func TestSessionCompletionTwicePanics(t *testing.T) {
 func TestCountersSub(t *testing.T) {
 	nw := buildNet(t, 2)
 	nw.RegisterHandler(Kind("a"), func(*Network, *NodeState, *Message) {})
-	nw.Spawn("d", func(p *Proc) error {
-		sid := nw.NewSession(nil)
-		nw.Send(1, 2, Kind("a"), sid, 8, nil)
-		before := nw.Counters()
-		nw.Send(1, 2, Kind("a"), sid, 8, nil)
-		nw.Send(2, 1, Kind("a"), sid, 8, nil)
-		diff := nw.Counters().Sub(before)
-		if diff.Messages != 2 {
-			t.Errorf("diff messages = %d, want 2", diff.Messages)
-		}
-		p.AwaitQuiescence()
-		nw.CompleteSession(sid, nil, nil)
-		return nil
-	})
+	sid := nw.NewSession(nil)
+	nw.Send(1, 2, Kind("a"), sid, 8, nil)
+	before := nw.Counters()
+	nw.Send(1, 2, Kind("a"), sid, 8, nil)
+	nw.Send(2, 1, Kind("a"), sid, 8, nil)
+	diff := nw.Counters().Sub(before)
+	if diff.Messages != 2 {
+		t.Errorf("diff messages = %d, want 2", diff.Messages)
+	}
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}

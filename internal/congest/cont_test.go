@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
-	"kkt/internal/graph"
 	"kkt/internal/race"
 )
 
@@ -50,10 +48,32 @@ func echoNet(t *testing.T, n int) (*Network, KindID) {
 	return nw, kind
 }
 
+// stepFunc adapts a closure to a StepDriver.
+type stepFunc func(t *Task, w Wake) (SessionID, bool, error)
+
+func (f stepFunc) Step(t *Task, w Wake) (SessionID, bool, error) { return f(t, w) }
+
+// stepSend sends one message on a fresh session and awaits that session.
+type stepSend struct {
+	nw      *Network
+	kind    KindID
+	started bool
+}
+
+func (d *stepSend) Step(t *Task, w Wake) (SessionID, bool, error) {
+	if d.started {
+		return 0, true, w.Err()
+	}
+	d.started = true
+	sid := d.nw.NewSession(nil)
+	d.nw.Send(1, 2, d.kind, sid, 8, nil)
+	return sid, false, nil
+}
+
 func TestTaskDriverBasic(t *testing.T) {
 	nw, kind := echoNet(t, 2)
 	var got uint64
-	nw.SpawnStep("echo", &stepEcho{nw: nw, from: 1, to: 2, kind: kind, out: &got})
+	nw.SpawnStep("echo", 0, 0, &stepEcho{nw: nw, from: 1, to: 2, kind: kind, out: &got})
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,17 +82,22 @@ func TestTaskDriverBasic(t *testing.T) {
 	}
 }
 
-func TestTaskFanoutWaitTasks(t *testing.T) {
+// TestTaskFanout: tasks spawned before one Run all run to completion
+// inside it, on the caller's goroutine — Run starts no goroutine of its
+// own on an unsharded network.
+func TestTaskFanout(t *testing.T) {
 	nw, kind := echoNet(t, 4)
 	got := make([]uint64, 3)
-	nw.Spawn("parent", func(p *Proc) error {
-		var tasks []*Task
-		for i := 0; i < 3; i++ {
-			d := &stepEcho{nw: nw, from: NodeID(i + 1), to: NodeID(i + 2), kind: kind, out: &got[i]}
-			tasks = append(tasks, p.GoStepTagged("echo", 1, uint64(i), d))
-		}
-		return p.WaitTasks(tasks...)
-	})
+	before := runtime.NumGoroutine()
+	during := 0
+	for i := 0; i < 3; i++ {
+		d := &stepEcho{nw: nw, from: NodeID(i + 1), to: NodeID(i + 2), kind: kind, out: &got[i]}
+		nw.SpawnStep("echo", 1, uint64(i), d)
+	}
+	nw.SpawnStep("count", 1, 3, stepFunc(func(*Task, Wake) (SessionID, bool, error) {
+		during = runtime.NumGoroutine()
+		return 0, true, nil
+	}))
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +105,25 @@ func TestTaskFanoutWaitTasks(t *testing.T) {
 		if want := uint64(i + 101); g != want {
 			t.Errorf("task %d echoed %d, want %d", i, g, want)
 		}
+	}
+	if during != before {
+		t.Errorf("%d goroutines during Run, %d before", during, before)
+	}
+}
+
+// TestSpawnRunLeavesNoOpenSessions: a task's session is consumed by the
+// task itself, so spawn+Run cycles leave no slot behind.
+func TestSpawnRunLeavesNoOpenSessions(t *testing.T) {
+	nw, kind := echoNet(t, 2)
+	var got uint64
+	for i := 0; i < 1000; i++ {
+		nw.SpawnStep("echo", 0, uint64(i), &stepEcho{nw: nw, from: 1, to: 2, kind: kind, out: &got})
+		if err := nw.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if open := nw.DriverStats().OpenSessions; open != 0 {
+		t.Errorf("1000 spawn+Run cycles left %d open sessions, want 0", open)
 	}
 }
 
@@ -112,7 +156,7 @@ func (d *stepAwaitCompleted) Step(t *Task, w Wake) (SessionID, bool, error) {
 func TestTaskAwaitsCompletedSessionInline(t *testing.T) {
 	nw := buildNet(t, 2)
 	var got uint64
-	nw.SpawnStep("inline", &stepAwaitCompleted{nw: nw, out: &got})
+	nw.SpawnStep("inline", 0, 0, &stepAwaitCompleted{nw: nw, out: &got})
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,69 +172,46 @@ func (stepNop) Step(*Task, Wake) (SessionID, bool, error) { return 0, true, nil 
 
 var nopDriver stepNop
 
-// TestTaskPoolReuseWithinRun: a second fan-out phase inside one Run must
-// reuse the first phase's Task objects entirely.
-func TestTaskPoolReuseWithinRun(t *testing.T) {
-	g := graph.Path(2, 1, graph.UnitWeights())
-	nw := NewNetwork(g)
-	created := func() int { return len(nw.allTasks) }
-	nw.Spawn("outer", func(p *Proc) error {
-		var tasks []*Task
-		base := 0
-		for phase := 0; phase < 3; phase++ {
-			tasks = tasks[:0]
-			for i := 0; i < 32; i++ {
-				tasks = append(tasks, p.GoStepTagged("child", uint64(phase), uint64(i), nopDriver))
-			}
-			if err := p.WaitTasks(tasks...); err != nil {
-				return err
-			}
-			if phase == 0 {
-				base = created()
-			} else if got := created(); got != base {
-				return fmt.Errorf("phase %d created %d new tasks, want 0", phase, got-base)
-			}
+// TestTaskPoolReuseAcrossRuns: the task pool survives Run, so a second
+// fan-out phase reuses the first phase's Task objects entirely.
+func TestTaskPoolReuseAcrossRuns(t *testing.T) {
+	nw := buildNet(t, 2)
+	for phase := 0; phase < 3; phase++ {
+		for i := 0; i < 32; i++ {
+			nw.SpawnStep("child", uint64(phase), uint64(i), nopDriver)
 		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
+		if err := nw.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := nw.DriverStats().PeakTasks; got != 32 {
+			t.Fatalf("phase %d: %d tasks created, want 32", phase, got)
+		}
 	}
-	if len(nw.allTasks) != 0 || len(nw.taskFree) != 0 {
-		t.Fatalf("task pool not drained at Run end: %d tasks, %d free", len(nw.allTasks), len(nw.taskFree))
+	if len(nw.tasks) != 0 || len(nw.taskFree) != 32 {
+		t.Fatalf("after Run: %d tasks on the Run list, %d pooled; want 0 and 32", len(nw.tasks), len(nw.taskFree))
 	}
 }
 
-// TestTaskSpawnAllocs pins the continuation spawn path: after a warm-up
-// wave, a 2-phase fan-out of 64 tasks per phase costs only the first
-// phase's Task objects per Run (the pool drains at Run end) — far below
-// goroutine+channel costs, and the second phase must be free.
+// TestTaskSpawnAllocs pins the continuation spawn path: a 2-phase fan-out
+// of 64 tasks per phase, one Run per phase, allocates nothing once the
+// pool is warm — far below goroutine+channel costs.
 func TestTaskSpawnAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
-	g := graph.Path(2, 1, graph.UnitWeights())
-	nw := NewNetwork(g)
-	var tasks []*Task
+	nw := buildNet(t, 2)
 	wave := func() {
-		nw.Spawn("outer", func(p *Proc) error {
-			for phase := 0; phase < 2; phase++ {
-				tasks = tasks[:0]
-				for i := 0; i < 64; i++ {
-					tasks = append(tasks, p.GoStepTagged("child", uint64(phase), uint64(i), nopDriver))
-				}
-				if err := p.WaitTasks(tasks...); err != nil {
-					return err
-				}
+		for phase := 0; phase < 2; phase++ {
+			for i := 0; i < 64; i++ {
+				nw.SpawnStep("child", uint64(phase), uint64(i), nopDriver)
 			}
-			return nil
-		})
-		if err := nw.Run(); err != nil {
-			t.Fatal(err)
+			if err := nw.Run(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	wave()
 	avg := testing.AllocsPerRun(5, wave)
-	// Budget: 64 fresh Tasks in phase 1 (one small struct each, no
-	// goroutines, no channels), phase 2 free, plus constant slack.
+	// Budget: at most one fresh Task per spawn of a phase (one small struct
+	// each, no goroutines, no channels) plus constant slack.
 	allocBudget(t, "continuation fan-out (2 phases x 64 tasks)", avg, 64+32)
 }
 
@@ -199,75 +220,38 @@ type stepPanic struct{ val string }
 
 func (d stepPanic) Step(*Task, Wake) (SessionID, bool, error) { panic(d.val) }
 
-// TestDriverPanicParity: a panicking driver surfaces out of Run with the
-// original panic value, whether it is a task or a goroutine driver.
-func TestDriverPanicParity(t *testing.T) {
-	catch := func(spawn func(nw *Network)) (val any) {
-		nw := buildNet(t, 2)
-		spawn(nw)
-		defer func() { val = recover() }()
-		_ = nw.Run()
-		return nil
-	}
-	fromTask := catch(func(nw *Network) {
-		nw.SpawnStep("boom", stepPanic{val: "driver exploded"})
-	})
-	fromProc := catch(func(nw *Network) {
-		nw.Spawn("boom", func(p *Proc) error { panic("driver exploded") })
-	})
-	if fromTask != "driver exploded" {
-		t.Errorf("task panic surfaced as %v", fromTask)
-	}
-	if fromProc != "driver exploded" {
-		t.Errorf("proc panic surfaced as %v", fromProc)
-	}
-	if fromTask != fromProc {
-		t.Errorf("panic parity broken: task %v vs proc %v", fromTask, fromProc)
-	}
-}
-
-// TestDriverPanicUnwindsBlockedDrivers: when a panic aborts a Run, every
-// other driver goroutine must exit with the Run (pending Awaits return
-// ErrRunAborted) and the network must stay usable for a fresh Run — no
-// leaked stacks, no stale waiter pointers, no stranded tasks.
+// TestDriverPanicUnwindsBlockedDrivers: a task panicking mid-Run
+// surfaces out of Run with the original value, and the network stays
+// usable for a fresh Run — no stranded tasks, no stale waiter pointers.
 func TestDriverPanicUnwindsBlockedDrivers(t *testing.T) {
 	nw, kind := echoNet(t, 8)
-	var blockedErr error
+	var stuck SessionID
 	run := func() (val any) {
 		defer func() { val = recover() }()
-		// Run-queue order: the first driver parks on a session nobody
-		// completes; the second spawns a task and panics while that task
-		// and the third driver still wait in the run queue, never started.
-		nw.Spawn("blocked", func(p *Proc) error {
-			sid := nw.NewSession(nil)
-			_, err := p.Await(sid)
-			blockedErr = err
-			return err
-		})
-		nw.Spawn("parent", func(p *Proc) error {
-			p.GoStepTagged("unstarted", 1, 1, nopDriver)
-			panic("abort mid-fanout")
-		})
-		nw.Spawn("unstarted", func(*Proc) error { return nil })
+		// Run-queue order: the first task parks on a session nobody
+		// completes; the second panics while the third still waits in the
+		// run queue, never started.
+		nw.SpawnStep("blocked", 0, 0, stepFunc(func(*Task, Wake) (SessionID, bool, error) {
+			stuck = nw.NewSession(nil)
+			return stuck, false, nil
+		}))
+		nw.SpawnStep("boom", 0, 0, stepPanic{val: "driver exploded"})
+		nw.SpawnStep("unstarted", 0, 0, nopDriver)
 		_ = nw.Run()
 		return nil
 	}
-	before := runtime.NumGoroutine()
-	if got := run(); got != "abort mid-fanout" {
+	if got := run(); got != "driver exploded" {
 		t.Fatalf("panic surfaced as %v", got)
 	}
-	if !errors.Is(blockedErr, ErrRunAborted) {
-		t.Fatalf("blocked driver unwound with %v, want ErrRunAborted", blockedErr)
+	if s := nw.lookupSession(stuck); s == nil || s.twaiter != nil {
+		t.Fatalf("blocked task still bound to its session: %+v", s)
 	}
-	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-		time.Sleep(time.Millisecond) // let poisoned loops exit
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines leaked across panicked Run: %d -> %d", before, after)
+	if len(nw.tasks) != 0 || len(nw.runq) != 0 || nw.live != 0 {
+		t.Fatalf("panicked Run left %d tasks, %d queued, %d live", len(nw.tasks), len(nw.runq), nw.live)
 	}
 	// The same network must run cleanly afterwards.
 	var got uint64
-	nw.SpawnStep("echo", &stepEcho{nw: nw, from: 1, to: 2, kind: kind, out: &got})
+	nw.SpawnStep("echo", 0, 0, &stepEcho{nw: nw, from: 1, to: 2, kind: kind, out: &got})
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,12 +277,12 @@ func (d *stepStuck) Step(t *Task, w Wake) (SessionID, bool, error) {
 	return 0, true, w.Err()
 }
 
-// TestTaskDeadlockDetectedAndUnwound mirrors the goroutine-driver deadlock
-// test: a blocked task is diagnosed, woken with ErrDeadlock, and unwinds.
+// TestTaskDeadlockDetectedAndUnwound: a blocked task is diagnosed, woken
+// with ErrDeadlock, and unwinds.
 func TestTaskDeadlockDetectedAndUnwound(t *testing.T) {
 	nw := buildNet(t, 2)
 	var sawErr error
-	nw.SpawnStep("stuck", &stepStuck{nw: nw, sawErr: &sawErr})
+	nw.SpawnStep("stuck", 0, 0, &stepStuck{nw: nw, sawErr: &sawErr})
 	err := nw.Run()
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("Run error = %v, want deadlock", err)
@@ -312,11 +296,10 @@ func TestTaskDeadlockDetectedAndUnwound(t *testing.T) {
 func TestTaggedTaskName(t *testing.T) {
 	nw := buildNet(t, 2)
 	var name string
-	nw.Spawn("outer", func(p *Proc) error {
-		tk := p.GoStepTagged("findmin", 3, 17, nopDriver)
+	nw.SpawnStep("findmin", 3, 17, stepFunc(func(tk *Task, _ Wake) (SessionID, bool, error) {
 		name = tk.Name()
-		return p.WaitTasks(tk)
-	})
+		return 0, true, nil
+	}))
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,28 +6,28 @@
 // bits) and must fit the O(log(n+u)) budget — with the model word fixed at
 // w = 64 bits, a message is at most a constant number of words.
 //
-// Protocol logic comes in three forms:
+// Protocol logic comes in two forms:
 //
 //   - handlers: per-message automaton steps registered by Kind. A handler
 //     may read/write only the local state of the receiving node and send
 //     further messages. This is where broadcast-and-echo, leader election,
 //     probes etc. live (package tree and friends).
 //
-//   - goroutine drivers (Proc): a sequential program written as an
-//     ordinary Go function that parks on Await — the Borůvka phase
-//     controllers and the repair-wave controller. Each is spawned
-//     before Run (Spawn) and scheduled cooperatively: at any instant
-//     either the engine or exactly one driver executes, so runs are
+//   - continuation drivers (Task wrapping a StepDriver): driver programs
+//     as explicit state machines stepped by the engine on the caller's
+//     goroutine, with no goroutine, no channels and no parked stack. Every
+//     fan-out uses these — one driver per fragment per Borůvka phase, a
+//     million at 1M nodes — and so does every repair. Tasks are spawned
+//     between Runs (SpawnStep) and share one run queue: at any instant
+//     either the engine or exactly one Step executes, so runs are
 //     deterministic for a fixed seed and free of data races by
 //     construction.
 //
-//   - continuation drivers (Task wrapping a StepDriver): driver programs
-//     as explicit state machines stepped by the engine with no goroutine,
-//     no channels and no parked stack. Every fan-out uses these — one
-//     driver per fragment per Borůvka phase, a million at 1M nodes —
-//     spawned from a Proc with GoStepTagged and joined with WaitTasks.
-//     A single repair runs as one task spawned before Run (SpawnStep).
-//     Procs and tasks share one run queue and one scheduling order.
+// What sequences the phases — the Borůvka loops of mst, st and ghs, the
+// flood, the repair-wave controller — is plain code between Runs: it
+// opens sessions or spawns tasks, calls Run as its barrier (Run returns
+// exactly at quiescence, the paper's "wait until i·maxTime(n)"), reads
+// results with Take and applies staged marks.
 //
 // Two schedulers implement the paper's two timing models: the synchronous
 // scheduler delivers in lockstep rounds (messages sent in round r arrive
@@ -54,19 +54,18 @@
 // lists, each node's neighbour index is the sorted Edges slice itself
 // (binary search, no side map), and the async scheduler is a bucketed
 // calendar queue instead of a global binary heap. Driver fan-out is
-// pooled: Task objects recycle within one Run (WaitTasks releases, Run
-// teardown drains), and tagged names format lazily. testing.AllocsPerRun
-// gates in this package pin all of it.
+// pooled: Task objects go back to a free list when their Run ends and are
+// reused by the next spawns, and tagged names format lazily.
+// testing.AllocsPerRun gates in this package pin all of it.
 //
 // Session slot recycling. A SessionID packs a recycled slot index with a
 // monotonically increasing creation serial; the slot indexes the engine's
 // flat session table and the serial is the slot's generation stamp, so a
 // stale ID can never alias a reused slot. A session's result is consumed
-// exactly once (completion hands it straight to a parked waiter, or a
-// later Await/Step pops it), which is what lets the slot recycle
-// immediately. Serials are what deterministic derived randomness hashes
-// (tree.Protocol.NodeRand): they never depend on recycling order or shard
-// count.
+// exactly once (completion hands it straight to a parked task, or a later
+// Step or Take pops it), which is what lets the slot recycle immediately.
+// A session nobody consumes holds its slot for the network's lifetime;
+// DriverStats.OpenSessions counts the slots in use.
 //
 // Determinism. For a fixed seed, every run is byte-identical in all
 // observables — delivery order, driver scheduling, session serials,

@@ -68,13 +68,9 @@ func TestNilObserverDeliverAllocs(t *testing.T) {
 	kind := Kind("alloc.obsnil")
 	nw.RegisterHandler(kind, func(*Network, *NodeState, *Message) {})
 	wave := func() {
-		nw.Spawn("sender", func(p *Proc) error {
-			for i := 0; i < msgs; i++ {
-				nw.Send(1, 2, kind, 0, 8, nil)
-			}
-			p.AwaitQuiescence()
-			return nil
-		})
+		for i := 0; i < msgs; i++ {
+			nw.Send(1, 2, kind, 0, 8, nil)
+		}
 		if err := nw.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -94,15 +90,17 @@ func TestObserverRoundEndExact(t *testing.T) {
 	kind := Kind("obs.fwd")
 	nw.RegisterHandler(kind, func(nw *Network, node *NodeState, m *Message) {
 		if node.ID < 4 {
-			nw.Send(node.ID, node.ID+1, kind, 0, 16, nil)
+			nw.Send(node.ID, node.ID+1, kind, m.Session, 16, nil)
+			return
 		}
+		nw.CompleteSession(m.Session, nil, nil)
 	})
-	nw.Spawn("kick", func(p *Proc) error {
-		nw.Send(1, 2, kind, 0, 16, nil)
-		p.AwaitQuiescence()
-		return nil
-	})
+	sid := nw.NewSession(nil)
+	nw.Send(1, 2, kind, sid, 16, nil)
 	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Take(sid).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if rec.rounds == 0 {
@@ -132,13 +130,9 @@ func TestPhaseMeterDeltas(t *testing.T) {
 	nw.RegisterHandler(ka, noop)
 	nw.RegisterHandler(kb, noop)
 	send := func(kind KindID, n int, bits int) {
-		nw.Spawn("sender", func(p *Proc) error {
-			for i := 0; i < n; i++ {
-				nw.Send(1, 2, kind, 0, bits, nil)
-			}
-			p.AwaitQuiescence()
-			return nil
-		})
+		for i := 0; i < n; i++ {
+			nw.Send(1, 2, kind, 0, bits, nil)
+		}
 		if err := nw.Run(); err != nil {
 			t.Fatal(err)
 		}

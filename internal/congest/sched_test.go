@@ -39,19 +39,15 @@ func runAsyncTraffic(t *testing.T, seed uint64, maxDelay int64, hops int) []trac
 			nw.Send(node.ID, nb, kind, msg.Session, 8, left)
 		}
 	})
-	nw.Spawn("driver", func(p *Proc) error {
-		sid := nw.NewSession(nil)
-		for i := 0; i < 4; i++ {
-			left--
-			nw.Send(NodeID(i+1), NodeID(i+2), kind, sid, 8, left)
-		}
-		p.AwaitQuiescence()
-		nw.CompleteSession(sid, nil, nil)
-		return nil
-	})
+	sid := nw.NewSession(nil)
+	for i := 0; i < 4; i++ {
+		left--
+		nw.Send(NodeID(i+1), NodeID(i+2), kind, sid, 8, left)
+	}
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
+	nw.CompleteSession(sid, nil, nil)
 	return trace
 }
 
@@ -127,22 +123,18 @@ func TestAsyncPerLinkFIFO(t *testing.T) {
 				}
 				received[key]++
 			})
-			nw.Spawn("driver", func(p *Proc) error {
-				r := rng.New(99)
-				// Interleave bursts on every directed ring link.
-				for round := 0; round < tc.burst; round++ {
-					for v := 1; v <= nw.N(); v++ {
-						from := NodeID(v)
-						node := nw.Node(from)
-						to := node.Edges[r.Intn(node.Degree())].Neighbor
-						key := linkKey(from, to)
-						nw.Send(from, to, kind, 0, 8, sent[key])
-						sent[key]++
-					}
+			r := rng.New(99)
+			// Interleave bursts on every directed ring link.
+			for round := 0; round < tc.burst; round++ {
+				for v := 1; v <= nw.N(); v++ {
+					from := NodeID(v)
+					node := nw.Node(from)
+					to := node.Edges[r.Intn(node.Degree())].Neighbor
+					key := linkKey(from, to)
+					nw.Send(from, to, kind, 0, 8, sent[key])
+					sent[key]++
 				}
-				p.AwaitQuiescence()
-				return nil
-			})
+			}
 			if err := nw.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -31,24 +31,20 @@ func TestSendAtStalePosition(t *testing.T) {
 	})
 	pos := nw.Node(1).EdgeIndex(5) // 1
 	var want []hit
-	nw.Spawn("sender", func(p *Proc) error {
-		for _, step := range []func(){
-			func() {},                                           // fresh position
-			func() { _ = nw.InsertLink(1, 2, 3) },               // 5 moves to position 2
-			func() { _ = nw.InsertLink(1, 4, 3) },               // 5 moves to position 3
-			func() { nw.DeleteLink(1, 2); nw.DeleteLink(1, 4) }, // back to 1; 3 is past the end
-		} {
-			step()
-			for _, ei := range []int{pos, pos + 2, -1, 99} {
-				nw.SendAt(1, ei, 5, kind, 0, 8, nil)
-				want = append(want, hit{1, 5})
-			}
-			p.AwaitQuiescence()
+	for _, step := range []func(){
+		func() {},                                           // fresh position
+		func() { _ = nw.InsertLink(1, 2, 3) },               // 5 moves to position 2
+		func() { _ = nw.InsertLink(1, 4, 3) },               // 5 moves to position 3
+		func() { nw.DeleteLink(1, 2); nw.DeleteLink(1, 4) }, // back to 1; 3 is past the end
+	} {
+		step()
+		for _, ei := range []int{pos, pos + 2, -1, 99} {
+			nw.SendAt(1, ei, 5, kind, 0, 8, nil)
+			want = append(want, hit{1, 5})
 		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
+		if err := nw.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("deliveries = %v, want %v", got, want)
@@ -114,14 +110,10 @@ func TestSendAtAsyncFIFO(t *testing.T) {
 				}
 			}
 		})
-		nw.Spawn("seed", func(p *Proc) error {
-			for i := 0; i < 3; i++ {
-				nw.SendU(1, 2, kind, 0, 8, 0)
-				nw.SendU(4, 1, kind, 0, 8, 0)
-			}
-			p.AwaitQuiescence()
-			return nil
-		})
+		for i := 0; i < 3; i++ {
+			nw.SendU(1, 2, kind, 0, 8, 0)
+			nw.SendU(4, 1, kind, 0, 8, 0)
+		}
 		if err := nw.Run(); err != nil {
 			t.Fatal(err)
 		}

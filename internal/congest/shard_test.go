@@ -80,35 +80,34 @@ func runShardWorkload(t *testing.T, shards int) shardTrace {
 		nw.SendU(node.ID, next, chain, msg.Session, 16, msg.U-1)
 	})
 
-	nw.Spawn("driver", func(p *Proc) error {
-		// Wave 1: bounded gossip flood from three roots.
-		for _, root := range []NodeID{1, NodeID(n / 2), NodeID(n)} {
-			node := nw.Node(root)
-			for i := range node.Edges {
-				nw.SendU(root, node.Edges[i].Neighbor, gossip, 0, 16, 3)
-			}
+	// Wave 1: bounded gossip flood from three roots.
+	for _, root := range []NodeID{1, NodeID(n / 2), NodeID(n)} {
+		node := nw.Node(root)
+		for i := range node.Edges {
+			nw.SendU(root, node.Edges[i].Neighbor, gossip, 0, 16, 3)
 		}
-		p.AwaitQuiescence()
-		// Wave 2: eight session chains with staggered TTLs; their
-		// completion order exercises the deferred-completion merge.
-		var sids []SessionID
-		for i := 0; i < 8; i++ {
-			sid := nw.NewSession(nil)
-			sids = append(sids, sid)
-			start := NodeID(i*7 + 1)
-			nw.SendU(start, nw.Node(start).Edges[0].Neighbor, chain, sid, 16, uint64(2+i%5))
-		}
-		for _, sid := range sids {
-			u, err := p.AwaitU(sid)
-			if err != nil {
-				return err
-			}
-			tr.results = append(tr.results, u)
-		}
-		return nil
-	})
+	}
 	if err := nw.Run(); err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
+	}
+	// Wave 2: eight session chains with staggered TTLs; their
+	// completion order exercises the deferred-completion merge.
+	var sids []SessionID
+	for i := 0; i < 8; i++ {
+		sid := nw.NewSession(nil)
+		sids = append(sids, sid)
+		start := NodeID(i*7 + 1)
+		nw.SendU(start, nw.Node(start).Edges[0].Neighbor, chain, sid, 16, uint64(2+i%5))
+	}
+	if err := nw.Run(); err != nil {
+		t.Fatalf("shards=%d: %v", shards, err)
+	}
+	for _, sid := range sids {
+		u, err := nw.Take(sid).U()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.results = append(tr.results, u)
 	}
 	tr.counters = nw.Counters()
 	tr.now = nw.Now()
@@ -179,32 +178,31 @@ func runShardWorkloadAsync(t *testing.T, shards int) (shardTrace, uint64) {
 		nw.SendU(node.ID, next, chain, msg.Session, 16, msg.U-1)
 	})
 
-	nw.Spawn("driver", func(p *Proc) error {
-		for _, root := range []NodeID{1, NodeID(n / 2), NodeID(n)} {
-			node := nw.Node(root)
-			for i := range node.Edges {
-				nw.SendU(root, node.Edges[i].Neighbor, gossip, 0, 16, 3)
-			}
+	for _, root := range []NodeID{1, NodeID(n / 2), NodeID(n)} {
+		node := nw.Node(root)
+		for i := range node.Edges {
+			nw.SendU(root, node.Edges[i].Neighbor, gossip, 0, 16, 3)
 		}
-		p.AwaitQuiescence()
-		var sids []SessionID
-		for i := 0; i < 8; i++ {
-			sid := nw.NewSession(nil)
-			sids = append(sids, sid)
-			start := NodeID(i*7 + 1)
-			nw.SendU(start, nw.Node(start).Edges[0].Neighbor, chain, sid, 16, uint64(2+i%5))
-		}
-		for _, sid := range sids {
-			u, err := p.AwaitU(sid)
-			if err != nil {
-				return err
-			}
-			tr.results = append(tr.results, u)
-		}
-		return nil
-	})
+	}
 	if err := nw.Run(); err != nil {
 		t.Fatalf("async shards=%d: %v", shards, err)
+	}
+	var sids []SessionID
+	for i := 0; i < 8; i++ {
+		sid := nw.NewSession(nil)
+		sids = append(sids, sid)
+		start := NodeID(i*7 + 1)
+		nw.SendU(start, nw.Node(start).Edges[0].Neighbor, chain, sid, 16, uint64(2+i%5))
+	}
+	if err := nw.Run(); err != nil {
+		t.Fatalf("async shards=%d: %v", shards, err)
+	}
+	for _, sid := range sids {
+		u, err := nw.Take(sid).U()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.results = append(tr.results, u)
 	}
 	tr.counters = nw.Counters()
 	tr.now = nw.Now()
@@ -258,18 +256,14 @@ func TestManyShardsBeyondByteRange(t *testing.T) {
 		}
 	})
 	var total uint64
-	nw.Spawn("driver", func(p *Proc) error {
-		for v := 1; v <= n; v++ {
-			node := nw.Node(NodeID(v))
-			nw.SendU(NodeID(v), node.Edges[0].Neighbor, kind, 0, 8, 2)
-		}
-		p.AwaitQuiescence()
-		total = nw.Counters().Messages
-		return nil
-	})
+	for v := 1; v <= n; v++ {
+		node := nw.Node(NodeID(v))
+		nw.SendU(NodeID(v), node.Edges[0].Neighbor, kind, 0, 8, 2)
+	}
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
+	total = nw.Counters().Messages
 	if total == 0 {
 		t.Fatal("no traffic")
 	}
@@ -289,16 +283,12 @@ func TestShardedHandlerPanicDeterministic(t *testing.T) {
 				panic(fmt.Sprintf("boom at %d", node.ID))
 			}
 		})
-		nw.Spawn("driver", func(p *Proc) error {
-			// Several poisoned messages in one round; the lowest batch
-			// index (the first send) must win deterministically.
-			for _, v := range []NodeID{40, 7, 23} {
-				node := nw.Node(v)
-				nw.SendU(v, node.Edges[0].Neighbor, boom, 0, 8, 1)
-			}
-			p.AwaitQuiescence()
-			return nil
-		})
+		// Several poisoned messages in one round; the lowest batch index
+		// (the first send) must win deterministically.
+		for _, v := range []NodeID{40, 7, 23} {
+			node := nw.Node(v)
+			nw.SendU(v, node.Edges[0].Neighbor, boom, 0, 8, 1)
+		}
 		defer func() { val = recover() }()
 		_ = nw.Run()
 		return nil
@@ -326,11 +316,7 @@ func TestShardViewGuards(t *testing.T) {
 		defer func() { guarded = recover() }()
 		nw.NewSession(nil) // must panic on a shard view
 	})
-	nw.Spawn("driver", func(p *Proc) error {
-		nw.SendU(1, nw.Node(1).Edges[0].Neighbor, kind, 0, 8, 0)
-		p.AwaitQuiescence()
-		return nil
-	})
+	nw.SendU(1, nw.Node(1).Edges[0].Neighbor, kind, 0, 8, 0)
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ type Watchdog struct {
 	MaxTime int64
 	// StallTime fails the Run when the clock advances this far with no
 	// session completing (0 = no stall detection). Sessions complete on
-	// every driver finish and every protocol echo, so a healthy run
+	// every protocol echo and phase barrier, so a healthy run
 	// completes sessions constantly; a livelock (messages bouncing forever
 	// with no driver progress) is exactly a clock that advances without
 	// completions.
@@ -69,7 +69,7 @@ type WatchdogError struct {
 	LastProgress      int64  // clock of the last session completion
 	Completions       uint64 // sessions completed so far
 	RunQueue          int    // pending run-queue entries (runnable drivers)
-	LiveDrivers       int    // unfinished drivers (goroutines and tasks)
+	LiveDrivers       int    // unfinished tasks
 	OpenSessions      int    // allocated session slots
 	PendingQuiescence int    // sessions waiting on a quiescence callback
 	// Stuck lists up to maxStuckReported parked drivers; StuckMore counts
@@ -159,29 +159,17 @@ func (nw *Network) watchdogTrip(reason string) *WatchdogError {
 		Completions:       nw.completions,
 		RunQueue:          len(nw.runq),
 		LiveDrivers:       nw.live,
+		OpenSessions:      nw.DriverStats().OpenSessions,
 		PendingQuiescence: len(nw.quiescent),
 	}
-	for i := range nw.slots {
-		s := &nw.slots[i]
-		if s.id != 0 {
-			e.OpenSessions++
+	for _, t := range nw.tasks {
+		if t.finished || t.awaiting == 0 {
+			continue
 		}
-	}
-	addStuck := func(name string, awaiting SessionID) {
 		if len(e.Stuck) < maxStuckReported {
-			e.Stuck = append(e.Stuck, StuckDriver{Name: name, Session: awaiting.Serial()})
+			e.Stuck = append(e.Stuck, StuckDriver{Name: t.Name(), Session: t.awaiting.Serial()})
 		} else {
 			e.StuckMore++
-		}
-	}
-	for _, p := range nw.allProcs {
-		if !p.finished && p.awaiting != 0 {
-			addStuck(p.Name(), p.awaiting)
-		}
-	}
-	for _, t := range nw.allTasks {
-		if !t.finished && t.awaiting != 0 {
-			addStuck(t.Name(), t.awaiting)
 		}
 	}
 	// The oldest open sessions, by age (only meaningful when the watchdog

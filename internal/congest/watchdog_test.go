@@ -10,18 +10,13 @@ import (
 )
 
 // spawnLivelock wires a handler that bounces a message between nodes 1 and
-// 2 forever, plus a driver awaiting a session nobody completes: the clock
+// 2 forever, plus a task awaiting a session nobody completes: the clock
 // advances but no session ever finishes — the stall a lost wakeup causes.
 func spawnLivelock(nw *Network, kind KindID) {
 	nw.RegisterHandler(kind, func(nw *Network, node *NodeState, msg *Message) {
 		nw.Send(node.ID, msg.From, kind, msg.Session, 8, nil)
 	})
-	nw.Spawn("wedged", func(p *Proc) error {
-		sid := nw.NewSession(nil)
-		nw.Send(1, 2, kind, sid, 8, nil)
-		_, err := p.Await(sid)
-		return err
-	})
+	nw.SpawnStep("wedged", 0, 0, &stepSend{nw: nw, kind: kind})
 }
 
 func TestWatchdogTripsOnStall(t *testing.T) {
@@ -38,7 +33,7 @@ func TestWatchdogTripsOnStall(t *testing.T) {
 	if we.LiveDrivers != 1 {
 		t.Errorf("live drivers = %d, want 1", we.LiveDrivers)
 	}
-	if len(we.Stuck) != 1 || we.Stuck[0].Name != "wedged" {
+	if len(we.Stuck) != 1 || we.Stuck[0].Name != "wedged-p0-f0" {
 		t.Errorf("stuck drivers = %+v, want the wedged driver", we.Stuck)
 	}
 	if len(we.StuckSessions) == 0 {
@@ -57,7 +52,7 @@ func TestWatchdogTripsOnStall(t *testing.T) {
 	// state, no panic). The livelock traffic is still in flight — aborting
 	// does not rewrite the network — so the second Run trips again rather
 	// than hanging, which is exactly the watchdog's job.
-	nw.Spawn("after", func(p *Proc) error { return nil })
+	nw.SpawnStep("after", 0, 0, nopDriver)
 	err = nw.Run()
 	if !errors.As(err, &we) {
 		t.Fatalf("second Run returned %v, want another *WatchdogError", err)
@@ -83,24 +78,22 @@ func TestWatchdogTripsOnMaxTime(t *testing.T) {
 func TestWatchdogTripsOnSessionBudget(t *testing.T) {
 	// A healthy-looking run where sessions keep completing, but one session
 	// is never finished: a chain of bounced generations each completing a
-	// fresh session, driven by a relay driver. Stall detection stays quiet
+	// fresh session, driven by a relay task. Stall detection stays quiet
 	// (completions advance); only the per-session budget catches it.
 	nw := buildNet(t, 2, WithWatchdog(Watchdog{SessionTime: 128}))
 	kind := Kind("wd.relay")
 	nw.RegisterHandler(kind, func(nw *Network, node *NodeState, msg *Message) {
 		nw.CompleteSession(msg.Session, nil, nil)
 	})
-	nw.Spawn("relay", func(p *Proc) error {
-		stuck := nw.NewSession(nil) // never completed
-		_ = stuck
-		for {
-			sid := nw.NewSession(nil)
-			nw.Send(1, 2, kind, sid, 8, nil)
-			if _, err := p.Await(sid); err != nil {
-				return err
-			}
+	nw.NewSession(nil) // never completed
+	nw.SpawnStep("relay", 0, 0, stepFunc(func(_ *Task, w Wake) (SessionID, bool, error) {
+		if err := w.Err(); err != nil {
+			return 0, true, err
 		}
-	})
+		sid := nw.NewSession(nil)
+		nw.Send(1, 2, kind, sid, 8, nil)
+		return sid, false, nil
+	}))
 	err := nw.Run()
 	var we *WatchdogError
 	if !errors.As(err, &we) {
@@ -118,12 +111,7 @@ func TestContextCancelAbortsRun(t *testing.T) {
 	nw.RegisterHandler(kind, func(nw *Network, node *NodeState, msg *Message) {
 		nw.Send(node.ID, msg.From, kind, msg.Session, 8, nil)
 	})
-	nw.Spawn("looper", func(p *Proc) error {
-		sid := nw.NewSession(nil)
-		nw.Send(1, 2, kind, sid, 8, nil)
-		_, err := p.Await(sid)
-		return err
-	})
+	nw.SpawnStep("looper", 0, 0, &stepSend{nw: nw, kind: kind})
 	cancel() // cancelled before Run: the first batch check aborts
 	err := nw.Run()
 	var we *WatchdogError
@@ -151,18 +139,15 @@ func TestWatchdogByteIdentity(t *testing.T) {
 			}
 			nw.SendU(node.ID, next, kind, msg.Session, 8, msg.U+1)
 		})
-		nw.Spawn("chain", func(p *Proc) error {
-			for i := 0; i < 4; i++ {
-				sid := nw.NewSession(nil)
-				nw.SendU(1, 2, kind, sid, 8, 0)
-				if _, err := p.AwaitU(sid); err != nil {
-					return err
-				}
+		for i := 0; i < 4; i++ {
+			sid := nw.NewSession(nil)
+			nw.SendU(1, 2, kind, sid, 8, 0)
+			if err := nw.Run(); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		})
-		if err := nw.Run(); err != nil {
-			t.Fatal(err)
+			if _, err := nw.Take(sid).U(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		lastSerial := nw.NewSession(nil).Serial()
 		return nw.Counters(), nw.Now(), lastSerial

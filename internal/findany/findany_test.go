@@ -41,7 +41,7 @@ func runFindAny(t *testing.T, nw *congest.Network, pr *tree.Protocol, root conge
 	t.Helper()
 	m := NewMachine()
 	m.Reset(pr, root, rng.New(seed), cfg)
-	nw.SpawnStep("findany", m)
+	nw.SpawnStep("findany", 0, 0, m)
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}

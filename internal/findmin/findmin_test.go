@@ -39,7 +39,7 @@ func runFindMin(t *testing.T, nw *congest.Network, pr *tree.Protocol, root conge
 	t.Helper()
 	m := NewMachine()
 	m.Reset(pr, root, rng.New(seed), cfg)
-	nw.SpawnStep("findmin", m)
+	nw.SpawnStep("findmin", 0, 0, m)
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	pr := tree.Attach(nw)
 	m := NewMachine()
 	m.Reset(pr, 1, rng.New(1), Config{Variant: Full, Lanes: 1})
-	nw.SpawnStep("bad", m)
+	nw.SpawnStep("bad", 0, 0, m)
 	if err := nw.Run(); err == nil {
 		t.Error("lanes=1 accepted")
 	}

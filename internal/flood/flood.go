@@ -44,32 +44,28 @@ type BuildResult struct {
 func (f *Protocol) Build() (BuildResult, error) {
 	nw := f.nw
 	var result BuildResult
-	nw.Spawn("flood", func(p *congest.Proc) error {
-		for v := 1; v <= nw.N(); v++ {
-			if f.visited[v] {
-				continue
-			}
-			// initiator of this component
-			start := congest.NodeID(v)
-			f.visited[v] = true
-			node := nw.Node(start)
-			for i := range node.Edges {
-				nw.Send(start, node.Edges[i].Neighbor, KindJoin, 0, 8, nil)
-			}
-			p.AwaitQuiescence()
-			nw.ApplyStaged()
+	for v := 1; v <= nw.N(); v++ {
+		if f.visited[v] {
+			continue
 		}
-		return nil
-	})
-	err := nw.Run()
-	if err == nil {
-		result.Forest = nw.MarkedEdges()
-		c := nw.Counters()
-		result.Messages = c.Messages
-		result.Bits = c.Bits
-		result.Rounds = nw.Now()
+		// initiator of this component
+		start := congest.NodeID(v)
+		f.visited[v] = true
+		node := nw.Node(start)
+		for i := range node.Edges {
+			nw.Send(start, node.Edges[i].Neighbor, KindJoin, 0, 8, nil)
+		}
+		if err := nw.Run(); err != nil {
+			return result, err
+		}
+		nw.ApplyStaged()
 	}
-	return result, err
+	result.Forest = nw.MarkedEdges()
+	c := nw.Counters()
+	result.Messages = c.Messages
+	result.Bits = c.Bits
+	result.Rounds = nw.Now()
+	return result, nil
 }
 
 func (f *Protocol) onJoin(nw *congest.Network, node *congest.NodeState, msg *congest.Message) {

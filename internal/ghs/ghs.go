@@ -149,48 +149,43 @@ type BuildResult struct {
 func Build(nw *congest.Network, pr *tree.Protocol, g *Protocol) (BuildResult, error) {
 	var result BuildResult
 	maxPhases := int(math.Ceil(math.Log2(float64(nw.N())))) + 2
-	nw.Spawn("ghs", func(p *congest.Proc) error {
-		fan := tree.NewFanout(pr, "ghs", "ghs", func() *search { return &search{g: g} })
-		for phase := 1; ; phase++ {
-			if phase > maxPhases {
-				return fmt.Errorf("ghs: exceeded %d phases — not converging", maxPhases)
-			}
-			fan.Begin()
-			elect, err := pr.ElectAll(p)
-			if err != nil {
-				return err
-			}
-			if len(elect.CycleNodes) > 0 {
-				return fmt.Errorf("ghs: cycle in marked subgraph at phase %d", phase)
-			}
-			result.Phases = phase
-			searches, cost, err := fan.Run(p, phase, elect.Leaders)
-			if err != nil {
-				return err
-			}
-			stat := PhaseStat{Fragments: len(elect.Leaders)}
-			for _, s := range searches {
-				if _, ok := s.Found(); ok {
-					stat.Merges++
-				}
-			}
-			stat.Messages, stat.Bits, stat.Rounds = cost.Messages, cost.Bits, cost.Rounds
-			stat.Classes = cost.Classes
-			result.PhaseStats = append(result.PhaseStats, stat)
-			if stat.Merges == 0 {
-				return nil // every fragment is maximal: done, deterministically
+	fan := tree.NewFanout(pr, "ghs", "ghs", func() *search { return &search{g: g} })
+	for phase := 1; ; phase++ {
+		if phase > maxPhases {
+			return result, fmt.Errorf("ghs: exceeded %d phases — not converging", maxPhases)
+		}
+		fan.Begin()
+		elect, err := pr.ElectAll()
+		if err != nil {
+			return result, err
+		}
+		if len(elect.CycleNodes) > 0 {
+			return result, fmt.Errorf("ghs: cycle in marked subgraph at phase %d", phase)
+		}
+		result.Phases = phase
+		searches, cost, err := fan.Run(phase, elect.Leaders)
+		if err != nil {
+			return result, err
+		}
+		stat := PhaseStat{Fragments: len(elect.Leaders)}
+		for _, s := range searches {
+			if _, ok := s.Found(); ok {
+				stat.Merges++
 			}
 		}
-	})
-	err := nw.Run()
-	if err == nil {
-		result.Forest = nw.MarkedEdges()
-		c := nw.Counters()
-		result.Messages = c.Messages
-		result.Bits = c.Bits
-		result.Rounds = nw.Now()
+		stat.Messages, stat.Bits, stat.Rounds = cost.Messages, cost.Bits, cost.Rounds
+		stat.Classes = cost.Classes
+		result.PhaseStats = append(result.PhaseStats, stat)
+		if stat.Merges == 0 {
+			break // every fragment is maximal: done, deterministically
+		}
 	}
-	return result, err
+	result.Forest = nw.MarkedEdges()
+	c := nw.Counters()
+	result.Messages = c.Messages
+	result.Bits = c.Bits
+	result.Rounds = nw.Now()
+	return result, nil
 }
 
 // search is one fragment's GHS convergecast in one phase: enter the phase

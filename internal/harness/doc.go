@@ -19,8 +19,7 @@
 // panic (converted to a TrialMetrics.Error) cannot poison a sweep.
 //
 // Serialization. TrialMetrics fields describing execution footprint
-// (Shards, PeakDriverGoroutines, PeakDriverTasks, PeakLiveDrivers,
-// HeapSysMB) carry json:"-": they are observations about the process,
+// (Shards, PeakDriverTasks, PeakLiveDrivers, HeapSysMB) carry json:"-": they are observations about the process,
 // not the simulated protocol, and serializing them would trivially break
 // the report byte-identity contract. Report ordering is deterministic —
 // scenarios sort by name, trials by index — so byte comparison of

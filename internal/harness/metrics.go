@@ -21,14 +21,14 @@ type TrialMetrics struct {
 
 	// Driver/memory footprint of the trial's network — the gate for the
 	// continuation driver model (a build runs its per-fragment fan-out as
-	// tasks, on a single driver goroutine). Excluded from serialization
-	// like Shards: footprint is an observation about the process, not an
-	// observable of the simulated protocol.
-	PeakDriverGoroutines int `json:"-"`
+	// pooled heap tasks, never a goroutine per fragment). Excluded from
+	// serialization like Shards: footprint is an observation about the
+	// process, not an observable of the simulated protocol.
+	//
 	// PeakDriverTasks is the continuation-task high-water mark.
 	PeakDriverTasks int `json:"-"`
-	// PeakLiveDrivers is the peak of concurrently-unfinished drivers,
-	// goroutines and tasks together (the fragment fan-out width).
+	// PeakLiveDrivers is the peak of concurrently-unfinished tasks (the
+	// fragment fan-out width).
 	PeakLiveDrivers int `json:"-"`
 	// HeapSysMB is the growth of the Go heap footprint
 	// (runtime.MemStats.HeapSys) across the trial, in MiB: the after-trial

@@ -81,7 +81,7 @@ func runConcurrentStorm(s Spec, nw *congest.Network, pr *tree.Protocol, g *graph
 }
 
 // runDebugStall wires a deliberate livelock — a message bouncing between
-// nodes 1 and 2 forever while a driver awaits a session nobody completes —
+// nodes 1 and 2 forever while a task awaits a session nobody completes —
 // and runs it. With the scenario's mandatory watchdog armed, Run fails
 // with a structured *congest.WatchdogError; that error is the trial's
 // entire point.
@@ -90,11 +90,24 @@ func runDebugStall(nw *congest.Network) error {
 	nw.RegisterHandler(kind, func(nw *congest.Network, node *congest.NodeState, msg *congest.Message) {
 		nw.Send(node.ID, msg.From, kind, msg.Session, 8, nil)
 	})
-	nw.Spawn("debug-stall", func(p *congest.Proc) error {
-		sid := nw.NewSession(nil)
-		nw.Send(1, 2, kind, sid, 8, nil)
-		_, err := p.Await(sid)
-		return err
-	})
+	nw.SpawnStep("debug-stall", 0, 0, &stallDriver{kind: kind})
 	return nw.Run()
+}
+
+// stallDriver opens a session, starts the bounce on it and awaits it.
+type stallDriver struct {
+	kind    congest.KindID
+	started bool
+}
+
+// Step implements congest.StepDriver.
+func (d *stallDriver) Step(t *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
+	if d.started {
+		return 0, true, w.Err()
+	}
+	d.started = true
+	nw := t.Network()
+	sid := nw.NewSession(nil)
+	nw.Send(1, 2, d.kind, sid, 8, nil)
+	return sid, false, nil
 }

@@ -257,7 +257,6 @@ func heapSysNow() uint64 {
 // scavenged pages returned mid-run — reports 0, not an underflowed value).
 func captureFootprint(m *TrialMetrics, nw *congest.Network, heapBefore uint64) {
 	ds := nw.DriverStats()
-	m.PeakDriverGoroutines = ds.PeakGoroutines
 	m.PeakDriverTasks = ds.PeakTasks
 	m.PeakLiveDrivers = ds.PeakLive
 	if after := heapSysNow(); after > heapBefore {

@@ -119,34 +119,31 @@ func Build(nw *congest.Network, pr *tree.Protocol, cfg BuildConfig) (BuildResult
 	}
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
-	nw.Spawn("boruvka", func(p *congest.Proc) error {
-		fan := tree.NewFanout(pr, "mst", "findmin", func() *search {
-			return &search{Machine: findmin.NewMachine(), pr: pr, cfg: &cfg}
-		})
-		for phase := 1; phase <= maxPhases; phase++ {
-			stat, err := runPhase(p, pr, phase, fan)
-			if err != nil {
-				return err
-			}
-			result.Phases = append(result.Phases, stat)
-			if cfg.Policy == Adaptive && stat.Empties == stat.Fragments {
-				return nil // every fragment certified maximality
-			}
-		}
-		if cfg.Policy == Fixed {
-			return nil // the paper's budget is exhausted; w.h.p. done
-		}
-		return fmt.Errorf("mst: phase budget %d exhausted without convergence", maxPhases)
+	fan := tree.NewFanout(pr, "mst", "findmin", func() *search {
+		return &search{Machine: findmin.NewMachine(), pr: pr, cfg: &cfg}
 	})
-	err := nw.Run()
-	if err == nil {
-		result.Forest = nw.MarkedEdges()
-		c := nw.Counters()
-		result.Messages = c.Messages
-		result.Bits = c.Bits
-		result.Rounds = nw.Now()
+	for phase := 1; ; phase++ {
+		if phase > maxPhases {
+			if cfg.Policy == Fixed {
+				break // the paper's budget is exhausted; w.h.p. done
+			}
+			return result, fmt.Errorf("mst: phase budget %d exhausted without convergence", maxPhases)
+		}
+		stat, err := runPhase(pr, phase, fan)
+		if err != nil {
+			return result, err
+		}
+		result.Phases = append(result.Phases, stat)
+		if cfg.Policy == Adaptive && stat.Empties == stat.Fragments {
+			break // every fragment certified maximality
+		}
 	}
-	return result, err
+	result.Forest = nw.MarkedEdges()
+	c := nw.Counters()
+	result.Messages = c.Messages
+	result.Bits = c.Bits
+	result.Rounds = nw.Now()
+	return result, nil
 }
 
 // search is one fragment's FindMin-C in a Borůvka phase, seeded per
@@ -170,9 +167,9 @@ func (s *search) Found() (uint64, bool) {
 
 // runPhase executes one Borůvka phase: elect leaders, then let the
 // fan-out run FindMin-C per fragment and add the edges found.
-func runPhase(p *congest.Proc, pr *tree.Protocol, phase int, fan *tree.Fanout[*search]) (PhaseStat, error) {
+func runPhase(pr *tree.Protocol, phase int, fan *tree.Fanout[*search]) (PhaseStat, error) {
 	fan.Begin()
-	elect, err := pr.ElectAll(p)
+	elect, err := pr.ElectAll()
 	if err != nil {
 		return PhaseStat{}, err
 	}
@@ -180,7 +177,7 @@ func runPhase(p *congest.Proc, pr *tree.Protocol, phase int, fan *tree.Fanout[*s
 		return PhaseStat{}, fmt.Errorf("mst: cycle in marked subgraph at phase %d (nodes %v)", phase, elect.CycleNodes)
 	}
 	stat := PhaseStat{Fragments: len(elect.Leaders)}
-	searches, cost, err := fan.Run(p, phase, elect.Leaders)
+	searches, cost, err := fan.Run(phase, elect.Leaders)
 	if err != nil {
 		return stat, err
 	}

@@ -38,11 +38,7 @@ func TestTestOutBroadcastAllocs(t *testing.T) {
 	h := hashing.NewOddHash(rng.New(11))
 	iv := Interval{Lo: 1, Hi: 1 << 40}
 	wave := func() {
-		nw.Spawn("testout", func(p *congest.Proc) error {
-			_, err := p.AwaitU(runner.Start(pr, 1, h, iv, Lanes))
-			return err
-		})
-		if err := nw.Run(); err != nil {
+		if _, err := awaitU(nw, runner.Start(pr, 1, h, iv, Lanes)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,17 +60,11 @@ func TestHPTestOutBroadcastAllocs(t *testing.T) {
 	alphas := DrawAlphas(rng.New(13), MaxReps)
 	iv := Interval{Lo: 1, Hi: 1 << 40}
 	wave := func() {
-		nw.Spawn("hp", func(p *congest.Proc) error {
-			v, err := p.Await(runner.Start(pr, 1, alphas, iv))
-			if err != nil {
-				return err
-			}
-			ConsumeHP(v)
-			return nil
-		})
-		if err := nw.Run(); err != nil {
+		v, err := await(nw, runner.Start(pr, 1, alphas, iv))
+		if err != nil {
 			t.Fatal(err)
 		}
+		ConsumeHP(v)
 	}
 	wave()
 	avg := testing.AllocsPerRun(5, wave)

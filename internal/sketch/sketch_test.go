@@ -27,23 +27,31 @@ func fixture(t *testing.T) (*congest.Network, *tree.Protocol, *graph.Graph) {
 	return nw, tree.Attach(nw), g
 }
 
-func runDriver(t *testing.T, nw *congest.Network, fn func(p *congest.Proc) error) {
-	t.Helper()
-	nw.Spawn("test", fn)
+// await runs the network to quiescence and takes the session's result.
+func await(nw *congest.Network, sid congest.SessionID) (any, error) {
 	if err := nw.Run(); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	return nw.Take(sid).Value()
 }
 
-// testOut awaits one single-lane TestOut probe, the paper's TestOut(x, j, k).
-func testOut(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, h hashing.OddHash, iv Interval) (bool, error) {
-	word, err := p.AwaitU(NewTestOutRunner().Start(pr, root, h, iv, 1))
+// awaitU is await for an unboxed result.
+func awaitU(nw *congest.Network, sid congest.SessionID) (uint64, error) {
+	if err := nw.Run(); err != nil {
+		return 0, err
+	}
+	return nw.Take(sid).U()
+}
+
+// testOut runs one single-lane TestOut probe, the paper's TestOut(x, j, k).
+func testOut(pr *tree.Protocol, root congest.NodeID, h hashing.OddHash, iv Interval) (bool, error) {
+	word, err := awaitU(pr.Network(), NewTestOutRunner().Start(pr, root, h, iv, 1))
 	return word != 0, err
 }
 
-// hpTestOut awaits one HP-TestOut probe.
-func hpTestOut(p *congest.Proc, pr *tree.Protocol, root congest.NodeID, alphas []uint64, iv Interval) (bool, error) {
-	v, err := p.Await(NewHPRunner().Start(pr, root, alphas, iv))
+// hpTestOut runs one HP-TestOut probe.
+func hpTestOut(pr *tree.Protocol, root congest.NodeID, alphas []uint64, iv Interval) (bool, error) {
+	v, err := await(pr.Network(), NewHPRunner().Start(pr, root, alphas, iv))
 	if err != nil {
 		return false, err
 	}
@@ -56,15 +64,11 @@ func comp(g *graph.Graph, a, b uint32) uint64 {
 
 func TestSurvey(t *testing.T) {
 	nw, pr, g := fixture(t)
-	var s Survey
-	runDriver(t, nw, func(p *congest.Proc) error {
-		v, err := p.Await(StartSurvey(pr, 1))
-		if err != nil {
-			return err
-		}
-		s = ConsumeSurvey(v)
-		return nil
-	})
+	v, err := await(nw, StartSurvey(pr, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ConsumeSurvey(v)
 	if s.Size != 3 {
 		t.Errorf("Size = %d, want 3", s.Size)
 	}
@@ -134,67 +138,58 @@ func TestTestOutEmptyCutNeverFires(t *testing.T) {
 	nw.SetForest([][2]congest.NodeID{{1, 2}, {2, 3}, {3, 4}})
 	pr := tree.Attach(nw)
 	r := rng.New(11)
-	runDriver(t, nw, func(p *congest.Proc) error {
-		full := Interval{Lo: 0, Hi: ^uint64(0) >> 1}
-		for i := 0; i < 100; i++ {
-			h := hashing.NewOddHash(r)
-			got, err := testOut(p, pr, 2, h, full)
-			if err != nil {
-				return err
-			}
-			if got {
-				t.Fatal("TestOut fired on an empty cut")
-			}
+	full := Interval{Lo: 0, Hi: ^uint64(0) >> 1}
+	for i := 0; i < 100; i++ {
+		h := hashing.NewOddHash(r)
+		got, err := testOut(pr, 2, h, full)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
+		if got {
+			t.Fatal("TestOut fired on an empty cut")
+		}
+	}
 }
 
 func TestTestOutDetectsCut(t *testing.T) {
-	nw, pr, _ := fixture(t)
+	_, pr, _ := fixture(t)
 	r := rng.New(21)
 	fires := 0
 	const trials = 400
-	runDriver(t, nw, func(p *congest.Proc) error {
-		full := Interval{Lo: 0, Hi: ^uint64(0) >> 1}
-		for i := 0; i < trials; i++ {
-			h := hashing.NewOddHash(r)
-			got, err := testOut(p, pr, 1, h, full)
-			if err != nil {
-				return err
-			}
-			if got {
-				fires++
-			}
+	full := Interval{Lo: 0, Hi: ^uint64(0) >> 1}
+	for i := 0; i < trials; i++ {
+		h := hashing.NewOddHash(r)
+		got, err := testOut(pr, 1, h, full)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
+		if got {
+			fires++
+		}
+	}
 	if frac := float64(fires) / trials; frac < 1.0/8 {
 		t.Errorf("TestOut success rate %.3f < 1/8 on non-empty cut", frac)
 	}
 }
 
 func TestTestOutIntervalFilter(t *testing.T) {
-	nw, pr, g := fixture(t)
+	_, pr, g := fixture(t)
 	r := rng.New(31)
 	// interval covering only composite weights strictly between the cut
 	// edges {1,4} (raw 5) and {2,5} (raw 25): probe raw range [6,24]
 	// where only internal/tree edges (10, 20) live -> never fires.
 	lo := comp(g, 1, 4) + 1
 	hi := comp(g, 2, 5) - 1
-	runDriver(t, nw, func(p *congest.Proc) error {
-		for i := 0; i < 200; i++ {
-			h := hashing.NewOddHash(r)
-			got, err := testOut(p, pr, 1, h, Interval{Lo: lo, Hi: hi})
-			if err != nil {
-				return err
-			}
-			if got {
-				t.Fatal("TestOut fired on an interval with no cut edges")
-			}
+	for i := 0; i < 200; i++ {
+		h := hashing.NewOddHash(r)
+		got, err := testOut(pr, 1, h, Interval{Lo: lo, Hi: hi})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
+		if got {
+			t.Fatal("TestOut fired on an interval with no cut edges")
+		}
+	}
 }
 
 func TestTestOutLanesLocaliseCutEdges(t *testing.T) {
@@ -216,21 +211,18 @@ func TestTestOutLanesLocaliseCutEdges(t *testing.T) {
 		}
 	}
 	gotLanes := make(map[int]bool)
-	runDriver(t, nw, func(p *congest.Proc) error {
-		for i := 0; i < 600; i++ {
-			h := hashing.NewOddHash(r)
-			word, err := p.AwaitU(NewTestOutRunner().Start(pr, 1, h, rngIv, Lanes))
-			if err != nil {
-				return err
-			}
-			for li := 0; li < Lanes; li++ {
-				if word&(1<<uint(li)) != 0 {
-					gotLanes[li] = true
-				}
+	for i := 0; i < 600; i++ {
+		h := hashing.NewOddHash(r)
+		word, err := awaitU(nw, NewTestOutRunner().Start(pr, 1, h, rngIv, Lanes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li := 0; li < Lanes; li++ {
+			if word&(1<<uint(li)) != 0 {
+				gotLanes[li] = true
 			}
 		}
-		return nil
-	})
+	}
 	for li := range gotLanes {
 		if !wantLanes[li] {
 			t.Errorf("lane %d fired but holds no cut edge", li)
@@ -244,38 +236,35 @@ func TestTestOutLanesLocaliseCutEdges(t *testing.T) {
 }
 
 func TestHPTestOutAlwaysRight(t *testing.T) {
-	nw, pr, g := fixture(t)
+	_, pr, g := fixture(t)
 	r := rng.New(51)
 	full := Interval{Lo: 0, Hi: ^uint64(0) >> 1}
 	noCut := Interval{Lo: comp(g, 1, 4) + 1, Hi: comp(g, 2, 5) - 1}
 	onlyLight := Interval{Lo: 0, Hi: comp(g, 1, 4)} // exactly the lightest cut edge
-	runDriver(t, nw, func(p *congest.Proc) error {
-		for i := 0; i < 100; i++ {
-			alphas := DrawAlphas(r, 2)
-			got, err := hpTestOut(p, pr, 1, alphas, full)
-			if err != nil {
-				return err
-			}
-			if !got {
-				t.Fatal("HP-TestOut missed a non-empty cut (prob ~2^-80)")
-			}
-			got, err = hpTestOut(p, pr, 1, alphas, noCut)
-			if err != nil {
-				return err
-			}
-			if got {
-				t.Fatal("HP-TestOut fired on an empty cut interval")
-			}
-			got, err = hpTestOut(p, pr, 1, alphas, onlyLight)
-			if err != nil {
-				return err
-			}
-			if !got {
-				t.Fatal("HP-TestOut missed the lightest cut edge")
-			}
+	for i := 0; i < 100; i++ {
+		alphas := DrawAlphas(r, 2)
+		got, err := hpTestOut(pr, 1, alphas, full)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
+		if !got {
+			t.Fatal("HP-TestOut missed a non-empty cut (prob ~2^-80)")
+		}
+		got, err = hpTestOut(pr, 1, alphas, noCut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got {
+			t.Fatal("HP-TestOut fired on an empty cut interval")
+		}
+		got, err = hpTestOut(pr, 1, alphas, onlyLight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got {
+			t.Fatal("HP-TestOut missed the lightest cut edge")
+		}
+	}
 }
 
 func TestHPTestOutWholeTreeEmptyCut(t *testing.T) {
@@ -291,18 +280,15 @@ func TestHPTestOutWholeTreeEmptyCut(t *testing.T) {
 	nw.SetForest([][2]congest.NodeID{{1, 2}, {2, 3}, {3, 4}, {4, 5}})
 	pr := tree.Attach(nw)
 	r := rng.New(61)
-	runDriver(t, nw, func(p *congest.Proc) error {
-		for i := 0; i < 50; i++ {
-			got, err := hpTestOut(p, pr, 3, DrawAlphas(r, 1), Interval{Lo: 0, Hi: ^uint64(0) >> 1})
-			if err != nil {
-				return err
-			}
-			if got {
-				t.Fatal("HP-TestOut fired with no cut edges")
-			}
+	for i := 0; i < 50; i++ {
+		got, err := hpTestOut(pr, 3, DrawAlphas(r, 1), Interval{Lo: 0, Hi: ^uint64(0) >> 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
+		if got {
+			t.Fatal("HP-TestOut fired with no cut edges")
+		}
+	}
 }
 
 func TestNumReps(t *testing.T) {
@@ -324,16 +310,13 @@ func TestTestOutMessageCost(t *testing.T) {
 	// One TestOut = one broadcast-and-echo = 2 messages per tree edge.
 	nw, pr, _ := fixture(t)
 	r := rng.New(71)
-	runDriver(t, nw, func(p *congest.Proc) error {
-		before := nw.Counters()
-		_, err := testOut(p, pr, 1, hashing.NewOddHash(r), Interval{Lo: 0, Hi: 1 << 40})
-		if err != nil {
-			return err
-		}
-		diff := nw.Counters().Sub(before)
-		if diff.Messages != 4 { // tree {1,2,3} has 2 edges
-			t.Errorf("TestOut cost %d messages, want 4", diff.Messages)
-		}
-		return nil
-	})
+	before := nw.Counters()
+	_, err := testOut(pr, 1, hashing.NewOddHash(r), Interval{Lo: 0, Hi: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diff := nw.Counters().Sub(before)
+	if diff.Messages != 4 { // tree {1,2,3} has 2 edges
+		t.Errorf("TestOut cost %d messages, want 4", diff.Messages)
+	}
 }

@@ -116,31 +116,28 @@ func Build(nw *congest.Network, pr *tree.Protocol, sp *Protocol, cfg BuildConfig
 	}
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
-	nw.Spawn("boruvka-st", func(p *congest.Proc) error {
-		fan := tree.NewFanout(pr, "st", "findany", func() *search {
-			return &search{Machine: findany.NewMachine(), pr: pr, cfg: &cfg}
-		})
-		for phase := 1; phase <= maxPhases; phase++ {
-			stat, err := sp.runPhase(p, pr, cfg.Seed, phase, fan)
-			if err != nil {
-				return err
-			}
-			result.Phases = append(result.Phases, stat)
-			if stat.CycleNodes == 0 && stat.Empties == stat.Fragments {
-				return nil
-			}
-		}
-		return fmt.Errorf("st: phase budget %d exhausted without convergence", maxPhases)
+	fan := tree.NewFanout(pr, "st", "findany", func() *search {
+		return &search{Machine: findany.NewMachine(), pr: pr, cfg: &cfg}
 	})
-	err := nw.Run()
-	if err == nil {
-		result.Forest = nw.MarkedEdges()
-		c := nw.Counters()
-		result.Messages = c.Messages
-		result.Bits = c.Bits
-		result.Rounds = nw.Now()
+	for phase := 1; ; phase++ {
+		if phase > maxPhases {
+			return result, fmt.Errorf("st: phase budget %d exhausted without convergence", maxPhases)
+		}
+		stat, err := sp.runPhase(pr, cfg.Seed, phase, fan)
+		if err != nil {
+			return result, err
+		}
+		result.Phases = append(result.Phases, stat)
+		if stat.CycleNodes == 0 && stat.Empties == stat.Fragments {
+			break
+		}
 	}
-	return result, err
+	result.Forest = nw.MarkedEdges()
+	c := nw.Counters()
+	result.Messages = c.Messages
+	result.Bits = c.Bits
+	result.Rounds = nw.Now()
+	return result, nil
 }
 
 // search is one fragment's FindAny-C in a Build-ST phase, seeded per
@@ -164,23 +161,23 @@ func (s *search) Found() (uint64, bool) {
 
 // runPhase: detect and break cycles left by the previous phase's merges,
 // then elect leaders and let the fan-out run FindAny-C per fragment.
-func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, seed uint64, phase int, fan *tree.Fanout[*search]) (PhaseStat, error) {
+func (sp *Protocol) runPhase(pr *tree.Protocol, seed uint64, phase int, fan *tree.Fanout[*search]) (PhaseStat, error) {
 	nw := sp.nw
 	fan.Begin()
 	var stat PhaseStat
 
-	elect, err := pr.ElectAll(p)
+	elect, err := pr.ElectAll()
 	if err != nil {
 		return stat, err
 	}
 	stat.CycleNodes = len(elect.CycleNodes)
 	if len(elect.CycleNodes) > 0 {
 		nBefore := countCycles(elect.CycleNodes)
-		if err := sp.breakCycles(p, elect.CycleNodes, phase, seed); err != nil {
+		if err := sp.breakCycles(elect.CycleNodes, seed, phase); err != nil {
 			return stat, err
 		}
 		// Second election: surviving cycles are wiped entirely.
-		elect, err = pr.ElectAll(p)
+		elect, err = pr.ElectAll()
 		if err != nil {
 			return stat, err
 		}
@@ -193,7 +190,7 @@ func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, seed uint64, ph
 			}
 			nw.ApplyStaged()
 			// Third election for this phase's leaders.
-			elect, err = pr.ElectAll(p)
+			elect, err = pr.ElectAll()
 			if err != nil {
 				return stat, err
 			}
@@ -204,7 +201,7 @@ func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, seed uint64, ph
 		stat.CyclesBroken = nBefore - stat.CyclesWiped
 	}
 	stat.Fragments = len(elect.Leaders)
-	searches, cost, err := fan.Run(p, phase, elect.Leaders)
+	searches, cost, err := fan.Run(phase, elect.Leaders)
 	if err != nil {
 		return stat, err
 	}
@@ -225,16 +222,17 @@ func (sp *Protocol) runPhase(p *congest.Proc, pr *tree.Protocol, seed uint64, ph
 }
 
 // breakCycles runs the random-exclusion round: every cycle node picks one
-// of its two cycle edges uniformly and sends an exclude along it; edges
-// picked from both ends get unmarked at the barrier.
-func (sp *Protocol) breakCycles(p *congest.Proc, cycleNodes []tree.CycleNode, phase int, seed uint64) error {
+// of its two cycle edges uniformly with its own coin (coinRand) and sends
+// an exclude along it; edges picked from both ends get unmarked at the
+// barrier. The round's session only keys the picks; it completes at the
+// barrier and is taken there.
+func (sp *Protocol) breakCycles(cycleNodes []tree.CycleNode, seed uint64, phase int) error {
 	nw := sp.nw
-	sid := nw.NewSession(nil)
+	sid := nw.NewSession(func() (any, error) { return nil, nil })
 	picks := make(map[congest.NodeID]congest.NodeID, len(cycleNodes))
 	for _, cn := range cycleNodes {
-		r := sp.tr.NodeRand(cn.Node, sid)
 		pick := cn.Left
-		if r.Bool() {
+		if coinRand(seed, phase, cn.Node).Bool() {
 			pick = cn.Right
 		}
 		picks[cn.Node] = pick
@@ -243,11 +241,13 @@ func (sp *Protocol) breakCycles(p *congest.Proc, cycleNodes []tree.CycleNode, ph
 	for _, cn := range cycleNodes {
 		nw.Send(cn.Node, picks[cn.Node], KindExclude, sid, 8, nil)
 	}
-	p.AwaitQuiescence()
-	nw.ApplyStaged()
+	err := nw.Run()
 	delete(sp.picks, sid)
-	nw.CompleteSession(sid, nil, nil)
-	return nil
+	if err != nil {
+		return err
+	}
+	nw.ApplyStaged()
+	return nw.Take(sid).Err()
 }
 
 // countCycles groups cycle nodes into their disjoint cycles by walking
@@ -284,4 +284,12 @@ func countCycles(nodes []tree.CycleNode) int {
 
 func fragmentRand(seed uint64, phase int, leader congest.NodeID) *rng.RNG {
 	return rng.New(seed ^ uint64(phase)*0x9e3779b97f4a7c15 ^ uint64(leader)*0xff51afd7ed558ccd)
+}
+
+// coinRand is a cycle node's private coin for one phase's exclusion
+// round, deterministic in (seed, phase, node): fragmentRand's mix under
+// its own salt, so a node that also leads a fragment draws two unrelated
+// streams.
+func coinRand(seed uint64, phase int, node congest.NodeID) *rng.RNG {
+	return fragmentRand(seed^0xd1b54a32d192ed03, phase, node)
 }

@@ -1,6 +1,7 @@
 package st
 
 import (
+	"reflect"
 	"testing"
 
 	"kkt/internal/congest"
@@ -104,6 +105,50 @@ func TestBuildSTSeesAndSurvivesCycles(t *testing.T) {
 	}
 	if !sawCycle {
 		t.Log("note: no cycle arose in any seed (unusual but not wrong)")
+	}
+}
+
+// TestBuildSTCoinIgnoresSessions: the cycle-breaking coin is a function
+// of (seed, phase, node) alone, so an unrelated session opened before
+// Build — which shifts every later session serial — leaves the forest and
+// the message count unchanged. The build must break cycles with the coin
+// for this to mean anything, and it must leave no session slot open.
+func TestBuildSTCoinIgnoresSessions(t *testing.T) {
+	build := func(extraSession bool) BuildResult {
+		g := graph.GNM(rng.New(5), 48, 96, 1, graph.UnitWeights())
+		nw := congest.NewNetwork(g)
+		pr := tree.Attach(nw)
+		sp := Attach(nw, pr)
+		before := 0
+		if extraSession {
+			nw.NewSession(nil)
+			before = 1
+		}
+		res, err := Build(nw, pr, sp, DefaultBuild(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spanning.IsSpanningForest(g, forestIndices(t, g, res.Forest)); err != nil {
+			t.Fatal(err)
+		}
+		if open := nw.DriverStats().OpenSessions - before; open != 0 {
+			t.Errorf("Build left %d sessions open, want 0", open)
+		}
+		return res
+	}
+	plain, shifted := build(false), build(true)
+	broken := 0
+	for _, ph := range plain.Phases {
+		broken += ph.CyclesBroken
+	}
+	if broken == 0 {
+		t.Fatal("no cycle was broken by the coin; pick a seed that exercises it")
+	}
+	if plain.Messages != shifted.Messages {
+		t.Errorf("messages %d with an extra session, %d without", shifted.Messages, plain.Messages)
+	}
+	if !reflect.DeepEqual(plain.Forest, shifted.Forest) {
+		t.Errorf("forest differs with an extra session:\n%v\n%v", shifted.Forest, plain.Forest)
 	}
 }
 

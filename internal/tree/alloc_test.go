@@ -12,25 +12,19 @@ import (
 // marked path at constant allocations: per-node election states live in
 // the protocol's reusable buffer, token receipts are edge-index bitmasks,
 // and the session machinery recycles slots. The budget covers the driver
-// spawn and the ElectResult assembly; per-node or per-token churn on a
+// Run and the ElectResult assembly; per-node or per-token churn on a
 // 256-node path would exceed it by an order of magnitude.
 func TestElectionWaveAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
 	const n = 256
-	nw, pr := pathNet(t, n)
+	_, pr := pathNet(t, n)
 	wave := func() {
-		nw.Spawn("elect", func(p *congest.Proc) error {
-			res, err := pr.ElectAll(p)
-			if err != nil {
-				return err
-			}
-			if len(res.Leaders) != 1 {
-				t.Errorf("leaders = %v, want one", res.Leaders)
-			}
-			return nil
-		})
-		if err := nw.Run(); err != nil {
+		res, err := pr.ElectAll()
+		if err != nil {
 			t.Fatal(err)
+		}
+		if len(res.Leaders) != 1 {
+			t.Errorf("leaders = %v, want one", res.Leaders)
 		}
 	}
 	wave() // warm the election buffer and session slots
@@ -44,7 +38,7 @@ func TestElectionWaveAllocs(t *testing.T) {
 // (the TestOut shape: words folded as they arrive) with an OnDown hook on
 // a 256-node marked path at constant allocations: per-node state slots,
 // slot-indexed specs, unboxed echoes in Message.U, an Emit value instead
-// of a per-node closure, and CompleteSessionU/AwaitU end to end.
+// of a per-node closure, and CompleteSessionU/Wake.U end to end.
 func TestUnboxedBroadcastEchoAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
 	const n = 256
@@ -61,18 +55,12 @@ func TestUnboxedBroadcastEchoAllocs(t *testing.T) {
 		OnDown: func(node *congest.NodeState, down any, emit Emit) {},
 	}
 	wave := func() {
-		nw.Spawn("be", func(p *congest.Proc) error {
-			got, err := p.AwaitU(pr.StartBroadcastEcho(1, spec))
-			if err != nil {
-				return err
-			}
-			if want := uint64(n*(n+1)) / 2; got != want {
-				t.Errorf("sum = %d, want %d", got, want)
-			}
-			return nil
-		})
-		if err := nw.Run(); err != nil {
+		got, err := awaitU(nw, pr.StartBroadcastEcho(1, spec))
+		if err != nil {
 			t.Fatal(err)
+		}
+		if want := uint64(n*(n+1)) / 2; got != want {
+			t.Errorf("sum = %d, want %d", got, want)
 		}
 	}
 	wave() // warm the session slots and message free list
@@ -96,24 +84,17 @@ func TestFanoutWarmPhaseAllocs(t *testing.T) {
 	for i := range leaders {
 		leaders[i] = congest.NodeID(i + 1)
 	}
-	var avg float64
-	nw.Spawn("controller", func(p *congest.Proc) error {
-		fan := NewFanout(pr, "test", "pick", func() *pickSearch { return &pickSearch{nw: nw} })
-		phase := 0
-		runPhase := func() {
-			phase++
-			fan.Begin()
-			if _, _, err := fan.Run(p, phase, leaders); err != nil {
-				t.Error(err)
-			}
+	fan := NewFanout(pr, "test", "pick", func() *pickSearch { return &pickSearch{nw: nw} })
+	phase := 0
+	runPhase := func() {
+		phase++
+		fan.Begin()
+		if _, _, err := fan.Run(phase, leaders); err != nil {
+			t.Error(err)
 		}
-		runPhase() // warm: searches, wrappers, task pool, session slots
-		avg = testing.AllocsPerRun(5, runPhase)
-		return nil
-	})
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
 	}
+	runPhase() // warm: searches, task bodies, task pool, session slots
+	avg := testing.AllocsPerRun(5, runPhase)
 	if avg != 0 {
 		t.Errorf("warm fan-out phase of %d searches: %.1f allocs, want 0", n, avg)
 	}

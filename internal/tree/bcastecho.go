@@ -203,9 +203,8 @@ func (pr *Protocol) clearSpec(sid congest.SessionID) {
 }
 
 // StartBroadcastEcho begins a broadcast-and-echo rooted at root over the
-// marked edges. The returned session completes (at the initiating driver)
-// with Combine's value at the root — CombineU's word, via AwaitU, on the
-// unboxed lane. The marked subgraph containing root must be a tree,
+// marked edges. The returned session completes with Combine's value at the
+// root — CombineU's word, read with Wake.U, on the unboxed lane. The marked subgraph containing root must be a tree,
 // otherwise the run panics — cycles are a protocol error here (Build-ST
 // handles cycles via elections, never via B&E).
 func (pr *Protocol) StartBroadcastEcho(root congest.NodeID, spec *Spec) congest.SessionID {

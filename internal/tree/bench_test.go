@@ -37,20 +37,14 @@ func BenchmarkBroadcastEcho(b *testing.B) {
 		},
 	}
 	waves := func(count int) {
-		nw.Spawn("be", func(p *congest.Proc) error {
-			for i := 0; i < count; i++ {
-				got, err := p.AwaitU(pr.StartBroadcastEcho(1, spec))
-				if err != nil {
-					return err
-				}
-				if want := uint64(n) * (n + 1) / 2; got != want {
-					b.Errorf("sum = %d, want %d", got, want)
-				}
+		for i := 0; i < count; i++ {
+			got, err := awaitU(nw, pr.StartBroadcastEcho(1, spec))
+			if err != nil {
+				b.Fatal(err)
 			}
-			return nil
-		})
-		if err := nw.Run(); err != nil {
-			b.Fatal(err)
+			if want := uint64(n) * (n + 1) / 2; got != want {
+				b.Errorf("sum = %d, want %d", got, want)
+			}
 		}
 	}
 	waves(1) // warm the message free list, the round buffers and the slots

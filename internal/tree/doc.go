@@ -47,10 +47,12 @@
 // them, and only the root node's handler (one node, hence one shard)
 // clears a session's entry — the table needs no locks.
 //
-// Derived randomness. Node-local random choices (NodeRand) are seeded by
-// the session's creation serial, never the packed ID or any engine
-// state, so draws are identical across slot-recycling orders and shard
-// counts.
+// Derived randomness. This package draws nothing. Callers seed their
+// node-local random choices from protocol values only (the run seed, the
+// phase, the node ID: see the fragmentRand and coinRand helpers in mst
+// and st), never from session IDs or any engine state, so draws are
+// identical across slot-recycling orders, shard counts and the number of
+// sessions opened before a build.
 //
 // Tree discipline. A broadcast-and-echo must run on a marked subgraph
 // that is a tree: a second broadcast arriving at a node in the same

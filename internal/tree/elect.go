@@ -116,9 +116,14 @@ func (pr *Protocol) StartElectAll() congest.SessionID {
 	return sid
 }
 
-// ElectAll is the blocking driver helper for StartElectAll.
-func (pr *Protocol) ElectAll(p *congest.Proc) (ElectResult, error) {
-	res, err := p.Await(pr.StartElectAll())
+// ElectAll runs one election wave between Runs: StartElectAll, then Run
+// up to the wave's quiescence, then Take.
+func (pr *Protocol) ElectAll() (ElectResult, error) {
+	sid := pr.StartElectAll()
+	if err := pr.nw.Run(); err != nil {
+		return ElectResult{}, err
+	}
+	res, err := pr.nw.Take(sid).Value()
 	if err != nil {
 		return ElectResult{}, err
 	}

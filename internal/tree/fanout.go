@@ -24,8 +24,8 @@ type Search interface {
 // PhaseStart/PhaseEnd annotations.
 //
 // A Fanout lives for one Build. Fragment counts only shrink from phase to
-// phase, so the searches, their task wrappers and the task slice are all
-// allocated in the first phase and re-armed afterwards: a warm phase
+// phase, so the searches and their task bodies are allocated in the first
+// phase and re-armed afterwards; with the engine's task pool, a warm phase
 // spawns its whole fan-out without allocating.
 type Fanout[S Search] struct {
 	pr        *Protocol
@@ -36,7 +36,6 @@ type Fanout[S Search] struct {
 	meter    congest.PhaseMeter
 	searches []S
 	frags    []fragment[S]
-	tasks    []*congest.Task
 }
 
 // NewFanout returns a fan-out over pr. proto names the protocol in the
@@ -51,12 +50,12 @@ func NewFanout[S Search](pr *Protocol, proto, prefix string, newSearch func() S)
 // elections, so their traffic is charged to the phase.
 func (f *Fanout[S]) Begin() { f.meter.Begin(f.pr.nw) }
 
-// Run executes the rest of the phase opened by Begin from the phase
-// controller p: arm and spawn one search per leader (in the given order,
-// which fixes session serials), join them, then the barrier and
-// ApplyStaged. It returns the phase's searches, index-aligned with
-// leaders and valid until the next Run, together with the phase cost.
-func (f *Fanout[S]) Run(p *congest.Proc, phase int, leaders []congest.NodeID) ([]S, congest.PhaseCosts, error) {
+// Run executes the rest of the phase opened by Begin: arm and spawn one
+// search per leader (in the given order, which fixes session serials),
+// run the network to the phase barrier, then ApplyStaged. It returns the
+// phase's searches, index-aligned with leaders and valid until the next
+// Run, together with the phase cost.
+func (f *Fanout[S]) Run(phase int, leaders []congest.NodeID) ([]S, congest.PhaseCosts, error) {
 	nw := f.pr.nw
 	if o := nw.Obs(); o != nil {
 		o.PhaseStart(f.proto, phase, len(leaders), nw.Now())
@@ -65,7 +64,6 @@ func (f *Fanout[S]) Run(p *congest.Proc, phase int, leaders []congest.NodeID) ([
 	if len(f.frags) < n {
 		f.frags = make([]fragment[S], n)
 	}
-	tasks := f.tasks[:0]
 	for i, leader := range leaders {
 		// New searches are built here, interleaved with the spawns: building
 		// all of phase 1's up front shifts the GC schedule and raised a 100k
@@ -77,20 +75,14 @@ func (f *Fanout[S]) Run(p *congest.Proc, phase int, leaders []congest.NodeID) ([
 		s.Arm(phase, leader)
 		fr := &f.frags[i]
 		fr.search, fr.pr, fr.leader, fr.adding = s, f.pr, leader, false
-		tasks = append(tasks, p.GoStepTagged(f.prefix, uint64(phase), uint64(leader), fr))
+		nw.SpawnStep(f.prefix, uint64(phase), uint64(leader), fr)
 	}
-	// Finished tasks go back to the engine's pool; a stale tail left over
-	// from a larger earlier phase must not keep them reachable.
-	if len(tasks) < len(f.tasks) {
-		clear(f.tasks[len(tasks):])
-	}
-	f.tasks = tasks
-	if err := p.WaitTasks(tasks...); err != nil {
+	// Phase barrier ("while time < i*maxTime wait"): Run returns once every
+	// search and Add-Edge broadcast has finished and the network is
+	// quiescent. Then the waiting nodes' local mark application.
+	if err := nw.Run(); err != nil {
 		return nil, congest.PhaseCosts{}, err
 	}
-	// Phase barrier ("while time < i*maxTime wait"), then the waiting
-	// nodes' local mark application.
-	p.AwaitQuiescence()
 	nw.ApplyStaged()
 	cost := f.meter.End()
 	if o := nw.Obs(); o != nil {

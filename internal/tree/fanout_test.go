@@ -70,20 +70,17 @@ func TestFanoutAddsFoundEdges(t *testing.T) {
 		4: nw.Node(4).EdgeTo(3).EdgeNum,
 	}
 	leaders := []congest.NodeID{1, 2, 3, 4}
-	var got []congest.NodeID
-	nw.Spawn("controller", func(p *congest.Proc) error {
-		fan := NewFanout(pr, "test", "pick", func() *pickSearch {
-			return &pickSearch{nw: nw, pick: pick}
-		})
-		fan.Begin()
-		searches, _, err := fan.Run(p, 1, leaders)
-		for _, s := range searches {
-			got = append(got, s.leader)
-		}
-		return err
+	fan := NewFanout(pr, "test", "pick", func() *pickSearch {
+		return &pickSearch{nw: nw, pick: pick}
 	})
-	if err := nw.Run(); err != nil {
+	fan.Begin()
+	searches, _, err := fan.Run(1, leaders)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var got []congest.NodeID
+	for _, s := range searches {
+		got = append(got, s.leader)
 	}
 	if !reflect.DeepEqual(got, leaders) {
 		t.Errorf("searches in order %v, want %v", got, leaders)

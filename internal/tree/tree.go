@@ -68,15 +68,6 @@ func Attach(nw *congest.Network) *Protocol {
 // Network returns the attached network.
 func (pr *Protocol) Network() *congest.Network { return pr.nw }
 
-// NodeRand returns a deterministic node-local RNG for a given session —
-// the node's private coin flips (e.g. the cycle-breaking choice in
-// Build-ST). The session's creation serial (not the packed ID) seeds the
-// stream, so the draws are independent of session-slot recycling and
-// identical to the historical monotonic-ID seeding.
-func (pr *Protocol) NodeRand(node congest.NodeID, sid congest.SessionID) *rng.RNG {
-	return rng.New(uint64(node)*0x9e3779b97f4a7c15 ^ sid.Serial()*0xbf58476d1ce4e5b9 ^ 0xc2b2ae3d27d4eb4f)
-}
-
 // SendMarkX asks the node across the (existing, typically unmarked) link
 // {from,to} to mark its half of the edge at the next barrier. Used by
 // drivers acting as the in-tree endpoint of a newly selected edge.

@@ -44,18 +44,11 @@ func TestBroadcastEchoSum(t *testing.T) {
 	for _, n := range []int{2, 5, 17} {
 		for _, root := range []congest.NodeID{1, congest.NodeID((n + 1) / 2), congest.NodeID(n)} {
 			nw, pr := pathNet(t, n)
-			var got uint64
-			nw.Spawn("be", func(p *congest.Proc) error {
-				v, err := p.Await(pr.StartBroadcastEcho(root, sumSpec()))
-				if err != nil {
-					return err
-				}
-				got = v.(uint64)
-				return nil
-			})
-			if err := nw.Run(); err != nil {
+			v, err := await(nw, pr.StartBroadcastEcho(root, sumSpec()))
+			if err != nil {
 				t.Fatal(err)
 			}
+			got := v.(uint64)
 			want := uint64(n*(n+1)) / 2
 			if got != want {
 				t.Errorf("n=%d root=%d: sum = %d, want %d", n, root, got, want)
@@ -73,18 +66,11 @@ func TestBroadcastEchoSingleton(t *testing.T) {
 	nw := congest.NewNetwork(g)
 	// nothing marked: node 2 is a singleton fragment.
 	pr := Attach(nw)
-	var got uint64
-	nw.Spawn("be", func(p *congest.Proc) error {
-		v, err := p.Await(pr.StartBroadcastEcho(2, sumSpec()))
-		if err != nil {
-			return err
-		}
-		got = v.(uint64)
-		return nil
-	})
-	if err := nw.Run(); err != nil {
+	v, err := await(nw, pr.StartBroadcastEcho(2, sumSpec()))
+	if err != nil {
 		t.Fatal(err)
 	}
+	got := v.(uint64)
 	if got != 2 {
 		t.Errorf("singleton sum = %d, want 2", got)
 	}
@@ -97,11 +83,7 @@ func TestBroadcastEchoRounds(t *testing.T) {
 	// From an end of a path, B&E takes 2*(n-1) rounds: n-1 down, n-1 up.
 	const n = 8
 	nw, pr := pathNet(t, n)
-	nw.Spawn("be", func(p *congest.Proc) error {
-		_, err := p.Await(pr.StartBroadcastEcho(1, sumSpec()))
-		return err
-	})
-	if err := nw.Run(); err != nil {
+	if _, err := await(nw, pr.StartBroadcastEcho(1, sumSpec())); err != nil {
 		t.Fatal(err)
 	}
 	if nw.Now() != 2*(n-1) {
@@ -112,18 +94,11 @@ func TestBroadcastEchoRounds(t *testing.T) {
 func TestBroadcastEchoAsync(t *testing.T) {
 	const n = 9
 	nw, pr := pathNet(t, n, congest.WithAsync(12), congest.WithSeed(7))
-	var got uint64
-	nw.Spawn("be", func(p *congest.Proc) error {
-		v, err := p.Await(pr.StartBroadcastEcho(4, sumSpec()))
-		if err != nil {
-			return err
-		}
-		got = v.(uint64)
-		return nil
-	})
-	if err := nw.Run(); err != nil {
+	v, err := await(nw, pr.StartBroadcastEcho(4, sumSpec()))
+	if err != nil {
 		t.Fatal(err)
 	}
+	got := v.(uint64)
 	if want := uint64(n*(n+1)) / 2; got != want {
 		t.Errorf("async sum = %d, want %d", got, want)
 	}
@@ -150,18 +125,11 @@ func TestBroadcastEchoChildEdgeValues(t *testing.T) {
 			return best
 		},
 	}
-	var got uint64
-	nw.Spawn("be", func(p *congest.Proc) error {
-		v, err := p.Await(pr.StartBroadcastEcho(1, spec))
-		if err != nil {
-			return err
-		}
-		got = v.(uint64)
-		return nil
-	})
-	if err := nw.Run(); err != nil {
+	v, err := await(nw, pr.StartBroadcastEcho(1, spec))
+	if err != nil {
 		t.Fatal(err)
 	}
+	got := v.(uint64)
 	if got != uint64(n-1) {
 		t.Errorf("max edge weight = %d, want %d", got, n-1)
 	}
@@ -182,17 +150,10 @@ func TestBroadcastEchoOnDownEmit(t *testing.T) {
 			emit.Send(5, KindMarkX, 16, nil)
 		}
 	}
-	nw.Spawn("be", func(p *congest.Proc) error {
-		if _, err := p.Await(pr.StartBroadcastEcho(1, spec)); err != nil {
-			return err
-		}
-		p.AwaitQuiescence()
-		nw.ApplyStaged()
-		return nil
-	})
-	if err := nw.Run(); err != nil {
+	if _, err := await(nw, pr.StartBroadcastEcho(1, spec)); err != nil {
 		t.Fatal(err)
 	}
+	nw.ApplyStaged()
 	if !nw.Node(5).EdgeTo(3).Marked || !nw.Node(3).EdgeTo(5).Marked {
 		t.Error("cross-edge mark did not propagate to both halves")
 	}
@@ -207,10 +168,7 @@ func TestBroadcastEchoPanicsOnCycle(t *testing.T) {
 	nw := congest.NewNetwork(g)
 	nw.SetForest([][2]congest.NodeID{{1, 2}, {2, 3}, {3, 4}, {1, 4}})
 	pr := Attach(nw)
-	nw.Spawn("be", func(p *congest.Proc) error {
-		_, err := p.Await(pr.StartBroadcastEcho(1, sumSpec()))
-		return err
-	})
+	pr.StartBroadcastEcho(1, sumSpec())
 	defer func() {
 		if recover() == nil {
 			t.Error("B&E over a cycle should panic")
@@ -221,16 +179,8 @@ func TestBroadcastEchoPanicsOnCycle(t *testing.T) {
 
 func electOn(t *testing.T, nw *congest.Network, pr *Protocol) ElectResult {
 	t.Helper()
-	var res ElectResult
-	nw.Spawn("elect", func(p *congest.Proc) error {
-		r, err := pr.ElectAll(p)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
-	})
-	if err := nw.Run(); err != nil {
+	res, err := pr.ElectAll()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -376,23 +326,17 @@ func TestElectMessageCountLinear(t *testing.T) {
 func TestElectConcurrentWithSecondWave(t *testing.T) {
 	// two consecutive waves on the same network must both work (state
 	// cleanup between sessions).
-	nw, pr := pathNet(t, 5)
-	nw.Spawn("double", func(p *congest.Proc) error {
-		r1, err := pr.ElectAll(p)
-		if err != nil {
-			return err
-		}
-		r2, err := pr.ElectAll(p)
-		if err != nil {
-			return err
-		}
-		if len(r1.Leaders) != 1 || len(r2.Leaders) != 1 || r1.Leaders[0] != r2.Leaders[0] {
-			t.Errorf("waves disagree: %v vs %v", r1.Leaders, r2.Leaders)
-		}
-		return nil
-	})
-	if err := nw.Run(); err != nil {
+	_, pr := pathNet(t, 5)
+	r1, err := pr.ElectAll()
+	if err != nil {
 		t.Fatal(err)
+	}
+	r2, err := pr.ElectAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r1.Leaders) != 1 || len(r2.Leaders) != 1 || r1.Leaders[0] != r2.Leaders[0] {
+		t.Errorf("waves disagree: %v vs %v", r1.Leaders, r2.Leaders)
 	}
 }
 
@@ -434,28 +378,21 @@ func TestBroadcastEchoOverflow(t *testing.T) {
 				}
 			}
 			var got [2]uint64
-			var sids [2]congest.SessionID
-			nw.Spawn("be", func(p *congest.Proc) error {
-				sids = [2]congest.SessionID{pr.StartBroadcastEcho(1, spec), pr.StartBroadcastEcho(n, spec)}
-				for i, sid := range sids {
-					if unboxed {
-						v, err := p.AwaitU(sid)
-						if err != nil {
-							return err
-						}
-						got[i] = v
-						continue
-					}
-					v, err := p.Await(sid)
+			sids := [2]congest.SessionID{pr.StartBroadcastEcho(1, spec), pr.StartBroadcastEcho(n, spec)}
+			for i, sid := range sids {
+				if unboxed {
+					v, err := awaitU(nw, sid)
 					if err != nil {
-						return err
+						t.Fatal(err)
 					}
-					got[i] = v.(uint64)
+					got[i] = v
+					continue
 				}
-				return nil
-			})
-			if err := nw.Run(); err != nil {
-				t.Fatal(err)
+				v, err := await(nw, sid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = v.(uint64)
 			}
 			if got != [2]uint64{want, want} {
 				t.Errorf("%s unboxed=%v: sums = %v, want %d each", sched.name, unboxed, got, want)
@@ -511,4 +448,20 @@ func TestBroadcastEchoStatePanics(t *testing.T) {
 	mustPanic("echo after the overflow state was released", "echo without broadcast state", up(sids[1]))
 	pr.releaseBE(node, sids[0])
 	mustPanic("echo after the slot was released", "echo without broadcast state", up(sids[0]))
+}
+
+// await runs the network to quiescence and takes the session's result.
+func await(nw *congest.Network, sid congest.SessionID) (any, error) {
+	if err := nw.Run(); err != nil {
+		return nil, err
+	}
+	return nw.Take(sid).Value()
+}
+
+// awaitU is await for an unboxed result.
+func awaitU(nw *congest.Network, sid congest.SessionID) (uint64, error) {
+	if err := nw.Run(); err != nil {
+		return 0, err
+	}
+	return nw.Take(sid).U()
 }
