@@ -98,8 +98,8 @@ storm-demo:
 # Serving-mode demo: a live topology-maintenance daemon over a 100k-node
 # graph under sustained churn, one shard per core. While it runs, :8080
 # serves the usual /timeline, /metrics and pprof endpoints plus the
-# WebSocket push stream at /ws — subscribe with
-# `go run ./cmd/kkt ws localhost:8080`. Durable state checkpoints to
+# Server-Sent Events push stream at /ws — subscribe with
+# `go run ./cmd/kkt ws localhost:8080` or `curl -N localhost:8080/ws`. Durable state checkpoints to
 # /tmp/kkt-serve.ckpt every 4 epochs; kill the daemon at any point and
 # re-run with `--resume` appended to pick up where it left off.
 serve-demo:

@@ -21,9 +21,9 @@
 //
 // --obs-listen serves live observability while trials run: JSON snapshots at
 // /timeline, Prometheus text at /metrics, and net/http/pprof at
-// /debug/pprof/. Under `kkt serve` it additionally mounts a WebSocket push
-// stream at /ws. Observation is passive — reports stay byte-identical with
-// it on or off.
+// /debug/pprof/. Under `kkt serve` it additionally mounts a Server-Sent
+// Events push stream at /ws. Observation is passive — reports stay
+// byte-identical with it on or off.
 package main
 
 import (
@@ -120,7 +120,7 @@ Commands:
   scaling  sweep size ladders and fit cost-vs-m exponents (the o(m) gate)
   serve    run the topology-maintenance daemon over an update stream
   trace    compile a fault plan into a replayable trace file
-  ws       subscribe to a serve daemon's WebSocket push stream
+  ws       subscribe to a serve daemon's push stream (Server-Sent Events)
 
 Run 'kkt <command> -h' for command flags.
 `)

@@ -3,10 +3,11 @@ package main
 // kkt serve / kkt trace / kkt ws: the live topology-maintenance daemon and
 // its companions. serve ingests an update stream (seeded churn generator or
 // a replayable trace file) through the admission queue against a live
-// engine, optionally pushing incremental observability deltas over a
-// WebSocket at /ws on the --obs-listen mux and checkpointing durable state
-// every epoch. trace compiles a fault plan into the replayable trace
-// format; ws is a minimal stream subscriber for scripts and smoke gates.
+// engine, optionally pushing incremental observability deltas as
+// Server-Sent Events at /ws on the --obs-listen mux and checkpointing
+// durable state every epoch. trace compiles a fault plan into the
+// replayable trace format; ws is a minimal stream subscriber for scripts
+// and smoke gates.
 import (
 	"context"
 	"errors"
@@ -342,7 +343,7 @@ func cmdWS(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if fs.NArg() < 1 {
-		err := errors.New("ws takes the daemon's URL (ws://host:port/ws, or just host:port)")
+		err := errors.New("ws takes the daemon's URL (http://host:port/ws, or just host:port)")
 		fmt.Fprintln(stderr, "kkt:", err)
 		return usageError{err}
 	}
@@ -352,7 +353,7 @@ func cmdWS(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if !strings.Contains(raw, "://") {
-		raw = "ws://" + raw
+		raw = "http://" + raw
 	}
 	u, err := url.Parse(raw)
 	if err != nil {
@@ -361,20 +362,17 @@ func cmdWS(args []string, stdout, stderr io.Writer) error {
 	if u.Path == "" || u.Path == "/" {
 		u.Path = "/ws"
 	}
-	c, err := serve.DialWS(u.String(), *timeout)
+	s, err := serve.Subscribe(u.String(), *timeout)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer s.Close()
 	for i := 0; *maxMsgs == 0 || i < *maxMsgs; i++ {
-		if *timeout > 0 {
-			c.SetReadDeadline(time.Now().Add(*timeout))
+		msg, err := s.Next(*timeout)
+		if errors.Is(err, serve.ErrClosed) {
+			return nil
 		}
-		msg, err := c.ReadMessage()
 		if err != nil {
-			if errors.Is(err, serve.ErrClosed) || errors.Is(err, io.EOF) {
-				return nil
-			}
 			return err
 		}
 		fmt.Fprintf(stdout, "%s\n", msg)

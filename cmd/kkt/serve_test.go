@@ -7,6 +7,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -119,11 +122,12 @@ func TestTraceExportReplayCLI(t *testing.T) {
 }
 
 // TestServeObsEndpoints boots the daemon with --obs-listen :0 and
-// --obs-addr-file, subscribes over the WebSocket while it runs, and
+// --obs-addr-file, subscribes to the push stream while it runs, and
 // checks (a) the bound address is published for scripts, (b) the push
 // stream delivers a full snapshot then deltas that reconstruct live
-// repair progress, (c) /metrics carries the serve recorder plus the
-// build-info/uptime families with exactly one HELP per family.
+// repair progress, (c) /metrics parses as Prometheus text, with one HELP
+// and one TYPE ahead of each family's samples, and carries the serve
+// recorder plus the build-info/uptime families.
 func TestServeObsEndpoints(t *testing.T) {
 	dir := t.TempDir()
 	addrFile := filepath.Join(dir, "obs.addr")
@@ -157,38 +161,33 @@ func TestServeObsEndpoints(t *testing.T) {
 		t.Fatalf("obs-addr-file never appeared; daemon exited %d:\n%s", r.code, r.errOut)
 	}
 
-	c, err := serve.DialWS("ws://"+addr+"/ws", 5*time.Second)
+	c, err := serve.Subscribe("http://"+addr+"/ws", 5*time.Second)
 	if err != nil {
 		select {
 		case r := <-done:
-			t.Fatalf("dial %s: %v; daemon already exited %d:\nstdout:\n%s\nstderr:\n%s", addr, err, r.code, r.out, r.errOut)
+			t.Fatalf("subscribe %s: %v; daemon already exited %d:\nstdout:\n%s\nstderr:\n%s", addr, err, r.code, r.out, r.errOut)
 		case <-time.After(2 * time.Second):
-			t.Fatalf("dial %s: %v (daemon still running)", addr, err)
+			t.Fatalf("subscribe %s: %v (daemon still running)", addr, err)
 		}
 	}
 	defer c.Close()
 
 	// Scrape /metrics while the daemon is live (it may finish its 4096
 	// events before the stream assertions below complete).
-	metrics := httpGet(t, "http://"+addr+"/metrics")
-	for _, want := range []string{
-		"kkt_build_info{", "kkt_uptime_seconds", `kkt_trial_messages_total{trial="serve"}`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
+	samples, err := parsePromText(httpGet(t, "http://"+addr+"/metrics"))
+	if err != nil {
+		t.Errorf("/metrics: %v", err)
 	}
-	for _, family := range []string{"kkt_build_info", "kkt_uptime_seconds", "kkt_trial_messages_total"} {
-		if n := strings.Count(metrics, "# HELP "+family+" "); n != 1 {
-			t.Errorf("family %s has %d HELP lines, want exactly 1", family, n)
+	for _, want := range []string{"kkt_build_info", "kkt_uptime_seconds", `kkt_trial_messages_total{trial="serve"}`} {
+		if !slices.ContainsFunc(samples, func(s string) bool { return s == want || strings.HasPrefix(s, want+"{") }) {
+			t.Errorf("/metrics has no sample %s", want)
 		}
 	}
 
 	var state obsv.Snapshot
 	sawFull, sawDelta, sawRepair := false, false, false
-	c.SetReadDeadline(time.Now().Add(20 * time.Second))
 	for i := 0; i < 500 && !(sawFull && sawDelta && sawRepair); i++ {
-		raw, err := c.ReadMessage()
+		raw, err := c.Next(20 * time.Second)
 		if err != nil {
 			break // daemon finished and closed
 		}
@@ -312,6 +311,59 @@ func TestHugeChurnRejected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// promSample is one Prometheus text-format sample line: name, optional
+// label set, value, optional timestamp.
+var promSample = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*")*\})?` +
+	` (\S+)(?: -?[0-9]+)?$`)
+
+// parsePromText checks text against the Prometheus text exposition format
+// (0.0.4) for the counter and gauge families /metrics emits, and returns
+// each sample's name and labels as written. Every line must be a comment
+// or parse as a sample, and each family needs exactly one HELP and one
+// TYPE, both ahead of its first sample.
+func parsePromText(text string) ([]string, error) {
+	help := map[string]bool{}
+	typ := map[string]string{}
+	sampled := map[string]bool{}
+	var samples []string
+	for i, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		fail := func(why string) error { return fmt.Errorf("line %d %q: %s", i+1, line, why) }
+		if comment, ok := strings.CutPrefix(line, "#"); ok {
+			kw, rest, _ := strings.Cut(strings.TrimPrefix(comment, " "), " ")
+			name, arg, _ := strings.Cut(rest, " ")
+			switch {
+			case kw != "HELP" && kw != "TYPE":
+				continue // a plain comment
+			case sampled[name]:
+				return nil, fail(kw + " after the family's samples")
+			case kw == "HELP" && help[name], kw == "TYPE" && typ[name] != "":
+				return nil, fail("second " + kw)
+			case kw == "TYPE" && arg != "counter" && arg != "gauge":
+				return nil, fail("unexpected type")
+			case kw == "HELP":
+				help[name] = true
+			default:
+				typ[name] = arg
+			}
+			continue
+		}
+		m := promSample.FindStringSubmatch(line)
+		if m == nil {
+			return nil, fail("not a sample line")
+		}
+		if _, err := strconv.ParseFloat(m[3], 64); err != nil {
+			return nil, fail("bad value")
+		}
+		if !help[m[1]] || typ[m[1]] == "" {
+			return nil, fail("sample before its family's HELP and TYPE")
+		}
+		sampled[m[1]] = true
+		samples = append(samples, m[1]+m[2])
+	}
+	return samples, nil
 }
 
 func httpGet(t *testing.T, url string) string {

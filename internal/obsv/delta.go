@@ -126,7 +126,9 @@ func Diff(prev, cur Snapshot) Delta {
 
 // Apply reconstructs the successor snapshot from base and a delta
 // produced by Diff against that same base. The result shares no memory
-// with either input.
+// with either input. A delta from elsewhere cannot grow the snapshot past
+// the recorder's bounds: phase updates outside [0, maxPhaseAggs) are
+// ignored and round samples are capped like events.
 func Apply(base Snapshot, d Delta) Snapshot {
 	s := base
 	// Deep-copy the slices/maps the shallow copy aliases.
@@ -158,7 +160,13 @@ func Apply(base Snapshot, d Delta) Snapshot {
 	} else if len(d.Samples) > 0 {
 		s.RoundSamples = append(s.RoundSamples, d.Samples...)
 	}
+	if n := len(s.RoundSamples); n > maxRoundSamples {
+		s.RoundSamples = s.RoundSamples[n-maxRoundSamples:]
+	}
 	for _, pu := range d.Phases {
+		if pu.Index < 0 || pu.Index >= maxPhaseAggs {
+			continue
+		}
 		for pu.Index >= len(s.Phases) {
 			s.Phases = append(s.Phases, PhaseAgg{})
 		}

@@ -95,6 +95,37 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzApplyDelta decodes arbitrary bytes as a delta, the way a stream
+// subscriber does, and applies it to an empty snapshot and to one whose
+// sample ring is full. Nothing may panic, and no slice may outgrow its
+// recorder bound. The seed corpus in testdata/fuzz/FuzzApplyDelta holds a
+// negative phase index (once an index-out-of-range panic), a far-out one
+// and a sample past the full ring (both once unbounded appends).
+func FuzzApplyDelta(f *testing.F) {
+	r := NewRecorder("fuzz-base")
+	byKind := make([]congest.KindCount, 2)
+	for i := 0; i < maxRoundSamples; i++ {
+		driveStep(r, i, byKind)
+	}
+	bases := []Snapshot{{}, r.Snapshot()}
+	if n := len(bases[1].RoundSamples); n != maxRoundSamples {
+		f.Fatalf("base holds %d round samples, want a full ring of %d", n, maxRoundSamples)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var d Delta
+		if json.Unmarshal(blob, &d) != nil {
+			return
+		}
+		for _, base := range bases {
+			s := Apply(base, d)
+			if len(s.Phases) > maxPhaseAggs || len(s.RoundSamples) > maxRoundSamples || len(s.Events) > maxEvents {
+				t.Fatalf("Apply grew the snapshot past its bounds: %d phases, %d samples, %d events",
+					len(s.Phases), len(s.RoundSamples), len(s.Events))
+			}
+		}
+	})
+}
+
 // diffSummary localizes a DeepEqual failure to the first differing field,
 // keeping the failure message readable.
 func diffSummary(got, want Snapshot) string {

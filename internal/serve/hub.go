@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -10,12 +11,12 @@ import (
 	"kkt/internal/obsv"
 )
 
-// Hub is the WebSocket push fan-out: any number of subscribers, each with
-// a bounded buffer a slow reader can only overflow for itself. The
-// publish path never blocks on a client — an overflowing client's
-// messages are counted dropped and its next delivered message is a full
-// snapshot resync (a delta stream with a gap is unrecoverable; see the
-// obsv delta contract).
+// Hub is the push-stream fan-out (Server-Sent Events at /ws): any number
+// of subscribers, each with a bounded buffer a slow reader can only
+// overflow for itself. The publish path never blocks on a client — an
+// overflowing client's messages are counted dropped and its next delivered
+// message is a full snapshot resync (a delta stream with a gap is
+// unrecoverable; see the obsv delta contract).
 //
 // The engine-side cost contract: with zero subscribers the per-wave
 // publish path is a single atomic load and a branch — no snapshot, no
@@ -31,7 +32,6 @@ type hubClient struct {
 	ch       chan []byte
 	needFull atomic.Bool
 	drops    atomic.Uint64
-	closed   chan struct{}
 }
 
 // hubClientBuffer bounds each subscriber's in-flight messages.
@@ -45,15 +45,17 @@ func NewHub() *Hub {
 // Subscribers returns the live subscriber count (the publish fast path).
 func (h *Hub) Subscribers() int { return int(h.subs.Load()) }
 
-// ServeHTTP upgrades the request and streams push messages until the
-// client disconnects or the daemon shuts the hub down.
+// ServeHTTP registers a subscriber, then streams push messages to it as
+// Server-Sent Events until the client disconnects or the server closes.
+// Registration comes before the response headers, so a client that has
+// seen them is already subscribed.
 func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	conn, brw := upgradeWS(w, r)
-	if conn == nil {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		http.Error(w, "push stream: GET required", http.StatusMethodNotAllowed)
 		return
 	}
-	defer conn.Close()
-	c := &hubClient{ch: make(chan []byte, hubClientBuffer), closed: make(chan struct{})}
+	c := &hubClient{ch: make(chan []byte, hubClientBuffer)}
 	c.needFull.Store(true) // first delivery is always a full snapshot
 	h.mu.Lock()
 	h.clients[c] = struct{}{}
@@ -66,37 +68,21 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.subs.Add(-1)
 	}()
 
-	// Both loops write to conn (text frames here, pong/close echoes from
-	// the reader goroutine); wmu keeps their frames from interleaving.
-	var wmu sync.Mutex
-
-	// Reader: drain client frames (answer pings, detect close/EOF) and
-	// signal the writer loop to stop.
-	go func() {
-		defer close(c.closed)
-		for {
-			_, _, err := readMessage(brw.Reader, func(op byte, payload []byte) error {
-				wmu.Lock()
-				defer wmu.Unlock()
-				return writeFrame(conn, op, false, payload)
-			})
-			if err != nil {
-				return
-			}
-		}
-	}()
-
+	rc := http.NewResponseController(w)
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	if rc.Flush() != nil {
+		return
+	}
 	for {
 		select {
 		case msg := <-c.ch:
-			conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-			wmu.Lock()
-			err := writeFrame(conn, opText, false, msg)
-			wmu.Unlock()
-			if err != nil {
+			_ = rc.SetWriteDeadline(time.Now().Add(30 * time.Second)) // ErrNotSupported: the write is unbounded
+			// json.Marshal escapes every newline: one message, one data line.
+			if _, err := fmt.Fprintf(w, "data: %s\n\n", msg); err != nil || rc.Flush() != nil {
 				return
 			}
-		case <-c.closed:
+		case <-r.Context().Done():
 			return
 		}
 	}
@@ -127,7 +113,7 @@ func (h *Hub) Broadcast(delta []byte, full func(drops uint64) []byte) {
 	}
 }
 
-// PushMsg is one WebSocket stream message. Exactly one of Full or Delta
+// PushMsg is one push-stream message. Exactly one of Full or Delta
 // is set: Full on first contact and after a drop gap (Drops then reports
 // how many messages that client missed in total), Delta otherwise.
 type PushMsg struct {

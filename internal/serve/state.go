@@ -1,8 +1,8 @@
 // Package serve turns the batch simulator into a long-lived
 // topology-maintenance daemon: an update-stream ingester feeding the
 // admission queue against a live engine, a checkpoint/resume layer that
-// makes multi-hour churn runs survive restarts, and a WebSocket push
-// layer streaming obsv snapshot deltas to subscribers.
+// makes multi-hour churn runs survive restarts, and a Server-Sent Events
+// push layer streaming obsv snapshot deltas to subscribers.
 //
 // The daemon's determinism story is epoch-based. Engine state (graph +
 // marked forest) is only durable at epoch boundaries, where every

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,14 +17,7 @@ import (
 	"kkt/internal/race"
 )
 
-// TestWSAcceptKey pins the RFC 6455 §1.3 worked example.
-func TestWSAcceptKey(t *testing.T) {
-	if got, want := wsAcceptKey("dGhlIHNhbXBsZSBub25jZQ=="), "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="; got != want {
-		t.Errorf("accept key = %q, want %q", got, want)
-	}
-}
-
-// TestHubStream subscribes a real dialed client to a hub and checks the
+// TestHubStream subscribes a real client to a hub and checks the
 // full-then-delta protocol: first message carries a full snapshot, later
 // ones deltas, and applying the deltas tracks the publisher's recorder.
 func TestHubStream(t *testing.T) {
@@ -30,32 +27,26 @@ func TestHubStream(t *testing.T) {
 	srv := httptest.NewServer(hub)
 	defer srv.Close()
 
-	c, err := DialWS(strings.Replace(srv.URL, "http://", "ws://", 1)+"/stream", 5*time.Second)
+	c, err := Subscribe(srv.URL+"/stream", 5*time.Second)
 	if err != nil {
-		t.Fatalf("dial: %v", err)
+		t.Fatalf("subscribe: %v", err)
 	}
 	defer c.Close()
-	for i := 0; i < 100 && hub.Subscribers() == 0; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
 	if hub.Subscribers() != 1 {
-		t.Fatal("subscriber never registered")
+		t.Fatal("subscriber not registered when Subscribe returned")
 	}
 
-	var byKind []congestKindCounts
-	_ = byKind
 	kinds := makeKindScratch()
 	for i := 0; i < 30; i++ {
 		driveStepServe(rec, i, kinds)
 		pub.Publish(ServeStats{Epoch: i / 10, EventsDone: i, EventsTotal: 30, QueueDepth: 30 - i})
 	}
 
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var state obsv.Snapshot
 	var got int
 	var sawDelta bool
 	for got < 5 {
-		raw, err := c.ReadMessage()
+		raw, err := c.Next(5 * time.Second)
 		if err != nil {
 			t.Fatalf("read message %d: %v", got, err)
 		}
@@ -98,7 +89,7 @@ func TestHubSlowClientResync(t *testing.T) {
 	rec := obsv.NewRecorder("slow-test")
 	pub := NewPublisher(hub, rec)
 
-	c := &hubClient{ch: make(chan []byte, hubClientBuffer), closed: make(chan struct{})}
+	c := &hubClient{ch: make(chan []byte, hubClientBuffer)}
 	c.needFull.Store(true)
 	hub.mu.Lock()
 	hub.clients[c] = struct{}{}
@@ -167,14 +158,11 @@ func TestServeWSEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(hub)
 	defer srv.Close()
 
-	c, err := DialWS(srv.URL, 5*time.Second)
+	c, err := Subscribe(srv.URL, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 100 && hub.Subscribers() == 0; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
 
 	cfg := Config{
 		Spec:        GraphSpec{Family: "gnm", N: 40, M: 120, Seed: 3},
@@ -200,11 +188,10 @@ func TestServeWSEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var state obsv.Snapshot
 	sawRepair := false
 	for i := 0; i < 200 && !sawRepair; i++ {
-		raw, err := c.ReadMessage()
+		raw, err := c.Next(5 * time.Second)
 		if err != nil {
 			break // stream drained
 		}
@@ -224,6 +211,135 @@ func TestServeWSEndToEnd(t *testing.T) {
 	if !sawRepair {
 		t.Error("subscriber never saw a finished repair in the live stream")
 	}
+}
+
+// TestStreamCloseUnsubscribes: a client that hangs up is dropped from the
+// hub, so the publisher goes back to its zero-cost idle path.
+func TestStreamCloseUnsubscribes(t *testing.T) {
+	hub := NewHub()
+	srv := httptest.NewServer(hub)
+	defer srv.Close()
+
+	c, err := Subscribe(srv.URL, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := hub.Subscribers(); n != 1 {
+		t.Fatalf("%d subscribers after Subscribe, want 1", n)
+	}
+	c.Close()
+	// The handler sees the hang-up asynchronously, through its request
+	// context.
+	deadline := time.Now().Add(5 * time.Second)
+	for hub.Subscribers() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := hub.Subscribers(); n != 0 {
+		t.Fatalf("%d subscribers after Close, want 0", n)
+	}
+}
+
+// TestStreamEndsOnServerClose: when the server shuts down (the daemon's
+// exit path), a subscriber's Next reports ErrClosed, not a read error.
+func TestStreamEndsOnServerClose(t *testing.T) {
+	hub := NewHub()
+	pub := NewPublisher(hub, obsv.NewRecorder("close-test"))
+	srv := httptest.NewServer(hub)
+	defer srv.Close()
+
+	c, err := Subscribe(srv.URL, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pub.Publish(ServeStats{Epoch: 1})
+	if _, err := c.Next(5 * time.Second); err != nil {
+		t.Fatalf("first message: %v", err)
+	}
+	srv.Config.Close()
+	if _, err := c.Next(5 * time.Second); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Next after server close = %v, want ErrClosed", err)
+	}
+}
+
+// TestHubRejectsNonGET: the stream is read-only; any other method gets 405
+// and registers nothing.
+func TestHubRejectsNonGET(t *testing.T) {
+	hub := NewHub()
+	w := httptest.NewRecorder()
+	hub.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/ws", strings.NewReader("x")))
+	if w.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST got %d, want 405", w.Code)
+	}
+	if got := w.Header().Get("Allow"); got != http.MethodGet {
+		t.Errorf("Allow = %q, want GET", got)
+	}
+	if n := hub.Subscribers(); n != 0 {
+		t.Errorf("rejected request left %d subscribers", n)
+	}
+}
+
+// FuzzReadEvent runs the SSE reader over arbitrary bytes with a 32-byte
+// message bound and checks it against refEvents, a line-split reading of
+// the same rules. Nothing may panic, no message may exceed the bound, and
+// an over-long line must be an error, never a bigger buffer. The seed
+// corpus in testdata/fuzz/FuzzReadEvent covers CRLF, comments, an empty
+// data line, two data lines, no trailing blank line and an over-long line.
+func FuzzReadEvent(f *testing.F) {
+	const max = 32
+	f.Fuzz(func(t *testing.T, in string) {
+		// The smallest bufio buffer, so long lines take the fragment path.
+		br := bufio.NewReaderSize(strings.NewReader(in), 16)
+		var got []string
+		var err error
+		for {
+			var ev []byte
+			if ev, err = readEvent(br, max); err != nil {
+				break
+			}
+			if len(ev) > max {
+				t.Fatalf("event of %d bytes passed the %d-byte bound", len(ev), max)
+			}
+			got = append(got, string(ev))
+		}
+		want, wantClosed := refEvents(in, max)
+		if !slices.Equal(got, want) {
+			t.Fatalf("events %q, want %q", got, want)
+		}
+		if closed := errors.Is(err, ErrClosed); closed != wantClosed {
+			t.Fatalf("stream ended with %v, want closed=%v", err, wantClosed)
+		}
+	})
+}
+
+// refEvents reads in by the SSE rules readEvent implements: the data of
+// each complete event, and whether the stream ends cleanly (false: a line
+// or a message over the bound).
+func refEvents(in string, max int) (events []string, closed bool) {
+	var data []string
+	for _, raw := range strings.SplitAfter(in, "\n") {
+		if len(raw) > max+len("data: \r\n") {
+			return events, false
+		}
+		if !strings.HasSuffix(raw, "\n") {
+			return events, true // unterminated: discarded at end of stream
+		}
+		line := strings.TrimSuffix(strings.TrimSuffix(raw, "\n"), "\r")
+		if line == "" {
+			if data != nil {
+				events = append(events, strings.Join(data, "\n"))
+			}
+			data = nil
+			continue
+		}
+		if field, value, _ := strings.Cut(line, ":"); field == "data" {
+			data = append(data, strings.TrimPrefix(value, " "))
+			if len(strings.Join(data, "\n")) > max {
+				return events, false
+			}
+		}
+	}
+	return events, true
 }
 
 // --- test helpers -----------------------------------------------------
