@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"kkt/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
@@ -34,6 +39,23 @@ func golden(t *testing.T, name string, got []byte) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("output differs from %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
+}
+
+// digestGolden pins a large JSON artifact by a readable fixture,
+// testdata/<name>: one line per trial of results, then the SHA-256 of the
+// full bytes, so any byte change fails while the fixture stays small
+// enough to review. -update rewrites it.
+func digestGolden(t *testing.T, name string, blob []byte, results []harness.Result) {
+	t.Helper()
+	var b strings.Builder
+	for _, res := range results {
+		for _, tm := range res.Trials {
+			fmt.Fprintf(&b, "%s trial=%d seed=%d messages=%d bits=%d time=%d phases=%d forest=%d valid=%v actions=%v\n",
+				res.Spec.Name, tm.Trial, tm.Seed, tm.Messages, tm.Bits, tm.Time, tm.Phases, tm.ForestEdges, tm.Valid, tm.Actions)
+		}
+	}
+	fmt.Fprintf(&b, "sha256 %x\n", sha256.Sum256(blob))
+	golden(t, name, []byte(b.String()))
 }
 
 // exec runs one CLI invocation and returns (exit code, stdout, stderr).
@@ -73,7 +95,11 @@ func TestRunJSONGolden(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
 	}
-	golden(t, "run_mst_build_fixed.json", []byte(out))
+	var res harness.Result
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatal(err)
+	}
+	digestGolden(t, "run_mst_build_fixed.digest.txt", []byte(out), []harness.Result{res})
 }
 
 func TestRunFlagsAfterScenarioName(t *testing.T) {
@@ -85,10 +111,10 @@ func TestRunFlagsAfterScenarioName(t *testing.T) {
 }
 
 // TestBenchGolden pins both the rendered table and the BENCH_*.json
-// report bytes for a fixed (filter, trials, seed). The report golden is
-// the regression gate for "identical seeds give byte-identical reports":
-// any core change that shifts message counts, timing or ordering for
-// these scenarios fails here.
+// report bytes (by digest) for a fixed (filter, trials, seed). The report
+// golden is the regression gate for "identical seeds give byte-identical
+// reports": any core change that shifts message counts, timing or
+// ordering for these scenarios fails here.
 func TestBenchGolden(t *testing.T) {
 	outPath := filepath.Join(t.TempDir(), "BENCH_test.json")
 	code, out, stderr := exec(t, "bench", "--filter", "ring", "--trials", "2", "--seed", "7", "--quiet", "--out", outPath)
@@ -102,7 +128,11 @@ func TestBenchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden(t, "bench_ring_report.json", blob)
+	var report harness.Report
+	if err := json.Unmarshal(blob, &report); err != nil {
+		t.Fatal(err)
+	}
+	digestGolden(t, "bench_ring_report.digest.txt", blob, report.Results)
 }
 
 func TestBenchJSONMatchesReportFile(t *testing.T) {

@@ -1,22 +1,16 @@
 // Package admit is the concurrent-repair admission queue: it turns a
 // compiled fault-plan event list into waves of overlapping repair drivers,
 // with deterministic conflict detection on fragment overlap and bounded,
-// seeded retry backoff. See doc.go for the safety argument. RunOne runs
-// the same drivers one at a time for updates applied on their own.
+// seeded retry backoff. See doc.go for the safety argument. Repairer
+// (repair.go) is the launcher and the one repair machine of both
+// maintained forests; Apply runs the same machine on its own for an
+// update applied alone.
 package admit
 
 import (
 	"kkt/internal/congest"
 	"kkt/internal/faultplan"
 )
-
-// Skipped is the inline action for events that cannot apply: their target
-// vanished (the edge to delete no longer exists, the pair to insert is
-// already linked) or the network refuses them (a weight outside its raw
-// range). The fault-plan compiler never emits such events against its own
-// model, but the queue tolerates them defensively — a hand-written plan
-// may race itself.
-const Skipped = "skipped"
 
 // Claim acquires the wave-start components of the given nodes. It is a
 // single-pass check-and-acquire: either every component is free (all are
@@ -29,7 +23,7 @@ type Claim func(nodes ...congest.NodeID) bool
 // plus the outcome label, valid once the task finished.
 type Repair interface {
 	congest.StepDriver
-	Action() string
+	Action() Action
 }
 
 // Decision is a Launcher's verdict on one event.
@@ -40,9 +34,8 @@ type Decision struct {
 	// Inline: the event was fully resolved at admission (no-op or skipped)
 	// with no driver to run. Action carries the outcome label.
 	Inline bool
-	// Action is the outcome label for inline decisions (e.g. "no-op",
-	// Skipped).
-	Action string
+	// Action is the outcome of inline decisions (NoOp or Skipped).
+	Action Action
 	// Op is the observer operation label ("mst.delete", "st.insert", ...);
 	// set for every non-deferred decision.
 	Op string
@@ -50,16 +43,19 @@ type Decision struct {
 	// inline/deferred decisions). The launcher has already applied the
 	// event's topology mutation under the granted claim.
 	Driver Repair
+	// Err says why a Skipped event could not apply; an update applied on
+	// its own (Apply) reports it.
+	Err error
 }
 
-// Launcher adapts one maintained structure (weighted MSF, spanning forest)
-// to the queue. Admit inspects an event against live topology and either
-// resolves it inline, defers it (claim conflict), or — after acquiring the
-// needed components via claim and applying the topology mutation — returns
-// a driver for the wave. Release returns a finished driver to the
-// launcher's pool.
+// Launcher adapts one maintained structure to the queue; Repairer is the
+// implementation for both the weighted MSF and the spanning forest. Admit
+// inspects an event against live topology and either resolves it inline,
+// defers it (claim conflict), or — after acquiring the needed components
+// via claim and applying the topology mutation — returns a driver for the
+// wave. Release returns a finished driver to the launcher's pool.
 type Launcher interface {
-	Admit(ev faultplan.Event, opSeed uint64, claim Claim) Decision
+	Admit(ev faultplan.Event, claim Claim) Decision
 	Release(r Repair)
 }
 
@@ -73,7 +69,7 @@ type Config struct {
 	MaxRetries int
 	// MaxBackoff bounds the seeded backoff delay, in waves (default 4).
 	MaxBackoff int
-	// Seed feeds the per-event operation seeds and the backoff hash.
+	// Seed feeds the backoff hash.
 	Seed uint64
 }
 
@@ -110,7 +106,7 @@ type Stats struct {
 
 // item is one pending event.
 type item struct {
-	idx     int // index in the original event list (stable op seed)
+	idx     int // index in the original event list (backoff hash, task name)
 	ev      faultplan.Event
 	delay   int // waves to sit out before the next admission attempt
 	retries int
@@ -122,9 +118,6 @@ type launchItem struct {
 	op     string
 	driver Repair
 }
-
-// opSeedPrime matches the sequential storm harness's per-op seed mixing.
-const opSeedPrime = 0xd6e8feb86659fd93
 
 // backoffDelay is the seeded, deterministic retry delay in waves: a pure
 // hash of (seed, event index, retry count), so reports stay byte-identical
@@ -153,9 +146,9 @@ func edgeOf(ev faultplan.Event) uint64 {
 // time), waves run one at a time via RunWave or to exhaustion via Drain,
 // and Suspend captures the pending backlog so a checkpointed daemon can
 // resume the exact admission schedule. Event indices are assigned at Push
-// and grow monotonically across batches: an event's operation seed is a
-// pure function of (Config.Seed, index), so a resumed queue derives the
-// same per-op seeds as an uninterrupted one.
+// and grow monotonically across batches: an event's backoff delays and
+// task names are pure functions of (Config.Seed, index), so a resumed
+// queue schedules exactly as an uninterrupted one.
 type Queue struct {
 	cfg   Config
 	stats Stats
@@ -262,7 +255,7 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 			next = append(next, it)
 			continue
 		}
-		dec := l.Admit(it.ev, cfg.Seed^uint64(it.idx+1)*opSeedPrime, claim)
+		dec := l.Admit(it.ev, claim)
 		switch {
 		case dec.Deferred:
 			it.retries++
@@ -272,7 +265,7 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 			next = append(next, it)
 		case dec.Inline:
 			q.stats.Inline++
-			q.stats.Actions[dec.Action]++
+			q.stats.Actions[dec.Action.String()]++
 			if dec.Action == Skipped {
 				q.stats.Skipped++
 			} else {
@@ -323,7 +316,7 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 	perBits := delta.Bits / uint64(len(wave))
 	doneTime := nw.Now()
 	for i := range wave {
-		action := wave[i].driver.Action()
+		action := wave[i].driver.Action().String()
 		q.stats.Actions[action]++
 		if obs != nil {
 			// Wave-amortized cost: the engine interleaves the wave's
@@ -379,8 +372,8 @@ func (q *Queue) Suspend() QueueState {
 }
 
 // ResumeQueue reconstructs a suspended queue. The config must match the
-// one the state was captured under (the backoff hash and op seeds depend
-// on it); the caller owns that contract.
+// one the state was captured under (the backoff hash depends on it); the
+// caller owns that contract.
 func ResumeQueue(cfg Config, st QueueState) *Queue {
 	q := NewQueue(cfg)
 	q.nextIdx = st.NextIdx
@@ -407,47 +400,13 @@ func Run(nw *congest.Network, events []faultplan.Event, l Launcher, cfg Config) 
 	return q.stats, err
 }
 
-// Cost is the metered cost of one repair run by RunOne: the engine's
-// message and bit deltas and the simulated time it took.
-type Cost struct {
-	Messages uint64
-	Bits     uint64
-	Time     int64
-}
-
-// RunOne runs a single repair to completion on an idle network — the
-// one-repair wave of an update applied on its own. The launcher-side
-// topology mutation must already be applied. RunOne brackets the repair
-// for the attached observer under op, runs it as the network's only
-// continuation task, and applies its staged marks once the engine is
-// quiescent. On a driver or engine error nothing is applied and the
-// bracket stays open.
-func RunOne(nw *congest.Network, op string, r Repair) (Cost, error) {
-	base, baseTime := nw.Counters(), nw.Now()
-	obs := nw.Obs()
-	if obs != nil {
-		obs.RepairStart(op, baseTime)
-	}
-	nw.SpawnStep(op, 0, 0, r)
-	if err := nw.Run(); err != nil {
-		return Cost{}, err
-	}
-	nw.ApplyStaged()
-	delta := nw.CountersSince(base)
-	c := Cost{Messages: delta.Messages, Bits: delta.Bits, Time: nw.Now() - baseTime}
-	if obs != nil {
-		obs.RepairDone(op, r.Action(), nw.Now(), c.Time, c.Messages, c.Bits)
-	}
-	return c, nil
-}
-
 // Inline brackets an update resolved without a driver (a no-op) for the
 // attached observer: a zero-cost RepairStart/RepairDone pair at the
 // current time.
-func Inline(nw *congest.Network, op, action string) {
+func Inline(nw *congest.Network, op string, action Action) {
 	if obs := nw.Obs(); obs != nil {
 		obs.RepairStart(op, nw.Now())
-		obs.RepairDone(op, action, nw.Now(), 0, 0, 0)
+		obs.RepairDone(op, action.String(), nw.Now(), 0, 0, 0)
 	}
 }
 

@@ -19,7 +19,7 @@ const SideCap = 4096
 
 // SideProber orients a repair at admission time: it orders the two
 // endpoints of a faulted edge so the one whose side of the *live* marked
-// forest is smaller comes first. Launchers call it after applying the
+// forest is smaller comes first. Repairer.Launch calls it after the
 // admission-time topology mutation (DeleteLink / unmark / InsertLink), so
 // a plain component walk from each endpoint measures exactly the tree the
 // repair's broadcasts will cover — the deleted or unmarked edge is no
@@ -30,7 +30,7 @@ const SideCap = 4096
 // count because NodeState.Edges is sorted by neighbour ID.
 //
 // The scratch is reused across calls; a prober is not safe for concurrent
-// use (launchers run admission scans single-threaded).
+// use (the queue runs admission scans single-threaded).
 type SideProber struct {
 	d duel
 }

@@ -47,31 +47,17 @@ func (v Variant) String() string {
 	}
 }
 
-// Reason explains a Result.
-type Reason int
+// Reason explains a Result: a search outcome.
+type Reason = tree.Outcome
 
 const (
 	// FoundEdge: a cut edge was found and verified.
-	FoundEdge Reason = iota + 1
+	FoundEdge = tree.FoundEdge
 	// EmptyCut: HP-TestOut certified (w.h.p.) there is no cut edge.
-	EmptyCut
+	EmptyCut = tree.EmptyCut
 	// GaveUp: attempts exhausted without a verified edge.
-	GaveUp
+	GaveUp = tree.GaveUp
 )
-
-// String implements fmt.Stringer.
-func (r Reason) String() string {
-	switch r {
-	case FoundEdge:
-		return "found"
-	case EmptyCut:
-		return "empty-cut"
-	case GaveUp:
-		return "gave-up"
-	default:
-		return fmt.Sprintf("Reason(%d)", int(r))
-	}
-}
 
 // Config tunes a run.
 type Config struct {

@@ -28,8 +28,8 @@ const (
 
 // Machine is FindAny (or FindAny-C) as an explicit state machine, the
 // package's one implementation: the Borůvka-style fan-out in internal/st
-// and the ST repairs wrap Machines in continuation tasks instead of parking
-// one goroutine per search. Reset re-arms a Machine in place; the embedded
+// and the spanning-forest repairs (internal/admit) run Machines as
+// continuation tasks instead of parking one goroutine per search. Reset re-arms a Machine in place; the embedded
 // probe specs and alpha buffer are reused, so a warm phase allocates
 // nothing per fragment.
 type Machine struct {
@@ -69,6 +69,9 @@ func (m *Machine) Reset(pr *tree.Protocol, root congest.NodeID, r *rng.RNG, cfg 
 
 // Result returns the outcome; valid once Step reported done.
 func (m *Machine) Result() (Result, error) { return m.res, m.err }
+
+// Found implements tree.Search.
+func (m *Machine) Found() (uint64, tree.Outcome) { return m.res.EdgeNum, m.res.Reason }
 
 // Step advances the machine: see congest.StepDriver for the contract.
 func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {

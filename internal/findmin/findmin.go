@@ -14,6 +14,7 @@ import (
 
 	"kkt/internal/congest"
 	"kkt/internal/sketch"
+	"kkt/internal/tree"
 )
 
 // q is the paper's lower bound on TestOut's success probability (the odd
@@ -45,34 +46,20 @@ func (v Variant) String() string {
 	}
 }
 
-// Reason explains a Result without an edge.
-type Reason int
+// Reason explains a Result: a search outcome.
+type Reason = tree.Outcome
 
 const (
 	// FoundEdge: the minimum cut edge was identified.
-	FoundEdge Reason = iota + 1
+	FoundEdge = tree.FoundEdge
 	// EmptyCut: HP-TestOut certified (w.h.p.) that no edge leaves the
 	// tree.
-	EmptyCut
+	EmptyCut = tree.EmptyCut
 	// GaveUp: the iteration budget ran out (FindMin-C's constant-
 	// probability failure mode; returns "no answer", never a wrong edge
 	// beyond HP-TestOut's n^-c).
-	GaveUp
+	GaveUp = tree.GaveUp
 )
-
-// String implements fmt.Stringer.
-func (r Reason) String() string {
-	switch r {
-	case FoundEdge:
-		return "found"
-	case EmptyCut:
-		return "empty-cut"
-	case GaveUp:
-		return "gave-up"
-	default:
-		return fmt.Sprintf("Reason(%d)", int(r))
-	}
-}
 
 // Config tunes a run. The zero value is not valid; use Defaults.
 type Config struct {

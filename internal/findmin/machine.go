@@ -28,9 +28,9 @@ const (
 
 // Machine is FindMin (or FindMin-C) as an explicit state machine: the
 // narrowing loop with each broadcast-and-echo await turned into a state.
-// One Machine searches from one root; the Borůvka fan-out and the repairs
-// in internal/mst wrap Machines in continuation tasks so a million-fragment
-// phase costs heap objects, not parked goroutine stacks. Reset re-arms a
+// One Machine searches from one root; the Borůvka fan-out and the MSF
+// repairs (internal/admit) run Machines as continuation tasks, so a
+// million-fragment phase costs heap objects, not parked goroutine stacks. Reset re-arms a
 // Machine in place — the embedded probe runners and alpha buffer are
 // reused, so a warm phase allocates nothing per fragment. Machine
 // implements congest.StepDriver; run it with Network.SpawnStep or a
@@ -74,6 +74,9 @@ func (m *Machine) Reset(pr *tree.Protocol, root congest.NodeID, r *rng.RNG, cfg 
 
 // Result returns the outcome; valid once Step reported done.
 func (m *Machine) Result() (Result, error) { return m.res, m.err }
+
+// Found implements tree.Search.
+func (m *Machine) Found() (uint64, tree.Outcome) { return m.res.EdgeNum, m.res.Reason }
 
 // Step advances the machine: see congest.StepDriver for the contract. The
 // first call (zero Wake) starts the survey; each later call consumes the

@@ -149,7 +149,7 @@ type BuildResult struct {
 func Build(nw *congest.Network, pr *tree.Protocol, g *Protocol) (BuildResult, error) {
 	var result BuildResult
 	maxPhases := int(math.Ceil(math.Log2(float64(nw.N())))) + 2
-	fan := tree.NewFanout(pr, "ghs", "ghs", func() *search { return &search{g: g} })
+	fan := tree.NewFanout(pr, "ghs", "ghs", func() *search { return &search{g: g} }, (*search).Arm)
 	for phase := 1; ; phase++ {
 		if phase > maxPhases {
 			return result, fmt.Errorf("ghs: exceeded %d phases — not converging", maxPhases)
@@ -169,7 +169,7 @@ func Build(nw *congest.Network, pr *tree.Protocol, g *Protocol) (BuildResult, er
 		}
 		stat := PhaseStat{Fragments: len(elect.Leaders)}
 		for _, s := range searches {
-			if _, ok := s.Found(); ok {
+			if _, o := s.Found(); o == tree.FoundEdge {
 				stat.Merges++
 			}
 		}
@@ -199,14 +199,20 @@ type search struct {
 	cand    candidate
 }
 
-// Arm implements tree.Search.
+// Arm readies the search for one phase's fragment (the fan-out's arm).
 func (s *search) Arm(phase int, leader congest.NodeID) {
 	s.leader, s.phase = leader, phase
 	s.started, s.cand = false, candidate{}
 }
 
-// Found implements tree.Search.
-func (s *search) Found() (uint64, bool) { return s.cand.edgeNum, s.cand.valid }
+// Found implements tree.Search. GHS is deterministic: a fragment without
+// a candidate has an empty cut.
+func (s *search) Found() (uint64, tree.Outcome) {
+	if !s.cand.valid {
+		return 0, tree.EmptyCut
+	}
+	return s.cand.edgeNum, tree.FoundEdge
+}
 
 // Step implements congest.StepDriver.
 func (s *search) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 
+	"kkt/internal/admit"
 	"kkt/internal/congest"
 	"kkt/internal/flood"
 	"kkt/internal/ghs"
@@ -307,55 +308,33 @@ func runRepairStorm(s Spec, nw *congest.Network, pr *tree.Protocol, g *graph.Gra
 
 	for opIdx, op := range ops {
 		opSeed := seed ^ uint64(opIdx+1)*0xd6e8feb86659fd93
-		switch op {
-		case opDelete:
-			a, b, ok := pickLink(nw, r)
-			if !ok {
-				m.Actions["skipped"]++
-				continue
-			}
-			var rep repairOutcome
-			var rerr error
-			if weighted {
-				rep, rerr = asOutcome(mst.Delete(nw, pr, a, b, mst.DefaultRepair(opSeed)))
-			} else {
-				rep, rerr = asSTOutcome(st.Delete(nw, pr, a, b, st.DefaultRepair(opSeed)))
-			}
-			if rerr != nil {
-				return m, nil, rerr
-			}
-			m.Actions[rep.action]++
-		case opInsert:
-			a, b, ok := pickNonLink(nw, r)
-			if !ok {
-				m.Actions["skipped"]++
-				continue
-			}
-			var rep repairOutcome
-			var rerr error
-			if weighted {
-				raw := r.Range(1, nw.MaxRaw())
-				rep, rerr = asOutcome(mst.Insert(nw, pr, a, b, raw, mst.DefaultRepair(opSeed)))
-			} else {
-				rep, rerr = asSTOutcome(st.Insert(nw, pr, a, b, st.DefaultRepair(opSeed)))
-			}
-			if rerr != nil {
-				return m, nil, rerr
-			}
-			m.Actions[rep.action]++
-		case opWeightChange:
-			a, b, ok := pickLink(nw, r)
-			if !ok {
-				m.Actions["skipped"]++
-				continue
-			}
-			raw := r.Range(1, nw.MaxRaw())
-			rep, rerr := asOutcome(mst.WeightChange(nw, pr, a, b, raw, mst.DefaultRepair(opSeed)))
-			if rerr != nil {
-				return m, nil, rerr
-			}
-			m.Actions[rep.action]++
+		pick := pickLink
+		if op == opInsert {
+			pick = pickNonLink
 		}
+		a, b, ok := pick(nw, r)
+		if !ok {
+			m.Actions[admit.Skipped.String()]++
+			continue
+		}
+		var rep admit.Report
+		var err error
+		switch {
+		case op == opDelete && weighted:
+			rep, err = mst.Delete(nw, pr, a, b, mst.DefaultRepair(opSeed))
+		case op == opDelete:
+			rep, err = st.Delete(nw, pr, a, b, st.DefaultRepair(opSeed))
+		case op == opInsert && weighted:
+			rep, err = mst.Insert(nw, pr, a, b, r.Range(1, nw.MaxRaw()), mst.DefaultRepair(opSeed))
+		case op == opInsert:
+			rep, err = st.Insert(nw, pr, a, b, st.DefaultRepair(opSeed))
+		default:
+			rep, err = mst.WeightChange(nw, pr, a, b, r.Range(1, nw.MaxRaw()), mst.DefaultRepair(opSeed))
+		}
+		if err != nil {
+			return m, nil, err
+		}
+		m.Actions[rep.Action.String()]++
 	}
 
 	delta := nw.CountersSince(base)
@@ -375,17 +354,6 @@ func runRepairStorm(s Spec, nw *congest.Network, pr *tree.Protocol, g *graph.Gra
 		m.Valid = spanning.IsSpanningForest(final, idx) == nil
 	}
 	return m, delta.ByKind, nil
-}
-
-// repairOutcome normalizes mst.Report / st.Report for tallying.
-type repairOutcome struct{ action string }
-
-func asOutcome(rep mst.Report, err error) (repairOutcome, error) {
-	return repairOutcome{action: rep.Action.String()}, err
-}
-
-func asSTOutcome(rep st.Report, err error) (repairOutcome, error) {
-	return repairOutcome{action: rep.Action.String()}, err
 }
 
 // pickLink draws a uniformly random node with at least one link, then a

@@ -119,8 +119,10 @@ func Build(nw *congest.Network, pr *tree.Protocol, cfg BuildConfig) (BuildResult
 	}
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
-	fan := tree.NewFanout(pr, "mst", "findmin", func() *search {
-		return &search{Machine: findmin.NewMachine(), pr: pr, cfg: &cfg}
+	// One FindMin-C per fragment, seeded per (phase, leader); the fan-out
+	// re-arms the searches across phases.
+	fan := tree.NewFanout(pr, "mst", "findmin", findmin.NewMachine, func(m *findmin.Machine, phase int, leader congest.NodeID) {
+		m.Reset(pr, leader, fragmentRand(cfg.Seed, phase, leader), cfg.FindMin)
 	})
 	for phase := 1; ; phase++ {
 		if phase > maxPhases {
@@ -146,28 +148,9 @@ func Build(nw *congest.Network, pr *tree.Protocol, cfg BuildConfig) (BuildResult
 	return result, nil
 }
 
-// search is one fragment's FindMin-C in a Borůvka phase, seeded per
-// (phase, leader); the fan-out re-arms it across phases.
-type search struct {
-	*findmin.Machine
-	pr  *tree.Protocol
-	cfg *BuildConfig
-}
-
-// Arm implements tree.Search.
-func (s *search) Arm(phase int, leader congest.NodeID) {
-	s.Reset(s.pr, leader, fragmentRand(s.cfg.Seed, phase, leader), s.cfg.FindMin)
-}
-
-// Found implements tree.Search.
-func (s *search) Found() (uint64, bool) {
-	res, _ := s.Result()
-	return res.EdgeNum, res.Reason == findmin.FoundEdge
-}
-
 // runPhase executes one Borůvka phase: elect leaders, then let the
 // fan-out run FindMin-C per fragment and add the edges found.
-func runPhase(pr *tree.Protocol, phase int, fan *tree.Fanout[*search]) (PhaseStat, error) {
+func runPhase(pr *tree.Protocol, phase int, fan *tree.Fanout[*findmin.Machine]) (PhaseStat, error) {
 	fan.Begin()
 	elect, err := pr.ElectAll()
 	if err != nil {

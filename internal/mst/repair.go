@@ -5,59 +5,37 @@ import (
 
 	"kkt/internal/admit"
 	"kkt/internal/congest"
+	"kkt/internal/faultplan"
 	"kkt/internal/findmin"
+	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
 
-// Action describes what a repair operation did.
-type Action int
+// Action describes what a repair operation did: admit.Action, whose
+// values an MSF repair produces are named here.
+type Action = admit.Action
 
 const (
 	// NoOp: the change did not affect the maintained forest.
-	NoOp Action = iota + 1
+	NoOp = admit.NoOp
 	// Reconnected: a replacement edge was found and marked.
-	Reconnected
+	Reconnected = admit.Reconnected
 	// Bridge: the deleted edge was a bridge; the component stays split.
-	Bridge
-	// Added: the inserted edge joined two trees (or beat nothing).
-	Added
+	Bridge = admit.Bridge
+	// Added: the inserted edge joined two trees.
+	Added = admit.Added
 	// Swapped: the inserted/cheapened edge replaced the heaviest path
 	// edge.
-	Swapped
+	Swapped = admit.Swapped
 	// Kept: the inserted/cheapened edge lost to the existing path.
-	Kept
+	Kept = admit.Kept
 	// Failed: the randomized search gave up (probability ~ n^-c for the
 	// Full variants); the forest may be left disconnected.
-	Failed
+	Failed = admit.Failed
 )
 
-// String implements fmt.Stringer.
-func (a Action) String() string {
-	switch a {
-	case NoOp:
-		return "no-op"
-	case Reconnected:
-		return "reconnected"
-	case Bridge:
-		return "bridge"
-	case Added:
-		return "added"
-	case Swapped:
-		return "swapped"
-	case Kept:
-		return "kept"
-	case Failed:
-		return "failed"
-	default:
-		return fmt.Sprintf("Action(%d)", int(a))
-	}
-}
-
 // Report is the outcome and cost of one repair operation.
-type Report struct {
-	Action Action
-	admit.Cost
-}
+type Report = admit.Report
 
 // RepairConfig tunes the repair operations.
 type RepairConfig struct {
@@ -79,14 +57,7 @@ func DefaultRepair(seed uint64) RepairConfig {
 // the replacement, if any. The network must be idle (impromptu repair is
 // between-updates state-free).
 func Delete(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg RepairConfig) (Report, error) {
-	existed, wasMarked := nw.DeleteLink(a, b)
-	if !existed {
-		return Report{}, fmt.Errorf("mst: delete of non-existent link {%d,%d}", a, b)
-	}
-	if !wasMarked {
-		return noOp(nw, "mst.delete"), nil
-	}
-	return runRepair(nw, pr, "mst.delete", true, a, b, cfg.Seed^uint64(a)<<32^uint64(b), cfg.FindMin)
+	return admit.Apply(nw, pr, msf(pr, cfg), faultplan.Event{Op: faultplan.OpDelete, A: uint32(a), B: uint32(b)})
 }
 
 // Insert processes the insertion of link {a,b} with the given raw weight
@@ -95,64 +66,87 @@ func Delete(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg Rep
 // tree path between them with one broadcast-and-echo; the new edge
 // replaces it if lighter. Deterministic, O(|T|) messages.
 func Insert(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, raw uint64, cfg RepairConfig) (Report, error) {
-	if err := nw.InsertLink(a, b, raw); err != nil {
-		return Report{}, err
-	}
-	return runRepair(nw, pr, "mst.insert", false, a, b, 0, cfg.FindMin)
+	return admit.Apply(nw, pr, msf(pr, cfg), faultplan.Event{Op: faultplan.OpInsert, A: uint32(a), B: uint32(b), Raw: raw})
 }
 
 // WeightChange processes a weight change on the existing link {a,b}
 // (paper Theorem 1.2 treats increases like deletions and decreases like
 // insertions).
 func WeightChange(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, newRaw uint64, cfg RepairConfig) (Report, error) {
+	return admit.Apply(nw, pr, msf(pr, cfg), faultplan.Event{Op: faultplan.OpWeightChange, A: uint32(a), B: uint32(b), Raw: newRaw})
+}
+
+// NewStormLauncher returns the admission-queue launcher maintaining the
+// MSF on nw/pr.
+func NewStormLauncher(nw *congest.Network, pr *tree.Protocol, cfg RepairConfig) *admit.Repairer[*findmin.Machine] {
+	return admit.NewRepairer(nw, pr, msf(pr, cfg))
+}
+
+// msf describes the maintained MSF to the shared repair machine: FindMin
+// reconnects deletes, the path-max echo settles inserts, and weight
+// changes are admitted by reweight.
+func msf(pr *tree.Protocol, cfg RepairConfig) admit.Structure[*findmin.Machine] {
+	return admit.Structure[*findmin.Machine]{
+		DeleteOp:  "mst.delete",
+		InsertOp:  "mst.insert",
+		Seed:      cfg.Seed,
+		NewSearch: findmin.NewMachine,
+		Arm: func(m *findmin.Machine, root congest.NodeID, r *rng.RNG) {
+			m.Reset(pr, root, r, cfg.FindMin)
+		},
+		Probe:    pathMaxSpec,
+		Settle:   settle,
+		Reweight: reweight,
+	}
+}
+
+// settle decides an insert into the root's tree from the path maximum pm:
+// the new edge replaces the heaviest path edge if it is lighter, else the
+// forest stays.
+func settle(nw *congest.Network, root, peer congest.NodeID, pm uint64) (*tree.Spec, admit.Action) {
+	he := nw.Node(root).EdgeTo(peer)
+	if he.Composite >= pm {
+		return nil, Kept
+	}
+	_, maxEdgeNum := nw.Layout().SplitComposite(pm)
+	return swapSpec(maxEdgeNum, he.EdgeNum), Swapped
+}
+
+// reweight admits a weight change (paper Theorem 1.2): an increase on a
+// tree edge unmarks it and repairs like a deletion, with the edge staying
+// available as its own (possibly best) replacement; a decrease on a
+// non-tree edge repairs like an insertion. The other directions leave the
+// MSF unchanged but still apply the new weight. SetRawWeight refuses an
+// out-of-range weight before any mark changes or repair launches.
+func reweight(r *admit.Repairer[*findmin.Machine], ev faultplan.Event, claim admit.Claim) admit.Decision {
+	const op = "mst.reweight"
+	nw := r.Network()
+	a, b := congest.NodeID(ev.A), congest.NodeID(ev.B)
 	he := nw.Node(a).EdgeTo(b)
 	if he == nil {
-		return Report{}, fmt.Errorf("mst: weight change on non-existent link {%d,%d}", a, b)
+		return admit.Skip(op, fmt.Errorf("%s: no link {%d,%d}", op, a, b))
 	}
 	oldRaw, wasMarked := he.Raw, he.Marked
-	if newRaw == oldRaw {
-		return noOp(nw, "mst.reweight"), nil
+	noOp := admit.Decision{Inline: true, Action: NoOp, Op: op}
+	if ev.Raw == oldRaw {
+		return noOp
 	}
-	if err := nw.SetRawWeight(a, b, newRaw); err != nil {
-		return Report{}, err
+	increase := wasMarked && ev.Raw > oldRaw
+	decrease := !wasMarked && ev.Raw < oldRaw
+	if (increase && !claim(a)) || (decrease && !claim(a, b)) {
+		return admit.Decision{Deferred: true}
+	}
+	if err := nw.SetRawWeight(a, b, ev.Raw); err != nil {
+		return admit.Skip(op, err)
 	}
 	switch {
-	case wasMarked && newRaw > oldRaw:
-		// Increase on a tree edge: both endpoints observe the change and
-		// unmark; then repair exactly like a deletion, except the edge
-		// itself stays available as its own (possibly best) replacement.
+	case increase:
 		nw.SetMark(a, b, false)
-		return runRepair(nw, pr, "mst.reweight", true, a, b, cfg.Seed^uint64(a)<<32^uint64(b)^0x5851f42d4c957f2d, cfg.FindMin)
-	case !wasMarked && newRaw < oldRaw:
-		// Decrease on a non-tree edge: like an insertion.
-		return runRepair(nw, pr, "mst.reweight", false, a, b, 0, cfg.FindMin)
-	default:
-		// Decrease on a tree edge / increase on a non-tree edge: the MSF
-		// is unchanged.
-		return noOp(nw, "mst.reweight"), nil
+		return r.Launch(op, true, a, b, 0x5851f42d4c957f2d)
+	case decrease:
+		return r.Launch(op, false, a, b, 0)
 	}
-}
-
-// noOp reports an update that leaves the forest unchanged, with the
-// zero-cost observer bracket every resolved update gets.
-func noOp(nw *congest.Network, op string) Report {
-	admit.Inline(nw, op, NoOp.String())
-	return Report{Action: NoOp}
-}
-
-// runRepair runs one repair machine on its own, initiated by the
-// smaller-ID endpoint (the paper's initiator) with the other as peer.
-func runRepair(nw *congest.Network, pr *tree.Protocol, op string, deleteStyle bool, a, b congest.NodeID, seed uint64, cfg findmin.Config) (Report, error) {
-	if b < a {
-		a, b = b, a
-	}
-	sr := &stormRepair{nw: nw, pr: pr, fm: findmin.NewMachine()}
-	sr.reset(deleteStyle, a, b, seed, cfg)
-	c, err := admit.RunOne(nw, op, sr)
-	if err != nil {
-		return Report{}, err
-	}
-	return Report{Action: sr.action, Cost: c}, nil
+	return noOp
 }
 
 // Path-max echo words. A node echoes pathMissing when the target is not in
@@ -160,7 +154,8 @@ func runRepair(nw *congest.Network, pr *tree.Protocol, op string, deleteStyle bo
 // largest composite weight on the tree path from it down to the target.
 // Composites are at least 1<<EdgeNumBits > 1, so the three never collide,
 // and the heaviest edge's number is the composite's low EdgeNumBits
-// (bitwidth.Layout.SplitComposite).
+// (bitwidth.Layout.SplitComposite). pathMissing is the 0 word that
+// admit.Structure's Probe echoes for a peer outside the tree.
 const (
 	pathMissing  uint64 = 0
 	pathAtTarget uint64 = 1

@@ -292,8 +292,9 @@ func (d *Daemon) Run(ctx context.Context) (Summary, error) {
 			l = st.NewStormLauncher(nw, pr, st.DefaultRepair(cfg.Seed))
 		}
 
-		// The queue's suspension record carries the global event index (op
-		// seeds depend on it) and cumulative stats across epochs.
+		// The queue's suspension record carries the global event index (the
+		// backoff hash and task names depend on it) and cumulative stats
+		// across epochs.
 		q := admit.ResumeQueue(admit.Config{Wave: cfg.Wave, Seed: cfg.Seed}, d.queue)
 		q.Push(events...)
 		for q.Pending() > 0 {

@@ -1,53 +1,33 @@
 package st
 
 import (
-	"fmt"
-
 	"kkt/internal/admit"
 	"kkt/internal/congest"
+	"kkt/internal/faultplan"
 	"kkt/internal/findany"
+	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
 
-// Action describes what an ST repair did.
-type Action int
+// Action describes what an ST repair did: admit.Action, whose values a
+// spanning-forest repair produces are named here.
+type Action = admit.Action
 
 const (
 	// NoOp: the change did not affect the maintained forest.
-	NoOp Action = iota + 1
+	NoOp = admit.NoOp
 	// Reconnected: a replacement edge was found and marked.
-	Reconnected
+	Reconnected = admit.Reconnected
 	// Bridge: the deleted edge was a bridge.
-	Bridge
+	Bridge = admit.Bridge
 	// Added: the inserted edge joined two trees.
-	Added
+	Added = admit.Added
 	// Failed: FindAny gave up (probability ~ n^-c for the Full variant).
-	Failed
+	Failed = admit.Failed
 )
 
-// String implements fmt.Stringer.
-func (a Action) String() string {
-	switch a {
-	case NoOp:
-		return "no-op"
-	case Reconnected:
-		return "reconnected"
-	case Bridge:
-		return "bridge"
-	case Added:
-		return "added"
-	case Failed:
-		return "failed"
-	default:
-		return fmt.Sprintf("Action(%d)", int(a))
-	}
-}
-
 // Report is the outcome and cost of one ST repair.
-type Report struct {
-	Action Action
-	admit.Cost
-}
+type Report = admit.Report
 
 // RepairConfig tunes ST repair.
 type RepairConfig struct {
@@ -65,15 +45,7 @@ func DefaultRepair(seed uint64) RepairConfig {
 // forest (paper §4.3): if it was a tree edge, the smaller-ID endpoint
 // finds any replacement with FindAny. Expected O(n) messages.
 func Delete(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg RepairConfig) (Report, error) {
-	existed, wasMarked := nw.DeleteLink(a, b)
-	if !existed {
-		return Report{}, fmt.Errorf("st: delete of non-existent link {%d,%d}", a, b)
-	}
-	if !wasMarked {
-		admit.Inline(nw, "st.delete", NoOp.String())
-		return Report{Action: NoOp}, nil
-	}
-	return runRepair(nw, pr, "st.delete", true, a, b, cfg.Seed^uint64(a)<<32^uint64(b), cfg.FindAny)
+	return admit.Apply(nw, pr, forest(pr, cfg), faultplan.Event{Op: faultplan.OpDelete, A: uint32(a), B: uint32(b)})
 }
 
 // Insert processes the insertion of link {a,b}: for an unweighted
@@ -81,43 +53,52 @@ func Delete(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg Rep
 // broadcast-and-echo from the smaller endpoint decides. Deterministic,
 // O(|T|) messages.
 func Insert(nw *congest.Network, pr *tree.Protocol, a, b congest.NodeID, cfg RepairConfig) (Report, error) {
-	if err := nw.InsertLink(a, b, 1); err != nil {
-		return Report{}, err
-	}
-	return runRepair(nw, pr, "st.insert", false, a, b, 0, cfg.FindAny)
+	return admit.Apply(nw, pr, forest(pr, cfg), faultplan.Event{Op: faultplan.OpInsert, A: uint32(a), B: uint32(b)})
 }
 
-// runRepair runs one repair machine on its own, initiated by the
-// smaller-ID endpoint (the paper's initiator) with the other as peer.
-func runRepair(nw *congest.Network, pr *tree.Protocol, op string, deleteStyle bool, a, b congest.NodeID, seed uint64, cfg findany.Config) (Report, error) {
-	if b < a {
-		a, b = b, a
+// NewStormLauncher returns the admission-queue launcher maintaining the
+// spanning forest on nw/pr. Weight-change events are invalid for the
+// unweighted structure and are skipped defensively (Spec validation
+// rejects such plans).
+func NewStormLauncher(nw *congest.Network, pr *tree.Protocol, cfg RepairConfig) *admit.Repairer[*findany.Machine] {
+	return admit.NewRepairer(nw, pr, forest(pr, cfg))
+}
+
+// forest describes the maintained spanning forest to the shared repair
+// machine: FindAny reconnects deletes, and the membership echo decides
+// inserts.
+func forest(pr *tree.Protocol, cfg RepairConfig) admit.Structure[*findany.Machine] {
+	return admit.Structure[*findany.Machine]{
+		DeleteOp:  "st.delete",
+		InsertOp:  "st.insert",
+		Seed:      cfg.Seed,
+		NewSearch: findany.NewMachine,
+		Arm: func(m *findany.Machine, root congest.NodeID, r *rng.RNG) {
+			m.Reset(pr, root, r, cfg.FindAny)
+		},
+		Probe: containsSpec,
+		Settle: func(*congest.Network, congest.NodeID, congest.NodeID, uint64) (*tree.Spec, admit.Action) {
+			return nil, NoOp // same tree: a spanning forest ignores the edge
+		},
 	}
-	sr := &stormRepair{nw: nw, pr: pr, fa: findany.NewMachine()}
-	sr.reset(deleteStyle, a, b, seed, cfg)
-	c, err := admit.RunOne(nw, op, sr)
-	if err != nil {
-		return Report{}, err
-	}
-	return Report{Action: sr.action, Cost: c}, nil
 }
 
 // containsSpec builds the membership broadcast-and-echo spec: is target
-// in the root's tree?
+// in the root's tree? The echo is the OR of the subtree's membership
+// bits, one word on the unboxed lane.
 func containsSpec(target congest.NodeID) *tree.Spec {
 	return &tree.Spec{
 		Down:     target,
 		DownBits: 32,
 		UpBits:   1,
-		Local: func(node *congest.NodeState, down any) any {
-			return node.ID == down.(congest.NodeID)
-		},
-		Combine: func(node *congest.NodeState, down, local any, children []tree.ChildEcho) any {
-			found := local.(bool)
-			for _, c := range children {
-				found = found || c.Value.(bool)
+		LocalU: func(node *congest.NodeState, down any) uint64 {
+			if node.ID == down.(congest.NodeID) {
+				return 1
 			}
-			return found
+			return 0
+		},
+		CombineU: func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
+			return acc | child
 		},
 	}
 }

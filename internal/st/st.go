@@ -116,8 +116,10 @@ func Build(nw *congest.Network, pr *tree.Protocol, sp *Protocol, cfg BuildConfig
 	}
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
-	fan := tree.NewFanout(pr, "st", "findany", func() *search {
-		return &search{Machine: findany.NewMachine(), pr: pr, cfg: &cfg}
+	// One FindAny-C per fragment, seeded per (phase, leader); the fan-out
+	// re-arms the searches across phases.
+	fan := tree.NewFanout(pr, "st", "findany", findany.NewMachine, func(m *findany.Machine, phase int, leader congest.NodeID) {
+		m.Reset(pr, leader, fragmentRand(cfg.Seed, phase, leader), cfg.FindAny)
 	})
 	for phase := 1; ; phase++ {
 		if phase > maxPhases {
@@ -140,28 +142,9 @@ func Build(nw *congest.Network, pr *tree.Protocol, sp *Protocol, cfg BuildConfig
 	return result, nil
 }
 
-// search is one fragment's FindAny-C in a Build-ST phase, seeded per
-// (phase, leader); the fan-out re-arms it across phases.
-type search struct {
-	*findany.Machine
-	pr  *tree.Protocol
-	cfg *BuildConfig
-}
-
-// Arm implements tree.Search.
-func (s *search) Arm(phase int, leader congest.NodeID) {
-	s.Reset(s.pr, leader, fragmentRand(s.cfg.Seed, phase, leader), s.cfg.FindAny)
-}
-
-// Found implements tree.Search.
-func (s *search) Found() (uint64, bool) {
-	res, _ := s.Result()
-	return res.EdgeNum, res.Reason == findany.FoundEdge
-}
-
 // runPhase: detect and break cycles left by the previous phase's merges,
 // then elect leaders and let the fan-out run FindAny-C per fragment.
-func (sp *Protocol) runPhase(pr *tree.Protocol, seed uint64, phase int, fan *tree.Fanout[*search]) (PhaseStat, error) {
+func (sp *Protocol) runPhase(pr *tree.Protocol, seed uint64, phase int, fan *tree.Fanout[*findany.Machine]) (PhaseStat, error) {
 	nw := sp.nw
 	fan.Begin()
 	var stat PhaseStat

@@ -84,7 +84,7 @@ func TestFanoutWarmPhaseAllocs(t *testing.T) {
 	for i := range leaders {
 		leaders[i] = congest.NodeID(i + 1)
 	}
-	fan := NewFanout(pr, "test", "pick", func() *pickSearch { return &pickSearch{nw: nw} })
+	fan := NewFanout(pr, "test", "pick", func() *pickSearch { return &pickSearch{nw: nw} }, (*pickSearch).Arm)
 	phase := 0
 	runPhase := func() {
 		phase++

@@ -1,19 +1,46 @@
 package tree
 
-import "kkt/internal/congest"
+import (
+	"fmt"
 
-// Search is one fragment's per-phase search in a Borůvka fan-out: a
-// continuation driver rooted at the fragment leader that, once finished,
-// reports the outgoing edge it selected. FindMin-C (Build MST), FindAny-C
-// (Build ST) and the GHS convergecast are the three searches.
+	"kkt/internal/congest"
+)
+
+// Outcome is how a finished Search ended.
+type Outcome int
+
+const (
+	// FoundEdge: the search selected an outgoing edge.
+	FoundEdge Outcome = iota + 1
+	// EmptyCut: no edge leaves the tree (w.h.p. for the sketch searches).
+	EmptyCut
+	// GaveUp: the randomized search spent its budget without an answer.
+	GaveUp
+)
+
+// String implements fmt.Stringer.
+func (o Outcome) String() string {
+	switch o {
+	case FoundEdge:
+		return "found"
+	case EmptyCut:
+		return "empty-cut"
+	case GaveUp:
+		return "gave-up"
+	default:
+		return fmt.Sprintf("Outcome(%d)", int(o))
+	}
+}
+
+// Search is a search for an edge leaving the tree of its root, run as a
+// continuation driver: FindMin (the MSF), FindAny (the spanning forest)
+// or the GHS convergecast. Borůvka phases run one per fragment under
+// Fanout; repairs run one per deleted tree edge.
 type Search interface {
 	congest.StepDriver
-	// Arm readies the search for the fragment led by leader in the given
-	// phase. The fan-out calls it immediately before spawning the search.
-	Arm(phase int, leader congest.NodeID)
-	// Found reports the edge a successfully finished search selected; ok
-	// is false when the fragment adds no edge this phase.
-	Found() (edgeNum uint64, ok bool)
+	// Found reports how a finished search ended and, for FoundEdge, the
+	// edge it selected.
+	Found() (edgeNum uint64, o Outcome)
 }
 
 // Fanout is the shared body of a Borůvka phase (paper §3.3): given the
@@ -32,6 +59,7 @@ type Fanout[S Search] struct {
 	proto     string
 	prefix    string
 	newSearch func() S
+	arm       func(s S, phase int, leader congest.NodeID)
 
 	meter    congest.PhaseMeter
 	searches []S
@@ -40,10 +68,11 @@ type Fanout[S Search] struct {
 
 // NewFanout returns a fan-out over pr. proto names the protocol in the
 // observer's phase annotations ("mst"), prefix names the per-fragment
-// tasks ("<prefix>-p<phase>-f<leader>"), and newSearch builds a search
-// whenever a phase has more fragments than any before it.
-func NewFanout[S Search](pr *Protocol, proto, prefix string, newSearch func() S) *Fanout[S] {
-	return &Fanout[S]{pr: pr, proto: proto, prefix: prefix, newSearch: newSearch}
+// tasks ("<prefix>-p<phase>-f<leader>"), newSearch builds a search
+// whenever a phase has more fragments than any before it, and arm readies
+// one for the fragment led by leader, immediately before it is spawned.
+func NewFanout[S Search](pr *Protocol, proto, prefix string, newSearch func() S, arm func(s S, phase int, leader congest.NodeID)) *Fanout[S] {
+	return &Fanout[S]{pr: pr, proto: proto, prefix: prefix, newSearch: newSearch, arm: arm}
 }
 
 // Begin opens a phase's cost bracket. Call it before the phase's
@@ -72,7 +101,7 @@ func (f *Fanout[S]) Run(phase int, leaders []congest.NodeID) ([]S, congest.Phase
 			f.searches = append(f.searches, f.newSearch())
 		}
 		s := f.searches[i]
-		s.Arm(phase, leader)
+		f.arm(s, phase, leader)
 		fr := &f.frags[i]
 		fr.search, fr.pr, fr.leader, fr.adding = s, f.pr, leader, false
 		nw.SpawnStep(f.prefix, uint64(phase), uint64(leader), fr)
@@ -114,8 +143,8 @@ func (fr *fragment[S]) Step(t *congest.Task, w congest.Wake) (congest.SessionID,
 	if err != nil {
 		return 0, true, err
 	}
-	edgeNum, ok := fr.search.Found()
-	if !ok {
+	edgeNum, o := fr.search.Found()
+	if o != FoundEdge {
 		return 0, true, nil
 	}
 	fr.adding = true

@@ -23,9 +23,11 @@ func (s *pickSearch) Arm(phase int, leader congest.NodeID) {
 	s.leader, s.started = leader, false
 }
 
-func (s *pickSearch) Found() (uint64, bool) {
-	e := s.pick[s.leader]
-	return e, e != 0
+func (s *pickSearch) Found() (uint64, Outcome) {
+	if e := s.pick[s.leader]; e != 0 {
+		return e, FoundEdge
+	}
+	return 0, EmptyCut
 }
 
 func (s *pickSearch) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
@@ -72,7 +74,7 @@ func TestFanoutAddsFoundEdges(t *testing.T) {
 	leaders := []congest.NodeID{1, 2, 3, 4}
 	fan := NewFanout(pr, "test", "pick", func() *pickSearch {
 		return &pickSearch{nw: nw, pick: pick}
-	})
+	}, (*pickSearch).Arm)
 	fan.Begin()
 	searches, _, err := fan.Run(1, leaders)
 	if err != nil {
