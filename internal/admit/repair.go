@@ -220,8 +220,8 @@ func (r *Repairer[S]) Admit(ev faultplan.Event, claim Claim) Decision {
 
 	case faultplan.OpInsert:
 		op := r.s.InsertOp
-		if a == b || r.nw.Node(a).EdgeTo(b) != nil {
-			return Skip(op, fmt.Errorf("%s: {%d,%d} is a self-loop or an existing link", op, a, b))
+		if a == b || min(a, b) == 0 || int(max(a, b)) > r.nw.N() || r.nw.Node(a).EdgeTo(b) != nil {
+			return Skip(op, fmt.Errorf("%s: {%d,%d} is not a new link between two nodes", op, a, b))
 		}
 		if !claim(a, b) {
 			return Decision{Deferred: true}

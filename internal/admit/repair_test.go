@@ -97,6 +97,12 @@ func TestLauncherInlineBranches(t *testing.T) {
 			},
 		},
 		{
+			name: "insert-no-such-node", algos: []string{"mst", "st"}, action: admit.Skipped,
+			event: func(n net) faultplan.Event {
+				return faultplan.Event{Op: faultplan.OpInsert, A: 1, B: uint32(n.g.N) + 1, Raw: 5}
+			},
+		},
+		{
 			name: "insert-existing", algos: []string{"mst", "st"}, action: admit.Skipped,
 			event: func(n net) faultplan.Event {
 				e := edge(n, true)

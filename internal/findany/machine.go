@@ -29,9 +29,9 @@ const (
 // Machine is FindAny (or FindAny-C) as an explicit state machine, the
 // package's one implementation: the Borůvka-style fan-out in internal/st
 // and the spanning-forest repairs (internal/admit) run Machines as
-// continuation tasks instead of parking one goroutine per search. Reset re-arms a Machine in place; the embedded
-// probe specs and alpha buffer are reused, so a warm phase allocates
-// nothing per fragment.
+// continuation tasks instead of parking one goroutine per search. Reset
+// re-arms a Machine in place; the embedded probe specs and alpha buffer
+// are reused, so a warm phase allocates nothing per fragment.
 type Machine struct {
 	pr   *tree.Protocol
 	root congest.NodeID

@@ -30,11 +30,11 @@ const (
 // narrowing loop with each broadcast-and-echo await turned into a state.
 // One Machine searches from one root; the Borůvka fan-out and the MSF
 // repairs (internal/admit) run Machines as continuation tasks, so a
-// million-fragment phase costs heap objects, not parked goroutine stacks. Reset re-arms a
-// Machine in place — the embedded probe runners and alpha buffer are
-// reused, so a warm phase allocates nothing per fragment. Machine
-// implements congest.StepDriver; run it with Network.SpawnStep or a
-// fan-out.
+// million-fragment phase costs heap objects, not parked goroutine stacks.
+// Reset re-arms a Machine in place — the embedded probe runners and alpha
+// buffer are reused, so a warm phase allocates nothing per fragment.
+// Machine implements congest.StepDriver and tree.Search; run it with
+// Network.SpawnStep or a fan-out.
 type Machine struct {
 	pr   *tree.Protocol
 	root congest.NodeID
