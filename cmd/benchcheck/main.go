@@ -10,12 +10,13 @@
 // compare exits non-zero when a pinned micro-benchmark regresses: an
 // allocs/op increase beyond its (small) relative tolerance — which keeps
 // zero-alloc baselines strict, since any allocation on a 0 baseline is an
-// infinite relative increase — or an ns/op increase beyond the ns
+// infinite relative increase — a bytes/op increase beyond bytesTol on a
+// benchmark whose baseline allocates, or an ns/op increase beyond the ns
 // tolerance. ns/op is only compared when both artifacts were measured on
 // the same CPU (the `cpu:` line go test prints): cross-machine wall-clock
-// deltas are noise, while allocation counts are near-deterministic (the
-// small tolerance absorbs sync.Pool/GC timing jitter on macro benchmarks)
-// and always enforced.
+// deltas are noise, while allocation counts and sizes are
+// near-deterministic (the small tolerances absorb sync.Pool/GC timing
+// jitter on macro benchmarks) and always enforced.
 package main
 
 import (
@@ -29,6 +30,14 @@ import (
 	"strconv"
 	"strings"
 )
+
+// bytesTol is the allowed fractional bytes/op regression. Over 5
+// `make bench-micro` runs on one 2-vCPU host, bytes/op spread by at most
+// 0.83% (BenchmarkRepairStorm1024); 5% leaves room for GC timing on
+// another host. A benchmark whose baseline allocates nothing is held by
+// its allocs/op instead: its bytes/op are sync.Pool refills after a GC
+// (BenchmarkBroadcastEcho measured 0 and 262 B/op at 0 allocs/op).
+const bytesTol = 0.05
 
 // Bench is one benchmark's pinned numbers.
 type Bench struct {
@@ -195,6 +204,11 @@ func cmdCompare(args []string) int {
 				name, b.AllocsPerOp, f.AllocsPerOp, 100**allocsTol)
 			bad = true
 		}
+		if b.AllocsPerOp > 0 && f.BytesPerOp > b.BytesPerOp*(1+bytesTol) {
+			fmt.Fprintf(os.Stderr, "FAIL %s: bytes/op %.0f -> %.0f (+%.1f%%, tolerance %.0f%%)\n",
+				name, b.BytesPerOp, f.BytesPerOp, 100*(f.BytesPerOp/b.BytesPerOp-1), 100*bytesTol)
+			bad = true
+		}
 		if sameCPU && b.NsPerOp > 0 && f.NsPerOp > b.NsPerOp*(1+*nsTol) {
 			fmt.Fprintf(os.Stderr, "FAIL %s: ns/op %.1f -> %.1f (+%.1f%%, tolerance %.0f%%)\n",
 				name, b.NsPerOp, f.NsPerOp, 100*(f.NsPerOp/b.NsPerOp-1), 100**nsTol)
@@ -203,8 +217,8 @@ func cmdCompare(args []string) int {
 		if bad {
 			failed = true
 		} else {
-			fmt.Printf("ok   %s: ns/op %.1f -> %.1f, allocs/op %.0f -> %.0f\n",
-				name, b.NsPerOp, f.NsPerOp, b.AllocsPerOp, f.AllocsPerOp)
+			fmt.Printf("ok   %s: ns/op %.1f -> %.1f, B/op %.0f -> %.0f, allocs/op %.0f -> %.0f\n",
+				name, b.NsPerOp, f.NsPerOp, b.BytesPerOp, f.BytesPerOp, b.AllocsPerOp, f.AllocsPerOp)
 		}
 	}
 	// A fresh-only benchmark is not gated at all — surface it loudly so a

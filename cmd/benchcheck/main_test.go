@@ -63,7 +63,10 @@ func TestCompareGates(t *testing.T) {
 		"BenchmarkSend": {NsPerOp: 100, AllocsPerOp: 0},
 	}}
 	macroBase := Artifact{CPU: "cpuX", Benchmarks: map[string]Bench{
-		"BenchmarkBuild": {NsPerOp: 1000, AllocsPerOp: 2000},
+		"BenchmarkBuild": {NsPerOp: 1000, BytesPerOp: 100000, AllocsPerOp: 2000},
+	}}
+	pooledBase := Artifact{CPU: "cpuX", Benchmarks: map[string]Bench{
+		"BenchmarkEcho": {NsPerOp: 1000, BytesPerOp: 40, AllocsPerOp: 0},
 	}}
 	for _, tc := range []struct {
 		name  string
@@ -75,6 +78,14 @@ func TestCompareGates(t *testing.T) {
 			"BenchmarkBuild": {NsPerOp: 1000, AllocsPerOp: 2030}}}, 0},
 		{"macro-allocs-real-regression", &macroBase, Artifact{CPU: "cpuX", Benchmarks: map[string]Bench{
 			"BenchmarkBuild": {NsPerOp: 1000, AllocsPerOp: 2500}}}, 1},
+		{"macro-bytes-jitter-within-tolerance", &macroBase, Artifact{CPU: "cpuX", Benchmarks: map[string]Bench{
+			"BenchmarkBuild": {NsPerOp: 1000, BytesPerOp: 103000, AllocsPerOp: 2000}}}, 0},
+		{"macro-bytes-real-regression", &macroBase, Artifact{CPU: "cpuX", Benchmarks: map[string]Bench{
+			"BenchmarkBuild": {NsPerOp: 1000, BytesPerOp: 130000, AllocsPerOp: 2000}}}, 1},
+		{"macro-bytes-regression-other-cpu-still-fails", &macroBase, Artifact{CPU: "cpuY", Benchmarks: map[string]Bench{
+			"BenchmarkBuild": {NsPerOp: 1000, BytesPerOp: 130000, AllocsPerOp: 2000}}}, 1},
+		{"zero-alloc-pool-bytes-not-gated", &pooledBase, Artifact{CPU: "cpuX", Benchmarks: map[string]Bench{
+			"BenchmarkEcho": {NsPerOp: 1000, BytesPerOp: 262, AllocsPerOp: 0}}}, 0},
 		{"identical", nil, Artifact{CPU: "cpuX", Benchmarks: map[string]Bench{
 			"BenchmarkSend": {NsPerOp: 100, AllocsPerOp: 0}}}, 0},
 		{"ns-within-tolerance", nil, Artifact{CPU: "cpuX", Benchmarks: map[string]Bench{

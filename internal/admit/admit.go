@@ -12,12 +12,12 @@ import (
 	"kkt/internal/faultplan"
 )
 
-// Claim acquires the wave-start components of the given nodes. It is a
-// single-pass check-and-acquire: either every component is free (all are
-// acquired, returns true) or none is taken (returns false). A Launcher
-// must call it at most once per Admit and must not mutate topology before
-// a successful claim.
-type Claim func(nodes ...congest.NodeID) bool
+// Claim acquires the wave-start components of nodes a and b, or of a
+// alone when b is 0. It is a single-pass check-and-acquire: either every
+// component is free (all are acquired, returns true) or none is taken
+// (returns false). A Launcher must call it at most once per Admit and must
+// not mutate topology before a successful claim.
+type Claim func(a, b congest.NodeID) bool
 
 // Repair is one wave-mode repair in flight: a continuation-task driver
 // plus the outcome label, valid once the task finished.
@@ -217,14 +217,14 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 	}
 	wave := q.wave[:0]
 
-	claim := func(nodes ...congest.NodeID) bool {
-		for _, v := range nodes {
-			if q.claimed[q.labels.of[v]] {
-				return false
-			}
+	claim := func(a, b congest.NodeID) bool {
+		la, lb := q.labels.of[a], q.labels.of[b]
+		if q.claimed[la] || (b != 0 && q.claimed[lb]) {
+			return false
 		}
-		for _, v := range nodes {
-			q.claimed[q.labels.of[v]] = true
+		q.claimed[la] = true
+		if b != 0 {
+			q.claimed[lb] = true
 		}
 		return true
 	}

@@ -5,7 +5,6 @@ import (
 
 	"kkt/internal/congest"
 	"kkt/internal/faultplan"
-	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
 
@@ -87,9 +86,10 @@ type Structure[S tree.Search] struct {
 	// Seed keys each delete-style repair's search (see Launch).
 	Seed uint64
 	// NewSearch builds a replacement search (FindMin for the MSF, FindAny
-	// for the spanning forest); Arm re-arms one at a repair's root.
+	// for the spanning forest); Arm re-arms one at a repair's root, seeding
+	// its random stream.
 	NewSearch func() S
-	Arm       func(s S, root congest.NodeID, r *rng.RNG)
+	Arm       func(s S, root congest.NodeID, seed uint64)
 	// Probe is the insert-style broadcast-and-echo from the root: its
 	// echo word is 0 when peer is not in the root's tree.
 	Probe func(peer congest.NodeID) *tree.Spec
@@ -132,7 +132,7 @@ func NewRepairer[S tree.Search](nw *congest.Network, pr *tree.Protocol, s Struct
 // bracket stays open.
 func Apply[S tree.Search](nw *congest.Network, pr *tree.Protocol, s Structure[S], ev faultplan.Event) (Report, error) {
 	r := &Repairer[S]{nw: nw, pr: pr, s: s}
-	dec := r.Admit(ev, func(...congest.NodeID) bool { return true })
+	dec := r.Admit(ev, func(congest.NodeID, congest.NodeID) bool { return true })
 	if dec.Err != nil {
 		return Report{}, dec.Err
 	}
@@ -212,7 +212,7 @@ func (r *Repairer[S]) Admit(ev faultplan.Event, claim Claim) Decision {
 			r.nw.DeleteLink(a, b)
 			return Decision{Inline: true, Action: NoOp, Op: op}
 		}
-		if !claim(a) {
+		if !claim(a, 0) {
 			return Decision{Deferred: true}
 		}
 		r.nw.DeleteLink(a, b)
@@ -285,7 +285,7 @@ func (rp *repair[S]) Step(t *congest.Task, w congest.Wake) (congest.SessionID, b
 	switch rp.st {
 	case rsStart:
 		if rp.deleteStyle {
-			s.Arm(rp.search, rp.root, rng.New(rp.seed))
+			s.Arm(rp.search, rp.root, rp.seed)
 			rp.st = rsSearch
 			return rp.stepSearch(t, congest.Wake{})
 		}

@@ -8,6 +8,7 @@ import (
 	"kkt/internal/faultplan"
 	"kkt/internal/graph"
 	"kkt/internal/mst"
+	"kkt/internal/race"
 	"kkt/internal/rng"
 	"kkt/internal/spanning"
 	"kkt/internal/st"
@@ -52,9 +53,10 @@ func TestLauncherInlineBranches(t *testing.T) {
 	untouched := func(t *testing.T, n net, ev faultplan.Event) {
 		a, b := congest.NodeID(ev.A), congest.NodeID(ev.B)
 		want := n.g.Edge(n.g.EdgeIndex(ev.A, ev.B)).Raw
-		for _, he := range []*congest.HalfEdge{n.nw.Node(a).EdgeTo(b), n.nw.Node(b).EdgeTo(a)} {
-			if !he.Marked || he.Raw != want {
-				t.Errorf("edge {%d,%d} end: marked=%v raw=%d, want marked with raw %d", a, b, he.Marked, he.Raw, want)
+		for _, node := range []*congest.NodeState{n.nw.Node(a), n.nw.Node(b)} {
+			he := node.EdgeTo(a + b - node.ID)
+			if !he.Marked || node.Raw(he) != want {
+				t.Errorf("edge {%d,%d} end: marked=%v raw=%d, want marked with raw %d", a, b, he.Marked, node.Raw(he), want)
 			}
 		}
 	}
@@ -209,5 +211,46 @@ func TestLauncherInlineBranches(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAdmitDeleteAllocs pins a warm tree-edge delete admission at zero
+// allocations: the claim of its one node, the link's removal and the
+// launch of a pooled repair. Each run puts the link and its mark back and
+// releases the repair, so the next run admits the same delete warm.
+func TestAdmitDeleteAllocs(t *testing.T) {
+	race.SkipAllocTest(t)
+	r := rng.New(7)
+	g := graph.GNM(r, 64, 160, 1000, graph.UniformWeights(r.Split(), 1000))
+	nw := congest.NewNetwork(g)
+	var forest [][2]congest.NodeID
+	for _, ei := range spanning.Kruskal(g) {
+		e := g.Edge(ei)
+		forest = append(forest, [2]congest.NodeID{congest.NodeID(e.A), congest.NodeID(e.B)})
+	}
+	nw.SetForest(forest)
+	l := mst.NewStormLauncher(nw, tree.Attach(nw), mst.DefaultRepair(7))
+	a, b := forest[0][0], forest[0][1]
+	raw := nw.Node(a).Raw(nw.Node(a).EdgeTo(b))
+	ev := faultplan.Event{Op: faultplan.OpDelete, A: uint32(a), B: uint32(b)}
+	claimed := 0
+	claim := func(congest.NodeID, congest.NodeID) bool { claimed++; return true }
+	admitOnce := func() {
+		dec := l.Admit(ev, claim)
+		if dec.Driver == nil {
+			t.Fatalf("delete of tree edge {%d,%d}: %+v, want a launched repair", a, b, dec)
+		}
+		if err := nw.InsertLink(a, b, raw); err != nil {
+			t.Fatal(err)
+		}
+		nw.SetMark(a, b, true)
+		l.Release(dec.Driver)
+	}
+	admitOnce() // warm: the pooled repair and its search
+	if avg := testing.AllocsPerRun(20, admitOnce); avg != 0 {
+		t.Errorf("warm delete admission: %.1f allocs, want 0", avg)
+	}
+	if claimed != 22 {
+		t.Errorf("claimed %d times, want once per admission (22)", claimed)
 	}
 }

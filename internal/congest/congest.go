@@ -65,13 +65,16 @@ type Message struct {
 }
 
 // HalfEdge is one endpoint's local view of an incident link: everything a
-// node knows under KT1 — the neighbour's ID, the weights, and its own mark.
+// node knows under KT1 — the neighbour's ID, the weight, and its own mark.
+// It is 24 bytes: the raw weight and the edge number are the two halves of
+// the composite weight, split by NodeState.Raw and NodeState.EdgeNum.
 type HalfEdge struct {
-	Neighbor  NodeID
-	Raw       uint64 // raw weight in [1,u]
-	Composite uint64 // unique composite weight (raw . edgeNum)
-	EdgeNum   uint64 // paper's edge number (IDs concatenated, smallest first)
-	Marked    bool   // does this endpoint consider the edge a tree edge?
+	Neighbor NodeID
+	Marked   bool // does this endpoint consider the edge a tree edge?
+	// Composite is the unique composite weight: the raw weight in [1,u]
+	// in the high bits, the paper's edge number (IDs concatenated,
+	// smallest first) in the low bits.
+	Composite uint64
 
 	// lastSched is the async scheduler's per-directed-link FIFO state: the
 	// deliverAt of the last message scheduled from this endpoint to
@@ -86,6 +89,9 @@ type HalfEdge struct {
 // that is the locality discipline of the model.
 type NodeState struct {
 	ID NodeID
+	// edgeNumBits is the layout's edge-number width: the low bits of every
+	// incident composite weight (see EdgeNumMask).
+	edgeNumBits uint8
 	// Edges lists incident links sorted by neighbour ID. The sorted slice
 	// is also the neighbour index: lookups binary-search it, so there is
 	// no side map to rebuild on topology changes.
@@ -118,6 +124,17 @@ type stagedMark struct {
 	neighbor NodeID
 	marked   bool
 }
+
+// EdgeNumMask masks an incident composite weight down to its edge number.
+// Local scans over Edges hoist it out of the loop.
+func (ns *NodeState) EdgeNumMask() uint64 { return 1<<ns.edgeNumBits - 1 }
+
+// EdgeNum returns the paper's edge number of he, one of the node's
+// half-edges.
+func (ns *NodeState) EdgeNum(he *HalfEdge) uint64 { return he.Composite & ns.EdgeNumMask() }
+
+// Raw returns the raw weight of he, one of the node's half-edges.
+func (ns *NodeState) Raw(he *HalfEdge) uint64 { return he.Composite >> ns.edgeNumBits }
 
 // edgePos returns the position of the half-edge toward neighbor in the
 // sorted Edges slice, or -1. Hand-rolled binary search: this is the
@@ -375,10 +392,11 @@ type Network struct {
 	// so the compiler cannot discard them.
 	warmSink uint64
 
-	// fifoTomb preserves per-directed-link FIFO state (HalfEdge.lastSched)
-	// across a link delete/reinsert, so the fold of the old lastOn map
-	// into half-edge state keeps its exact semantics. Touched only on
-	// topology mutation, never on the send path. Lazily built.
+	// fifoTomb preserves per-directed-link FIFO state (HalfEdge.lastSched,
+	// kept on the half-edge because the async send path reads it per
+	// message) across a link delete/reinsert, so a re-inserted link keeps
+	// its exact FIFO constraint. Touched only on topology mutation, never
+	// on the send path. Lazily built.
 	fifoTomb map[uint64]int64
 
 	runq   []wakeup
@@ -566,6 +584,7 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 	for v := 1; v <= g.N; v++ {
 		ns := &nw.states[v]
 		ns.ID = NodeID(v)
+		ns.edgeNumBits = uint8(g.Layout.EdgeNumBits)
 		if deg[v] > 0 {
 			ns.Edges = make([]HalfEdge, 0, deg[v])
 		}
@@ -595,13 +614,7 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 
 // makeHalf builds the local view of the link at -> to.
 func (nw *Network) makeHalf(at, to NodeID, raw uint64) HalfEdge {
-	num := nw.layout.EdgeNum(uint32(at), uint32(to))
-	return HalfEdge{
-		Neighbor:  to,
-		Raw:       raw,
-		Composite: nw.layout.Composite(raw, num),
-		EdgeNum:   num,
-	}
+	return HalfEdge{Neighbor: to, Composite: nw.layout.Composite(raw, nw.layout.EdgeNum(uint32(at), uint32(to)))}
 }
 
 // appendHalf adds a half-edge without maintaining sort order; used only by
@@ -1110,8 +1123,7 @@ func (nw *Network) SetRawWeight(a, b NodeID, raw uint64) error {
 	if ha == nil || hb == nil {
 		return fmt.Errorf("congest: link {%d,%d} does not exist", a, b)
 	}
-	ha.Raw, hb.Raw = raw, raw
-	comp := nw.layout.Composite(raw, ha.EdgeNum)
+	comp := nw.layout.Composite(raw, nw.nodes[a].EdgeNum(ha))
 	ha.Composite, hb.Composite = comp, comp
 	return nil
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"kkt/internal/graph"
+	"kkt/internal/rng"
 )
 
 // buildNet returns a network over a path 1-2-...-n with unit weights.
@@ -367,6 +369,33 @@ func TestTopologyMutation(t *testing.T) {
 	}
 }
 
+// TestHalfEdgeSize pins the half-edge at three words: neighbour and mark,
+// composite weight, FIFO cell. Both halves of every link are kept, so a
+// word more costs 16 bytes per edge of every network.
+func TestHalfEdgeSize(t *testing.T) {
+	if got := unsafe.Sizeof(HalfEdge{}); got != 24 {
+		t.Errorf("HalfEdge is %d bytes, want 24", got)
+	}
+}
+
+// TestHalfEdgeSplitsComposite checks the accessors against the layout:
+// every half-edge's raw weight and edge number are the halves of its
+// composite weight.
+func TestHalfEdgeSplitsComposite(t *testing.T) {
+	r := rng.New(5)
+	g := graph.GNM(r, 40, 120, 1000, graph.UniformWeights(r, 1000))
+	nw := NewNetwork(g)
+	for _, e := range g.Edges() {
+		for _, end := range [][2]uint32{{e.A, e.B}, {e.B, e.A}} {
+			node := nw.Node(NodeID(end[0]))
+			he := node.EdgeTo(NodeID(end[1]))
+			if raw, num := node.Raw(he), node.EdgeNum(he); raw != e.Raw || num != g.Layout.EdgeNum(e.A, e.B) {
+				t.Fatalf("edge {%d,%d} at %d: raw %d num %d, want %d and %d", e.A, e.B, end[0], raw, num, e.Raw, g.Layout.EdgeNum(e.A, e.B))
+			}
+		}
+	}
+}
+
 func TestSetRawWeightUpdatesComposite(t *testing.T) {
 	g := graph.Path(2, 100, func(int) uint64 { return 10 })
 	nw := NewNetwork(g)
@@ -375,7 +404,7 @@ func TestSetRawWeightUpdatesComposite(t *testing.T) {
 		t.Fatal(err)
 	}
 	he1, he2 := nw.Node(1).EdgeTo(2), nw.Node(2).EdgeTo(1)
-	if he1.Raw != 99 || he2.Raw != 99 {
+	if nw.Node(1).Raw(he1) != 99 || nw.Node(2).Raw(he2) != 99 {
 		t.Error("raw weight not updated on both halves")
 	}
 	if he1.Composite == before || he1.Composite != he2.Composite {

@@ -47,18 +47,6 @@ func (v Variant) String() string {
 	}
 }
 
-// Reason explains a Result: a search outcome.
-type Reason = tree.Outcome
-
-const (
-	// FoundEdge: a cut edge was found and verified.
-	FoundEdge = tree.FoundEdge
-	// EmptyCut: HP-TestOut certified (w.h.p.) there is no cut edge.
-	EmptyCut = tree.EmptyCut
-	// GaveUp: attempts exhausted without a verified edge.
-	GaveUp = tree.GaveUp
-)
-
 // Config tunes a run.
 type Config struct {
 	// Variant selects FindAny or FindAny-C.
@@ -78,7 +66,9 @@ type Stats struct {
 
 // Result is the outcome of FindAny.
 type Result struct {
-	Reason  Reason
+	// Reason is how the search ended: a cut edge found and verified, an
+	// empty cut certified (w.h.p.) by HP-TestOut, or the attempts spent.
+	Reason  tree.Outcome
 	EdgeNum uint64
 	A, B    congest.NodeID
 	Stats   Stats
@@ -130,8 +120,9 @@ func newProbes() *probes {
 func levelVecLocal(node *congest.NodeState, downAny any) uint64 {
 	d := downAny.(*levelVecDown)
 	var vec uint64
+	mask := node.EdgeNumMask()
 	for i := range node.Edges {
-		level := d.Hash.PrefixLevel(node.Edges[i].EdgeNum)
+		level := d.Hash.PrefixLevel(node.Edges[i].Composite & mask)
 		// edge contributes to every bit at or above its level:
 		// [h(e) < 2^i] holds for all i >= level.
 		vec ^= ^uint64(0) << uint(level)
@@ -143,9 +134,10 @@ func xorLocal(node *congest.NodeState, downAny any) uint64 {
 	d := downAny.(*xorDown)
 	bound := uint64(1) << uint(d.Min)
 	var x uint64
+	mask := node.EdgeNumMask()
 	for i := range node.Edges {
-		if d.Hash.Hash(node.Edges[i].EdgeNum) < bound {
-			x ^= node.Edges[i].EdgeNum
+		if en := node.Edges[i].Composite & mask; d.Hash.Hash(en) < bound {
+			x ^= en
 		}
 	}
 	return x
@@ -153,8 +145,9 @@ func xorLocal(node *congest.NodeState, downAny any) uint64 {
 
 func countLocal(node *congest.NodeState, downAny any) uint64 {
 	d := downAny.(*countDown)
+	mask := node.EdgeNumMask()
 	for i := range node.Edges {
-		if node.Edges[i].EdgeNum == d.EdgeNum {
+		if node.Edges[i].Composite&mask == d.EdgeNum {
 			return 1
 		}
 	}

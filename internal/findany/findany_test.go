@@ -40,13 +40,12 @@ func fragmentNet(t *testing.T, g *graph.Graph, frag []uint32) (*congest.Network,
 func runFindAny(t *testing.T, nw *congest.Network, pr *tree.Protocol, root congest.NodeID, seed uint64, cfg Config) Result {
 	t.Helper()
 	m := NewMachine()
-	m.Reset(pr, root, rng.New(seed), cfg)
+	m.Reset(pr, root, seed, cfg)
 	nw.SpawnStep("findany", 0, 0, m)
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := m.Result()
-	return res
+	return m.res
 }
 
 func growFragment(r *rng.RNG, g *graph.Graph, size int) []uint32 {
@@ -76,12 +75,12 @@ func TestFindAnyReturnsACutEdge(t *testing.T) {
 		nw, pr, cut := fragmentNet(t, g, frag)
 		res := runFindAny(t, nw, pr, congest.NodeID(frag[0]), uint64(trial)*3+1, Defaults(Full))
 		if len(cut) == 0 {
-			if res.Reason != EmptyCut {
+			if res.Reason != tree.EmptyCut {
 				t.Fatalf("trial %d: want empty cut, got %v", trial, res.Reason)
 			}
 			continue
 		}
-		if res.Reason != FoundEdge {
+		if res.Reason != tree.FoundEdge {
 			t.Fatalf("trial %d: reason = %v, want found (w.h.p.)", trial, res.Reason)
 		}
 		if !cut[res.EdgeNum] {
@@ -102,7 +101,7 @@ func TestFindAnyEmptyCutWholeGraph(t *testing.T) {
 		t.Fatal("whole graph should have no cut edges")
 	}
 	res := runFindAny(t, nw, pr, 7, 9, Defaults(Full))
-	if res.Reason != EmptyCut {
+	if res.Reason != tree.EmptyCut {
 		t.Fatalf("reason = %v, want empty", res.Reason)
 	}
 }
@@ -113,7 +112,7 @@ func TestFindAnySingleton(t *testing.T) {
 	nw := congest.NewNetwork(g)
 	pr := tree.Attach(nw)
 	res := runFindAny(t, nw, pr, 1, 4, Defaults(Full))
-	if res.Reason != FoundEdge || res.A != 1 || res.B != 2 {
+	if res.Reason != tree.FoundEdge || res.A != 1 || res.B != 2 {
 		t.Fatalf("got %v {%d,%d}, want found {1,2}", res.Reason, res.A, res.B)
 	}
 }
@@ -127,7 +126,7 @@ func TestFindAnySingleCutEdge(t *testing.T) {
 		t.Fatalf("want exactly 1 cut edge, have %d", len(cut))
 	}
 	res := runFindAny(t, nw, pr, 1, 21, Defaults(Full))
-	if res.Reason != FoundEdge || !cut[res.EdgeNum] {
+	if res.Reason != tree.FoundEdge || !cut[res.EdgeNum] {
 		t.Fatalf("failed to find the bridge: %v", res.Reason)
 	}
 }
@@ -145,14 +144,14 @@ func TestFindAnyCappedNeverWrong(t *testing.T) {
 		}
 		res := runFindAny(t, nw, pr, congest.NodeID(frag[0]), uint64(trial)*13+5, Defaults(Capped))
 		switch res.Reason {
-		case FoundEdge:
+		case tree.FoundEdge:
 			if !cut[res.EdgeNum] {
 				t.Fatalf("trial %d: Capped returned a non-cut edge", trial)
 			}
 			succ++
-		case GaveUp:
+		case tree.GaveUp:
 			// allowed with probability <= 15/16 per attempt
-		case EmptyCut:
+		case tree.EmptyCut:
 			t.Fatalf("trial %d: false empty (prob ~ n^-c)", trial)
 		}
 	}
@@ -177,7 +176,7 @@ func TestFindAnyConstantBroadcasts(t *testing.T) {
 			t.Skip("fragment spans graph")
 		}
 		res := runFindAny(t, nw, pr, congest.NodeID(frag[0]), uint64(i)+400, Defaults(Full))
-		if res.Reason != FoundEdge {
+		if res.Reason != tree.FoundEdge {
 			t.Fatalf("run %d failed: %v", i, res.Reason)
 		}
 		totalAttempts += res.Stats.Attempts
@@ -193,7 +192,7 @@ func TestFindAnyMessageLinearInTree(t *testing.T) {
 	frag := growFragment(r, g, 30)
 	nw, pr, _ := fragmentNet(t, g, frag)
 	res := runFindAny(t, nw, pr, congest.NodeID(frag[0]), 51, Defaults(Full))
-	if res.Reason != FoundEdge {
+	if res.Reason != tree.FoundEdge {
 		t.Fatalf("findany failed: %v", res.Reason)
 	}
 	c := nw.Counters()

@@ -35,11 +35,10 @@ const (
 type Machine struct {
 	pr   *tree.Protocol
 	root congest.NodeID
-	r    *rng.RNG
+	r    rng.RNG // re-seeded by Reset
 	cfg  Config
 
 	res Result
-	err error
 	st  machineState
 
 	n           float64
@@ -60,15 +59,13 @@ func NewMachine() *Machine {
 }
 
 // Reset arms the machine for one run from root over the marked tree
-// containing it, reusing the probe specs and buffers.
-func (m *Machine) Reset(pr *tree.Protocol, root congest.NodeID, r *rng.RNG, cfg Config) {
-	m.pr, m.root, m.r, m.cfg = pr, root, r, cfg
-	m.res, m.err = Result{}, nil
-	m.st = msIdle
+// containing it, drawing from its own stream re-seeded with seed, and
+// reusing the probe specs and buffers.
+func (m *Machine) Reset(pr *tree.Protocol, root congest.NodeID, seed uint64, cfg Config) {
+	m.pr, m.root, m.cfg = pr, root, cfg
+	m.r.Seed(seed)
+	m.res, m.st = Result{}, msIdle
 }
-
-// Result returns the outcome; valid once Step reported done.
-func (m *Machine) Result() (Result, error) { return m.res, m.err }
 
 // Found implements tree.Search.
 func (m *Machine) Found() (uint64, tree.Outcome) { return m.res.EdgeNum, m.res.Reason }
@@ -93,7 +90,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 		v, _ := w.Value()
 		sv := sketch.ConsumeSurvey(v)
 		if sv.UnmarkedDegreeSum == 0 {
-			m.res.Reason = EmptyCut
+			m.res.Reason = tree.EmptyCut
 			return m.done()
 		}
 		// Step 2: HP-TestOut gate with error parameter eps(n) < 1/(2n^c).
@@ -116,7 +113,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 			}
 		}
 		m.res.Stats.HPTests++
-		sketch.DrawAlphasInto(m.r, m.alphaBuf[:m.reps])
+		sketch.DrawAlphasInto(&m.r, m.alphaBuf[:m.reps])
 		m.st = msGate
 		full := sketch.Interval{Lo: 1, Hi: sv.MaxComposite}
 		return m.hpRun.Start(m.pr, m.root, m.alphaBuf[:m.reps], full), false, nil
@@ -124,7 +121,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 	case msGate:
 		v, _ := w.Value()
 		if !sketch.ConsumeHP(v) {
-			m.res.Reason = EmptyCut
+			m.res.Reason = tree.EmptyCut
 			return m.done()
 		}
 		return m.attempt()
@@ -167,7 +164,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 			return m.attempt()
 		}
 		a, b := m.pr.Network().Layout().SplitEdgeNum(m.cand)
-		m.res.Reason = FoundEdge
+		m.res.Reason = tree.FoundEdge
 		m.res.EdgeNum = m.cand
 		m.res.A, m.res.B = congest.NodeID(a), congest.NodeID(b)
 		return m.done()
@@ -179,11 +176,11 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 // the budget is spent.
 func (m *Machine) attempt() (congest.SessionID, bool, error) {
 	if m.res.Stats.Attempts >= m.maxAttempts {
-		m.res.Reason = GaveUp
+		m.res.Reason = tree.GaveUp
 		return m.done()
 	}
 	m.res.Stats.Attempts++
-	m.h = hashing.NewPairwiseHash(m.r, m.l)
+	m.h = hashing.NewPairwiseHash(&m.r, m.l)
 	m.pb.levelDown = levelVecDown{Hash: m.h, L: m.l}
 	m.pb.levelSpec.DownBits = m.h.Bits()
 	m.pb.levelSpec.UpBits = m.l + 1
@@ -198,11 +195,10 @@ func (m *Machine) done() (congest.SessionID, bool, error) {
 	if o := m.pr.Network().Obs(); o != nil {
 		o.Count("findany."+m.res.Reason.String(), 1)
 	}
-	return 0, true, m.err
+	return 0, true, nil
 }
 
 func (m *Machine) fail(err error) (congest.SessionID, bool, error) {
-	m.err = err
 	m.st = msDone
 	if o := m.pr.Network().Obs(); o != nil {
 		o.Count("findany.error", 1)

@@ -46,21 +46,6 @@ func (v Variant) String() string {
 	}
 }
 
-// Reason explains a Result: a search outcome.
-type Reason = tree.Outcome
-
-const (
-	// FoundEdge: the minimum cut edge was identified.
-	FoundEdge = tree.FoundEdge
-	// EmptyCut: HP-TestOut certified (w.h.p.) that no edge leaves the
-	// tree.
-	EmptyCut = tree.EmptyCut
-	// GaveUp: the iteration budget ran out (FindMin-C's constant-
-	// probability failure mode; returns "no answer", never a wrong edge
-	// beyond HP-TestOut's n^-c).
-	GaveUp = tree.GaveUp
-)
-
 // Config tunes a run. The zero value is not valid; use Defaults.
 type Config struct {
 	// Variant selects FindMin or FindMin-C.
@@ -91,9 +76,13 @@ type Stats struct {
 
 // Result is the outcome of FindMin.
 type Result struct {
-	Reason Reason
+	// Reason is how the search ended: the minimum cut edge identified,
+	// an empty cut certified (w.h.p.) by HP-TestOut, or the iteration
+	// budget spent (FindMin-C's constant-probability failure mode, "no
+	// answer", never a wrong edge beyond HP-TestOut's n^-c).
+	Reason tree.Outcome
 	// Composite is the unique composite weight of the found edge
-	// (valid when Reason == FoundEdge).
+	// (valid when Reason == tree.FoundEdge).
 	Composite uint64
 	// EdgeNum is the found edge's number; A, B its endpoints (A < B).
 	EdgeNum uint64

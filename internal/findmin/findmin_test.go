@@ -38,13 +38,12 @@ func fragmentNet(t *testing.T, g *graph.Graph, frag []uint32) (*congest.Network,
 func runFindMin(t *testing.T, nw *congest.Network, pr *tree.Protocol, root congest.NodeID, seed uint64, cfg Config) Result {
 	t.Helper()
 	m := NewMachine()
-	m.Reset(pr, root, rng.New(seed), cfg)
+	m.Reset(pr, root, seed, cfg)
 	nw.SpawnStep("findmin", 0, 0, m)
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := m.Result()
-	return res
+	return m.res
 }
 
 func TestFindMinOnRandomFragments(t *testing.T) {
@@ -56,13 +55,13 @@ func TestFindMinOnRandomFragments(t *testing.T) {
 		nw, pr, wantIdx := fragmentNet(t, g, frag)
 		res := runFindMin(t, nw, pr, congest.NodeID(frag[0]), uint64(trial)+100, Defaults(Full))
 		if wantIdx < 0 {
-			if res.Reason != EmptyCut {
+			if res.Reason != tree.EmptyCut {
 				t.Fatalf("trial %d: want empty cut, got %v", trial, res.Reason)
 			}
 			continue
 		}
 		want := g.Edge(wantIdx)
-		if res.Reason != FoundEdge {
+		if res.Reason != tree.FoundEdge {
 			t.Fatalf("trial %d: reason = %v, want found (w.h.p.)", trial, res.Reason)
 		}
 		if res.A != congest.NodeID(want.A) || res.B != congest.NodeID(want.B) {
@@ -106,7 +105,7 @@ func TestFindMinWholeGraphTreeIsEmpty(t *testing.T) {
 		t.Fatal("whole graph should have an empty cut")
 	}
 	res := runFindMin(t, nw, pr, 1, 9, Defaults(Full))
-	if res.Reason != EmptyCut {
+	if res.Reason != tree.EmptyCut {
 		t.Fatalf("reason = %v, want empty", res.Reason)
 	}
 }
@@ -119,7 +118,7 @@ func TestFindMinSingletonFragment(t *testing.T) {
 	nw := congest.NewNetwork(g)
 	pr := tree.Attach(nw) // nothing marked: {2} alone
 	res := runFindMin(t, nw, pr, 2, 5, Defaults(Full))
-	if res.Reason != FoundEdge {
+	if res.Reason != tree.FoundEdge {
 		t.Fatalf("reason = %v", res.Reason)
 	}
 	// lightest edge at node 2 is {2,3} w=2
@@ -140,7 +139,7 @@ func TestFindMinTieBreaksOnEdgeNumber(t *testing.T) {
 	nw.SetForest([][2]congest.NodeID{{1, 2}})
 	pr := tree.Attach(nw)
 	res := runFindMin(t, nw, pr, 1, 11, Defaults(Full))
-	if res.Reason != FoundEdge || res.A != 1 || res.B != 3 {
+	if res.Reason != tree.FoundEdge || res.A != 1 || res.B != 3 {
 		t.Errorf("got %v {%d,%d}, want found {1,3}", res.Reason, res.A, res.B)
 	}
 }
@@ -158,16 +157,16 @@ func TestFindMinCappedUsuallySucceeds(t *testing.T) {
 		}
 		res := runFindMin(t, nw, pr, congest.NodeID(frag[0]), uint64(trial)*7+1, Defaults(Capped))
 		switch res.Reason {
-		case FoundEdge:
+		case tree.FoundEdge:
 			want := g.Edge(wantIdx)
 			if res.A != congest.NodeID(want.A) || res.B != congest.NodeID(want.B) {
 				t.Fatalf("trial %d: Capped returned a non-minimum edge {%d,%d}, want {%d,%d}",
 					trial, res.A, res.B, want.A, want.B)
 			}
 			succ++
-		case GaveUp:
+		case tree.GaveUp:
 			// allowed with probability <= 1/3
-		case EmptyCut:
+		case tree.EmptyCut:
 			t.Fatalf("trial %d: false empty-cut (prob ~ n^-c)", trial)
 		}
 	}
@@ -190,7 +189,7 @@ func TestFindMinBinaryLanesAblation(t *testing.T) {
 	cfg.Lanes = 2
 	res := runFindMin(t, nw, pr, congest.NodeID(frag[0]), 77, cfg)
 	want := g.Edge(wantIdx)
-	if res.Reason != FoundEdge || res.A != congest.NodeID(want.A) || res.B != congest.NodeID(want.B) {
+	if res.Reason != tree.FoundEdge || res.A != congest.NodeID(want.A) || res.B != congest.NodeID(want.B) {
 		t.Fatalf("binary-lane FindMin wrong: %v {%d,%d}", res.Reason, res.A, res.B)
 	}
 }
@@ -213,7 +212,7 @@ func TestFindMinMessageScaling(t *testing.T) {
 	if diff.Messages > uint64(bes)*maxPerBE {
 		t.Errorf("messages %d exceed %d B&Es x %d", diff.Messages, bes, maxPerBE)
 	}
-	if res.Reason == GaveUp {
+	if res.Reason == tree.GaveUp {
 		t.Error("FindMin gave up (prob ~ n^-c)")
 	}
 }
@@ -243,7 +242,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	nw := congest.NewNetwork(g)
 	pr := tree.Attach(nw)
 	m := NewMachine()
-	m.Reset(pr, 1, rng.New(1), Config{Variant: Full, Lanes: 1})
+	m.Reset(pr, 1, 1, Config{Variant: Full, Lanes: 1})
 	nw.SpawnStep("bad", 0, 0, m)
 	if err := nw.Run(); err == nil {
 		t.Error("lanes=1 accepted")

@@ -38,11 +38,10 @@ const (
 type Machine struct {
 	pr   *tree.Protocol
 	root congest.NodeID
-	r    *rng.RNG
+	r    rng.RNG // re-seeded by Reset
 	cfg  Config
 
 	res Result
-	err error
 	st  machineState
 
 	n       float64
@@ -65,15 +64,13 @@ func NewMachine() *Machine {
 }
 
 // Reset arms the machine for one run from root over the marked tree
-// containing it, reusing the probe runners and buffers.
-func (m *Machine) Reset(pr *tree.Protocol, root congest.NodeID, r *rng.RNG, cfg Config) {
-	m.pr, m.root, m.r, m.cfg = pr, root, r, cfg
-	m.res, m.err = Result{}, nil
-	m.st = msIdle
+// containing it, drawing from its own stream re-seeded with seed, and
+// reusing the probe runners and buffers.
+func (m *Machine) Reset(pr *tree.Protocol, root congest.NodeID, seed uint64, cfg Config) {
+	m.pr, m.root, m.cfg = pr, root, cfg
+	m.r.Seed(seed)
+	m.res, m.st = Result{}, msIdle
 }
-
-// Result returns the outcome; valid once Step reported done.
-func (m *Machine) Result() (Result, error) { return m.res, m.err }
 
 // Found implements tree.Search.
 func (m *Machine) Found() (uint64, tree.Outcome) { return m.res.EdgeNum, m.res.Reason }
@@ -104,7 +101,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 		sv := sketch.ConsumeSurvey(v)
 		if sv.UnmarkedDegreeSum == 0 {
 			// No candidate edges at all: certainly empty, no search needed.
-			m.res.Reason = EmptyCut
+			m.res.Reason = tree.EmptyCut
 			return m.done()
 		}
 		eps := math.Pow(m.n, -float64(m.cfg.C+1))
@@ -143,7 +140,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 	case msHPEmpty:
 		v, _ := w.Value()
 		if !sketch.ConsumeHP(v) {
-			m.res.Reason = EmptyCut
+			m.res.Reason = tree.EmptyCut
 			return m.done()
 		}
 		return m.iterate()
@@ -171,13 +168,13 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 // is spent (FindMin-C's constant-probability failure mode).
 func (m *Machine) iterate() (congest.SessionID, bool, error) {
 	if m.res.Stats.Iterations >= m.maxIter {
-		m.res.Reason = GaveUp
+		m.res.Reason = tree.GaveUp
 		return m.done()
 	}
 	m.res.Stats.Iterations++
 	// Steps 4-5: one broadcast carries a fresh odd hash; the echo carries
 	// one TestOut bit per lane.
-	h := hashing.NewOddHash(m.r)
+	h := hashing.NewOddHash(&m.r)
 	m.st = msLanes
 	return m.testOut.Start(m.pr, m.root, h, m.rangeIv, m.cfg.Lanes), false, nil
 }
@@ -185,7 +182,7 @@ func (m *Machine) iterate() (congest.SessionID, bool, error) {
 // startHP begins one HP-TestOut over iv and parks in the given state.
 func (m *Machine) startHP(iv sketch.Interval, next machineState) (congest.SessionID, bool, error) {
 	m.res.Stats.HPTests++
-	sketch.DrawAlphasInto(m.r, m.alphaBuf[:m.reps])
+	sketch.DrawAlphasInto(&m.r, m.alphaBuf[:m.reps])
 	m.st = next
 	return m.hpRun.Start(m.pr, m.root, m.alphaBuf[:m.reps], iv), false, nil
 }
@@ -200,7 +197,7 @@ func (m *Machine) narrow() (congest.SessionID, bool, error) {
 		layout := m.pr.Network().Layout()
 		_, edgeNum := layout.SplitComposite(comp)
 		a, b := layout.SplitEdgeNum(edgeNum)
-		m.res.Reason = FoundEdge
+		m.res.Reason = tree.FoundEdge
 		m.res.Composite = comp
 		m.res.EdgeNum = edgeNum
 		m.res.A, m.res.B = congest.NodeID(a), congest.NodeID(b)
@@ -216,11 +213,10 @@ func (m *Machine) done() (congest.SessionID, bool, error) {
 	if o := m.pr.Network().Obs(); o != nil {
 		o.Count("findmin."+m.res.Reason.String(), 1)
 	}
-	return 0, true, m.err
+	return 0, true, nil
 }
 
 func (m *Machine) fail(err error) (congest.SessionID, bool, error) {
-	m.err = err
 	m.st = msDone
 	if o := m.pr.Network().Obs(); o != nil {
 		o.Count("findmin.error", 1)

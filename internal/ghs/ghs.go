@@ -163,16 +163,11 @@ func Build(nw *congest.Network, pr *tree.Protocol, g *Protocol) (BuildResult, er
 			return result, fmt.Errorf("ghs: cycle in marked subgraph at phase %d", phase)
 		}
 		result.Phases = phase
-		searches, cost, err := fan.Run(phase, elect.Leaders)
+		tally, cost, err := fan.Run(phase, elect.Leaders)
 		if err != nil {
 			return result, err
 		}
-		stat := PhaseStat{Fragments: len(elect.Leaders)}
-		for _, s := range searches {
-			if _, o := s.Found(); o == tree.FoundEdge {
-				stat.Merges++
-			}
-		}
+		stat := PhaseStat{Fragments: len(elect.Leaders), Merges: tally[tree.FoundEdge]}
 		stat.Messages, stat.Bits, stat.Rounds = cost.Messages, cost.Bits, cost.Rounds
 		stat.Classes = cost.Classes
 		result.PhaseStats = append(result.PhaseStats, stat)
@@ -377,7 +372,7 @@ func (g *Protocol) onStatus(nw *congest.Network, node *congest.NodeState, msg *c
 		// probing in increasing weight order: the first accept is the
 		// node's minimum outgoing edge.
 		he := node.EdgeTo(msg.From)
-		st.ownBest = candidate{composite: he.Composite, edgeNum: he.EdgeNum, valid: true}
+		st.ownBest = candidate{composite: he.Composite, edgeNum: node.EdgeNum(he), valid: true}
 		st.ownDone = true
 	} else {
 		st.reject(node.EdgeIndex(msg.From))

@@ -396,7 +396,7 @@ func graphFromNetwork(nw *congest.Network) (*graph.Graph, [][2]congest.NodeID) {
 		for i := range node.Edges {
 			he := &node.Edges[i]
 			if uint32(he.Neighbor) > uint32(v) {
-				g.MustAddEdge(uint32(v), uint32(he.Neighbor), he.Raw)
+				g.MustAddEdge(uint32(v), uint32(he.Neighbor), node.Raw(he))
 			}
 		}
 	}

@@ -13,7 +13,6 @@ import (
 
 	"kkt/internal/congest"
 	"kkt/internal/findmin"
-	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
 
@@ -120,9 +119,9 @@ func Build(nw *congest.Network, pr *tree.Protocol, cfg BuildConfig) (BuildResult
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
 	// One FindMin-C per fragment, seeded per (phase, leader); the fan-out
-	// re-arms the searches across phases.
+	// binds a machine to a fragment only while its search runs.
 	fan := tree.NewFanout(pr, "mst", "findmin", findmin.NewMachine, func(m *findmin.Machine, phase int, leader congest.NodeID) {
-		m.Reset(pr, leader, fragmentRand(cfg.Seed, phase, leader), cfg.FindMin)
+		m.Reset(pr, leader, fragmentSeed(cfg.Seed, phase, leader), cfg.FindMin)
 	})
 	for phase := 1; ; phase++ {
 		if phase > maxPhases {
@@ -160,28 +159,18 @@ func runPhase(pr *tree.Protocol, phase int, fan *tree.Fanout[*findmin.Machine]) 
 		return PhaseStat{}, fmt.Errorf("mst: cycle in marked subgraph at phase %d (nodes %v)", phase, elect.CycleNodes)
 	}
 	stat := PhaseStat{Fragments: len(elect.Leaders)}
-	searches, cost, err := fan.Run(phase, elect.Leaders)
+	tally, cost, err := fan.Run(phase, elect.Leaders)
 	if err != nil {
 		return stat, err
 	}
-	for _, s := range searches {
-		res, _ := s.Result()
-		switch res.Reason {
-		case findmin.FoundEdge:
-			stat.Merges++
-		case findmin.EmptyCut:
-			stat.Empties++
-		case findmin.GaveUp:
-			stat.GaveUps++
-		}
-	}
+	stat.Merges, stat.Empties, stat.GaveUps = tally[tree.FoundEdge], tally[tree.EmptyCut], tally[tree.GaveUp]
 	stat.Messages, stat.Bits, stat.Rounds = cost.Messages, cost.Bits, cost.Rounds
 	stat.Classes = cost.Classes
 	return stat, nil
 }
 
-// fragmentRand derives a fragment-leader's private random stream for one
+// fragmentSeed seeds a fragment-leader's private random stream for one
 // phase, deterministic in (seed, phase, leader).
-func fragmentRand(seed uint64, phase int, leader congest.NodeID) *rng.RNG {
-	return rng.New(seed ^ uint64(phase)*0x9e3779b97f4a7c15 ^ uint64(leader)*0xc2b2ae3d27d4eb4f)
+func fragmentSeed(seed uint64, phase int, leader congest.NodeID) uint64 {
+	return seed ^ uint64(phase)*0x9e3779b97f4a7c15 ^ uint64(leader)*0xc2b2ae3d27d4eb4f
 }

@@ -20,7 +20,7 @@ func rebuildGraph(nw *congest.Network) *graph.Graph {
 		for i := range node.Edges {
 			he := &node.Edges[i]
 			if uint32(he.Neighbor) > uint32(v) {
-				g.MustAddEdge(uint32(v), uint32(he.Neighbor), he.Raw)
+				g.MustAddEdge(uint32(v), uint32(he.Neighbor), node.Raw(he))
 			}
 		}
 	}

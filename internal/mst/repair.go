@@ -7,7 +7,6 @@ import (
 	"kkt/internal/congest"
 	"kkt/internal/faultplan"
 	"kkt/internal/findmin"
-	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
 
@@ -91,8 +90,8 @@ func msf(pr *tree.Protocol, cfg RepairConfig) admit.Structure[*findmin.Machine] 
 		InsertOp:  "mst.insert",
 		Seed:      cfg.Seed,
 		NewSearch: findmin.NewMachine,
-		Arm: func(m *findmin.Machine, root congest.NodeID, r *rng.RNG) {
-			m.Reset(pr, root, r, cfg.FindMin)
+		Arm: func(m *findmin.Machine, root congest.NodeID, seed uint64) {
+			m.Reset(pr, root, seed, cfg.FindMin)
 		},
 		Probe:    pathMaxSpec,
 		Settle:   settle,
@@ -109,7 +108,7 @@ func settle(nw *congest.Network, root, peer congest.NodeID, pm uint64) (*tree.Sp
 		return nil, Kept
 	}
 	_, maxEdgeNum := nw.Layout().SplitComposite(pm)
-	return swapSpec(maxEdgeNum, he.EdgeNum), Swapped
+	return swapSpec(maxEdgeNum, nw.Node(root).EdgeNum(he)), Swapped
 }
 
 // reweight admits a weight change (paper Theorem 1.2): an increase on a
@@ -126,14 +125,14 @@ func reweight(r *admit.Repairer[*findmin.Machine], ev faultplan.Event, claim adm
 	if he == nil {
 		return admit.Skip(op, fmt.Errorf("%s: no link {%d,%d}", op, a, b))
 	}
-	oldRaw, wasMarked := he.Raw, he.Marked
+	oldRaw, wasMarked := nw.Node(a).Raw(he), he.Marked
 	noOp := admit.Decision{Inline: true, Action: NoOp, Op: op}
 	if ev.Raw == oldRaw {
 		return noOp
 	}
 	increase := wasMarked && ev.Raw > oldRaw
 	decrease := !wasMarked && ev.Raw < oldRaw
-	if (increase && !claim(a)) || (decrease && !claim(a, b)) {
+	if (increase && !claim(a, 0)) || (decrease && !claim(a, b)) {
 		return admit.Decision{Deferred: true}
 	}
 	if err := nw.SetRawWeight(a, b, ev.Raw); err != nil {
@@ -196,13 +195,13 @@ func swapSpec(removeEdgeNum, addEdgeNum uint64) *tree.Spec {
 		DownBits: 128,
 		UpBits:   1,
 		OnDown: func(node *congest.NodeState, down any, emit tree.Emit) {
-			d := down.([2]uint64)
+			d, mask := down.([2]uint64), node.EdgeNumMask()
 			for i := range node.Edges {
 				he := &node.Edges[i]
-				if he.EdgeNum == d[0] && he.Marked {
+				if he.Composite&mask == d[0] && he.Marked {
 					node.StageUnmark(he.Neighbor)
 				}
-				if he.EdgeNum == d[1] && !he.Marked {
+				if he.Composite&mask == d[1] && !he.Marked {
 					node.StageMark(he.Neighbor)
 				}
 			}

@@ -20,6 +20,9 @@ func New(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// Seed restarts r as New(seed) would, in place.
+func (r *RNG) Seed(seed uint64) { r.state = seed }
+
 // Split returns a new generator whose stream is independent of the
 // receiver's future output; used to give each subsystem its own stream.
 func (r *RNG) Split() *RNG {

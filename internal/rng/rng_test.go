@@ -148,3 +148,17 @@ func assertPanics(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
+
+// TestSeedMatchesNew checks that re-seeding a used generator in place
+// replays New's stream for the same seed.
+func TestSeedMatchesNew(t *testing.T) {
+	var r RNG
+	r.Uint64()
+	r.Seed(99)
+	want := New(99)
+	for i := 0; i < 16; i++ {
+		if r.Uint64() != want.Uint64() {
+			t.Fatalf("draw %d: Seed(99) diverged from New(99)", i)
+		}
+	}
+}

@@ -54,7 +54,7 @@ func CaptureState(nw *congest.Network) State {
 			he := &node.Edges[i]
 			if uint32(he.Neighbor) > uint32(v) {
 				st.Edges = append(st.Edges, EdgeState{
-					A: uint32(v), B: uint32(he.Neighbor), Raw: he.Raw, Marked: he.Marked,
+					A: uint32(v), B: uint32(he.Neighbor), Raw: node.Raw(he), Marked: he.Marked,
 				})
 			}
 		}

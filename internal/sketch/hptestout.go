@@ -90,12 +90,13 @@ func hpLocal(node *congest.NodeState, downAny any) any {
 	for i := 0; i < d.Reps; i++ {
 		ev.pairs[i] = hpPair{Up: 1, Down: 1}
 	}
+	mask := node.EdgeNumMask()
 	for ei := range node.Edges {
 		he := &node.Edges[ei]
 		if he.Composite < d.Range.Lo || he.Composite > d.Range.Hi {
 			continue
 		}
-		root := ring.Reduce(he.EdgeNum)
+		root := ring.Reduce(he.Composite & mask)
 		isUp := node.ID < he.Neighbor
 		for i := 0; i < d.Reps; i++ {
 			factor := ring.Sub(ring.Reduce(d.Alphas[i]), root)

@@ -56,10 +56,11 @@ var surveyPool = sync.Pool{New: func() any { return new(Survey) }}
 func surveyLocal(node *congest.NodeState, down any) any {
 	s := surveyPool.Get().(*Survey)
 	*s = Survey{Size: 1, DegreeSum: node.Degree()}
+	mask := node.EdgeNumMask()
 	for i := range node.Edges {
 		he := &node.Edges[i]
-		if he.EdgeNum > s.MaxEdgeNum {
-			s.MaxEdgeNum = he.EdgeNum
+		if en := he.Composite & mask; en > s.MaxEdgeNum {
+			s.MaxEdgeNum = en
 		}
 		if !he.Marked {
 			s.UnmarkedDegreeSum++

@@ -99,12 +99,13 @@ const testOutDownBits = 2*64 + 2*64 + 8
 func testOutLocalU(node *congest.NodeState, downAny any) uint64 {
 	d := downAny.(*testOutDown)
 	var word uint64
+	mask := node.EdgeNumMask()
 	for i := range node.Edges {
 		he := &node.Edges[i]
 		if he.Composite < d.Range.Lo || he.Composite > d.Range.Hi {
 			continue
 		}
-		if d.Hash.Bit(he.EdgeNum) == 0 {
+		if d.Hash.Bit(he.Composite&mask) == 0 {
 			continue
 		}
 		word ^= uint64(1) << uint((he.Composite-d.Range.Lo)/d.stride)

@@ -5,7 +5,6 @@ import (
 	"kkt/internal/congest"
 	"kkt/internal/faultplan"
 	"kkt/internal/findany"
-	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
 
@@ -73,8 +72,8 @@ func forest(pr *tree.Protocol, cfg RepairConfig) admit.Structure[*findany.Machin
 		InsertOp:  "st.insert",
 		Seed:      cfg.Seed,
 		NewSearch: findany.NewMachine,
-		Arm: func(m *findany.Machine, root congest.NodeID, r *rng.RNG) {
-			m.Reset(pr, root, r, cfg.FindAny)
+		Arm: func(m *findany.Machine, root congest.NodeID, seed uint64) {
+			m.Reset(pr, root, seed, cfg.FindAny)
 		},
 		Probe: containsSpec,
 		Settle: func(*congest.Network, congest.NodeID, congest.NodeID, uint64) (*tree.Spec, admit.Action) {

@@ -117,9 +117,9 @@ func Build(nw *congest.Network, pr *tree.Protocol, sp *Protocol, cfg BuildConfig
 	var result BuildResult
 	maxPhases := MaxPhases(nw.N(), cfg.C)
 	// One FindAny-C per fragment, seeded per (phase, leader); the fan-out
-	// re-arms the searches across phases.
+	// binds a machine to a fragment only while its search runs.
 	fan := tree.NewFanout(pr, "st", "findany", findany.NewMachine, func(m *findany.Machine, phase int, leader congest.NodeID) {
-		m.Reset(pr, leader, fragmentRand(cfg.Seed, phase, leader), cfg.FindAny)
+		m.Reset(pr, leader, fragmentSeed(cfg.Seed, phase, leader), cfg.FindAny)
 	})
 	for phase := 1; ; phase++ {
 		if phase > maxPhases {
@@ -184,21 +184,11 @@ func (sp *Protocol) runPhase(pr *tree.Protocol, seed uint64, phase int, fan *tre
 		stat.CyclesBroken = nBefore - stat.CyclesWiped
 	}
 	stat.Fragments = len(elect.Leaders)
-	searches, cost, err := fan.Run(phase, elect.Leaders)
+	tally, cost, err := fan.Run(phase, elect.Leaders)
 	if err != nil {
 		return stat, err
 	}
-	for _, s := range searches {
-		res, _ := s.Result()
-		switch res.Reason {
-		case findany.FoundEdge:
-			stat.Merges++
-		case findany.EmptyCut:
-			stat.Empties++
-		case findany.GaveUp:
-			stat.GaveUps++
-		}
-	}
+	stat.Merges, stat.Empties, stat.GaveUps = tally[tree.FoundEdge], tally[tree.EmptyCut], tally[tree.GaveUp]
 	stat.Messages, stat.Bits, stat.Rounds = cost.Messages, cost.Bits, cost.Rounds
 	stat.Classes = cost.Classes
 	return stat, nil
@@ -265,14 +255,16 @@ func countCycles(nodes []tree.CycleNode) int {
 	return cycles
 }
 
-func fragmentRand(seed uint64, phase int, leader congest.NodeID) *rng.RNG {
-	return rng.New(seed ^ uint64(phase)*0x9e3779b97f4a7c15 ^ uint64(leader)*0xff51afd7ed558ccd)
+// fragmentSeed seeds a fragment-leader's private random stream for one
+// phase, deterministic in (seed, phase, leader).
+func fragmentSeed(seed uint64, phase int, leader congest.NodeID) uint64 {
+	return seed ^ uint64(phase)*0x9e3779b97f4a7c15 ^ uint64(leader)*0xff51afd7ed558ccd
 }
 
 // coinRand is a cycle node's private coin for one phase's exclusion
-// round, deterministic in (seed, phase, node): fragmentRand's mix under
+// round, deterministic in (seed, phase, node): fragmentSeed's mix under
 // its own salt, so a node that also leads a fragment draws two unrelated
 // streams.
 func coinRand(seed uint64, phase int, node congest.NodeID) *rng.RNG {
-	return fragmentRand(seed^0xd1b54a32d192ed03, phase, node)
+	return rng.New(fragmentSeed(seed^0xd1b54a32d192ed03, phase, node))
 }

@@ -49,7 +49,7 @@
 //
 // Derived randomness. This package draws nothing. Callers seed their
 // node-local random choices from protocol values only (the run seed, the
-// phase, the node ID: see the fragmentRand and coinRand helpers in mst
+// phase, the node ID: see the fragmentSeed and coinRand helpers in mst
 // and st), never from session IDs or any engine state, so draws are
 // identical across slot-recycling orders, shard counts and the number of
 // sessions opened before a build.

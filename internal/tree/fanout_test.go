@@ -59,33 +59,28 @@ func (r *phaseRec) PhaseEnd(proto string, phase int, _ int64, cost congest.Phase
 
 // TestFanoutAddsFoundEdges runs one fan-out phase over the four singleton
 // fragments of an unmarked path: the edges two searches report must be
-// marked at both endpoints by the phase's end, the searches come back in
-// leader order, and the observer sees one bracketed phase carrying the
-// two cross-edge mark messages.
+// marked at both endpoints by the phase's end, the tally counts two found
+// edges and two empty cuts, and the observer sees one bracketed phase
+// carrying the two cross-edge mark messages.
 func TestFanoutAddsFoundEdges(t *testing.T) {
 	g := graph.Path(4, 1000, func(k int) uint64 { return uint64(k + 1) })
 	rec := &phaseRec{}
 	nw := congest.NewNetwork(g, congest.WithObserver(rec))
 	pr := Attach(nw)
 	pick := map[congest.NodeID]uint64{
-		1: nw.Node(1).EdgeTo(2).EdgeNum,
-		4: nw.Node(4).EdgeTo(3).EdgeNum,
+		1: nw.Node(1).EdgeNum(nw.Node(1).EdgeTo(2)),
+		4: nw.Node(4).EdgeNum(nw.Node(4).EdgeTo(3)),
 	}
-	leaders := []congest.NodeID{1, 2, 3, 4}
 	fan := NewFanout(pr, "test", "pick", func() *pickSearch {
 		return &pickSearch{nw: nw, pick: pick}
 	}, (*pickSearch).Arm)
 	fan.Begin()
-	searches, _, err := fan.Run(1, leaders)
+	tally, _, err := fan.Run(1, []congest.NodeID{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []congest.NodeID
-	for _, s := range searches {
-		got = append(got, s.leader)
-	}
-	if !reflect.DeepEqual(got, leaders) {
-		t.Errorf("searches in order %v, want %v", got, leaders)
+	if want := (Tally{FoundEdge: 2, EmptyCut: 2}); tally != want {
+		t.Errorf("tally %v, want %v", tally, want)
 	}
 	want := [][2]congest.NodeID{{1, 2}, {3, 4}}
 	if marked := nw.MarkedEdges(); !reflect.DeepEqual(marked, want) {
@@ -93,5 +88,37 @@ func TestFanoutAddsFoundEdges(t *testing.T) {
 	}
 	if wantEv := []string{"start test 1 4", "end test 1 2"}; !reflect.DeepEqual(rec.events, wantEv) {
 		t.Errorf("observer saw %q, want %q", rec.events, wantEv)
+	}
+}
+
+// TestFanoutSingletonsShareOneSearch pins the fan-out's footprint on a
+// phase of one-node fragments: each search finishes inside its fragment's
+// first Step, so 256 fragments (over two phases) build exactly one search.
+func TestFanoutSingletonsShareOneSearch(t *testing.T) {
+	const n = 256
+	g := graph.Path(n, 1000, func(k int) uint64 { return uint64(k + 1) })
+	nw := congest.NewNetwork(g)
+	pr := Attach(nw)
+	leaders := make([]congest.NodeID, n)
+	for i := range leaders {
+		leaders[i] = congest.NodeID(i + 1)
+	}
+	built := 0
+	fan := NewFanout(pr, "test", "pick", func() *pickSearch {
+		built++
+		return &pickSearch{nw: nw}
+	}, (*pickSearch).Arm)
+	for phase := 1; phase <= 2; phase++ {
+		fan.Begin()
+		tally, _, err := fan.Run(phase, leaders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tally[EmptyCut] != n {
+			t.Fatalf("phase %d: tally %v, want %d empty cuts", phase, tally, n)
+		}
+	}
+	if built != 1 {
+		t.Errorf("built %d searches for %d singleton fragments, want 1", built, n)
 	}
 }

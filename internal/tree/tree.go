@@ -93,10 +93,10 @@ func AddEdgeSpec(edgeNum uint64) *Spec {
 		DownBits: 64,
 		UpBits:   1,
 		OnDown: func(node *congest.NodeState, down any, emit Emit) {
-			en := down.(uint64)
+			en, mask := down.(uint64), node.EdgeNumMask()
 			for i := range node.Edges {
 				he := &node.Edges[i]
-				if he.EdgeNum == en && !he.Marked {
+				if he.Composite&mask == en && !he.Marked {
 					node.StageMark(he.Neighbor)
 					emit.Send(he.Neighbor, KindMarkX, 16, nil)
 				}

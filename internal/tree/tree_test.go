@@ -115,7 +115,7 @@ func TestBroadcastEchoChildEdgeValues(t *testing.T) {
 		Combine: func(node *congest.NodeState, down, local any, children []ChildEcho) any {
 			var best uint64
 			for _, c := range children {
-				if raw := node.EdgeTo(c.From).Raw; raw > best {
+				if raw := node.Raw(node.EdgeTo(c.From)); raw > best {
 					best = raw
 				}
 				if v := c.Value.(uint64); v > best {
