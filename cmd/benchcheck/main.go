@@ -15,8 +15,8 @@
 // tolerance. ns/op is only compared when both artifacts were measured on
 // the same CPU (the `cpu:` line go test prints): cross-machine wall-clock
 // deltas are noise, while allocation counts and sizes are
-// near-deterministic (the small tolerances absorb sync.Pool/GC timing
-// jitter on macro benchmarks) and always enforced.
+// near-deterministic (the small tolerances absorb GC timing jitter on
+// macro benchmarks) and always enforced.
 package main
 
 import (
@@ -35,7 +35,8 @@ import (
 // `make bench-micro` runs on one 2-vCPU host, bytes/op spread by at most
 // 0.83% (BenchmarkRepairStorm1024); 5% leaves room for GC timing on
 // another host. A benchmark whose baseline allocates nothing is held by
-// its allocs/op instead: its bytes/op are sync.Pool refills after a GC
+// its allocs/op instead: its bytes/op are a few one-off allocations
+// averaged over the run, too few to reach one per op
 // (BenchmarkBroadcastEcho measured 0 and 262 B/op at 0 allocs/op).
 const bytesTol = 0.05
 

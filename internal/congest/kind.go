@@ -73,16 +73,6 @@ func kindClassTable() (classOf []int32, classNames []string) {
 	return kindReg.classOf, kindReg.classNames
 }
 
-// KindClassName returns the class name (dot-prefix) of an interned kind.
-func KindClassName(k KindID) string {
-	kindReg.RLock()
-	defer kindReg.RUnlock()
-	if k < 0 || int(k) >= len(kindReg.classOf) {
-		return fmt.Sprintf("KindID(%d)", int32(k))
-	}
-	return kindReg.classNames[kindReg.classOf[k]]
-}
-
 // String returns the interned name, implementing fmt.Stringer.
 func (k KindID) String() string {
 	kindReg.RLock()

@@ -92,9 +92,8 @@ type countDown struct {
 }
 
 // probes bundles the three reusable broadcast-and-echo specs one FindAny
-// run cycles through. All three echo single words on the unboxed lane;
-// payloads refresh in place per attempt, so the attempt loop allocates
-// nothing.
+// run cycles through. All three echo one word; payloads refresh in place
+// per attempt, so the attempt loop allocates nothing.
 type probes struct {
 	levelDown levelVecDown
 	levelSpec tree.Spec
@@ -108,16 +107,16 @@ func newProbes() *probes {
 	pb := &probes{}
 	// echo bit i (0 <= i <= l) is the XOR over incident edges of
 	// [h(edgeNum) < 2^i].
-	pb.levelSpec = tree.Spec{Down: &pb.levelDown, LocalU: levelVecLocal}
+	pb.levelSpec = tree.Spec{Down: &pb.levelDown, Local: levelVecLocal}
 	// echo is the XOR of incident edge numbers with h(e) < 2^min.
-	pb.xorSpec = tree.Spec{Down: &pb.xorDown, UpBits: 64, LocalU: xorLocal}
+	pb.xorSpec = tree.Spec{Down: &pb.xorDown, UpBits: 64, Local: xorLocal}
 	// echo sums, over in-tree nodes, whether the node carries an incident
 	// edge with the candidate number (capped at 3 — only ==1 matters).
-	pb.countSpec = tree.Spec{Down: &pb.countDown, DownBits: 64, UpBits: 2, LocalU: countLocal, CombineU: countFold}
+	pb.countSpec = tree.Spec{Down: &pb.countDown, DownBits: 64, UpBits: 2, Local: countLocal, Fold: countFold}
 	return pb
 }
 
-func levelVecLocal(node *congest.NodeState, downAny any) uint64 {
+func levelVecLocal(node *congest.NodeState, downAny any, acc []uint64) {
 	d := downAny.(*levelVecDown)
 	var vec uint64
 	mask := node.EdgeNumMask()
@@ -127,10 +126,10 @@ func levelVecLocal(node *congest.NodeState, downAny any) uint64 {
 		// [h(e) < 2^i] holds for all i >= level.
 		vec ^= ^uint64(0) << uint(level)
 	}
-	return vec & (uint64(1)<<uint(d.L+1) - 1)
+	acc[0] = vec & (uint64(1)<<uint(d.L+1) - 1)
 }
 
-func xorLocal(node *congest.NodeState, downAny any) uint64 {
+func xorLocal(node *congest.NodeState, downAny any, acc []uint64) {
 	d := downAny.(*xorDown)
 	bound := uint64(1) << uint(d.Min)
 	var x uint64
@@ -140,27 +139,23 @@ func xorLocal(node *congest.NodeState, downAny any) uint64 {
 			x ^= en
 		}
 	}
-	return x
+	acc[0] = x
 }
 
-func countLocal(node *congest.NodeState, downAny any) uint64 {
+func countLocal(node *congest.NodeState, downAny any, acc []uint64) {
 	d := downAny.(*countDown)
 	mask := node.EdgeNumMask()
 	for i := range node.Edges {
 		if node.Edges[i].Composite&mask == d.EdgeNum {
-			return 1
+			acc[0] = 1
+			return
 		}
 	}
-	return 0
 }
 
 // countFold sums child counters with the same saturation the old
 // slice-fold applied after summing: values stay in [0,3], and min(3, .)
 // per fold equals one cap at the end for non-negative addends.
-func countFold(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
-	sum := acc + child
-	if sum > 3 {
-		sum = 3
-	}
-	return sum
+func countFold(_ *congest.NodeState, _ any, acc []uint64, _ congest.NodeID, child []uint64) {
+	acc[0] = min(acc[0]+child[0], 3)
 }

@@ -49,13 +49,14 @@ type Machine struct {
 	cand        uint64 // candidate edge number between msXor and msCount
 
 	pb       *probes
+	survey   *sketch.SurveyRunner
 	hpRun    *sketch.HPRunner
 	alphaBuf [sketch.MaxReps]uint64
 }
 
 // NewMachine returns a reusable FindAny machine; arm it with Reset.
 func NewMachine() *Machine {
-	return &Machine{pb: newProbes(), hpRun: sketch.NewHPRunner()}
+	return &Machine{pb: newProbes(), survey: sketch.NewSurveyRunner(), hpRun: sketch.NewHPRunner()}
 }
 
 // Reset arms the machine for one run from root over the marked tree
@@ -84,11 +85,10 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 		}
 		m.n = float64(m.pr.Network().N())
 		m.st = msSurvey
-		return sketch.StartSurvey(m.pr, m.root), false, nil
+		return m.survey.Start(m.pr, m.root), false, nil
 
 	case msSurvey:
-		v, _ := w.Value()
-		sv := sketch.ConsumeSurvey(v)
+		sv := m.survey.Result()
 		if sv.UnmarkedDegreeSum == 0 {
 			m.res.Reason = tree.EmptyCut
 			return m.done()
@@ -119,8 +119,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 		return m.hpRun.Start(m.pr, m.root, m.alphaBuf[:m.reps], full), false, nil
 
 	case msGate:
-		v, _ := w.Value()
-		if !sketch.ConsumeHP(v) {
+		if !m.hpRun.Leaving() {
 			m.res.Reason = tree.EmptyCut
 			return m.done()
 		}

@@ -51,6 +51,7 @@ type Machine struct {
 	lane    sketch.Interval // fired lane under verification
 
 	testOut  *sketch.TestOutRunner
+	survey   *sketch.SurveyRunner
 	hpRun    *sketch.HPRunner
 	alphaBuf [sketch.MaxReps]uint64
 }
@@ -59,6 +60,7 @@ type Machine struct {
 func NewMachine() *Machine {
 	return &Machine{
 		testOut: sketch.NewTestOutRunner(),
+		survey:  sketch.NewSurveyRunner(),
 		hpRun:   sketch.NewHPRunner(),
 	}
 }
@@ -94,11 +96,10 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 		}
 		m.n = float64(m.pr.Network().N())
 		m.st = msSurvey
-		return sketch.StartSurvey(m.pr, m.root), false, nil
+		return m.survey.Start(m.pr, m.root), false, nil
 
 	case msSurvey:
-		v, _ := w.Value()
-		sv := sketch.ConsumeSurvey(v)
+		sv := m.survey.Result()
 		if sv.UnmarkedDegreeSum == 0 {
 			// No candidate edges at all: certainly empty, no search needed.
 			m.res.Reason = tree.EmptyCut
@@ -138,16 +139,14 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 		return m.narrow()
 
 	case msHPEmpty:
-		v, _ := w.Value()
-		if !sketch.ConsumeHP(v) {
+		if !m.hpRun.Leaving() {
 			m.res.Reason = tree.EmptyCut
 			return m.done()
 		}
 		return m.iterate()
 
 	case msHPLow:
-		v, _ := w.Value()
-		if sketch.ConsumeHP(v) {
+		if m.hpRun.Leaving() {
 			return m.iterate() // paper step 8: repeat without narrowing
 		}
 		// TestInterval — confirm the fired lane (guards against the
@@ -155,8 +154,7 @@ func (m *Machine) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool
 		return m.startHP(m.lane, msHPLane)
 
 	case msHPLane:
-		v, _ := w.Value()
-		if !sketch.ConsumeHP(v) {
+		if !m.hpRun.Leaving() {
 			return m.iterate()
 		}
 		return m.narrow()

@@ -162,27 +162,26 @@ const (
 
 // pathMaxSpec builds the Insert(u,v) broadcast-and-echo spec: does target
 // lie in the root's tree, and if so what is the heaviest edge on the path
-// to it? The echo is one word on the unboxed lane; UpBits still charges
-// the paper's found flag, composite weight and edge number.
+// to it? The echo is one word; UpBits still charges the paper's found
+// flag, composite weight and edge number.
 func pathMaxSpec(target congest.NodeID) *tree.Spec {
 	return &tree.Spec{
 		Down:     target,
 		DownBits: 32,
 		UpBits:   1 + 64 + 64,
-		LocalU: func(node *congest.NodeState, down any) uint64 {
+		Local: func(node *congest.NodeState, down any, acc []uint64) {
 			if node.ID == down.(congest.NodeID) {
-				return pathAtTarget
+				acc[0] = pathAtTarget
 			}
-			return pathMissing
 		},
-		CombineU: func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
-			if child == pathMissing {
-				return acc
+		Fold: func(node *congest.NodeState, down any, acc []uint64, from congest.NodeID, child []uint64) {
+			if child[0] == pathMissing {
+				return
 			}
 			// Extend the child's path by the connecting tree edge. It still
 			// exists: a marked edge is deleted only under the repair's admit
 			// claim. At most one child's subtree holds the target.
-			return max(acc, child, node.EdgeTo(from).Composite)
+			acc[0] = max(acc[0], child[0], node.EdgeTo(from).Composite)
 		},
 	}
 }
@@ -205,9 +204,6 @@ func swapSpec(removeEdgeNum, addEdgeNum uint64) *tree.Spec {
 					node.StageMark(he.Neighbor)
 				}
 			}
-		},
-		Combine: func(node *congest.NodeState, down, local any, children []tree.ChildEcho) any {
-			return nil
 		},
 	}
 }

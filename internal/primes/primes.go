@@ -1,5 +1,5 @@
-// Package primes provides deterministic primality testing and prime search
-// for 64-bit integers. HP-TestOut (paper §2.2) needs a prime
+// Package primes provides deterministic primality testing for 64-bit
+// integers and the default modulus. HP-TestOut (paper §2.2) needs a prime
 // p > max{maxEdgeNum(T), B/eps(n)} to drive Schwartz-Zippel polynomial
 // identity testing over Z_p; this package supplies it.
 package primes
@@ -59,25 +59,6 @@ func millerRabinWitness(n, a, d uint64, r uint) bool {
 		}
 	}
 	return false
-}
-
-// NextPrime returns the smallest prime >= n. It panics if no prime >= n
-// fits in a uint64 (n > 18446744073709551557).
-func NextPrime(n uint64) uint64 {
-	const largestUint64Prime = 18446744073709551557
-	if n > largestUint64Prime {
-		panic("primes: no prime >= n fits in uint64")
-	}
-	if n <= 2 {
-		return 2
-	}
-	if n%2 == 0 {
-		n++
-	}
-	for !IsPrime(n) {
-		n += 2
-	}
-	return n
 }
 
 // MulMod returns a*b mod m using a 128-bit intermediate, valid for all

@@ -46,38 +46,6 @@ func TestIsPrimeKnownLarge(t *testing.T) {
 	}
 }
 
-func TestNextPrime(t *testing.T) {
-	tests := []struct{ in, want uint64 }{
-		{0, 2}, {2, 2}, {3, 3}, {4, 5}, {14, 17}, {20, 23},
-		{1 << 20, 1048583},
-	}
-	for _, tt := range tests {
-		if got := NextPrime(tt.in); got != tt.want {
-			t.Errorf("NextPrime(%d) = %d, want %d", tt.in, got, tt.want)
-		}
-	}
-}
-
-func TestNextPrimeIsPrimeAndMinimal(t *testing.T) {
-	f := func(x uint32) bool {
-		n := uint64(x)
-		p := NextPrime(n)
-		if p < n || !IsPrime(p) {
-			return false
-		}
-		for q := n; q < p; q++ {
-			if IsPrime(q) {
-				return false // skipped a prime
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 50}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMulModAgainstBigIntSemantics(t *testing.T) {
 	f := func(a, b uint64, m uint64) bool {
 		if m == 0 {

@@ -8,9 +8,8 @@ type TB interface {
 }
 
 // SkipAllocTest skips allocation-count assertions under the race
-// detector: race-mode sync.Pool deliberately drops puts and the
-// instrumentation itself allocates, so AllocsPerRun budgets are only
-// meaningful in a normal build (which CI also runs).
+// detector: the instrumentation itself allocates, so AllocsPerRun
+// budgets are only meaningful in a normal build (which CI also runs).
 func SkipAllocTest(t TB) {
 	t.Helper()
 	if Enabled {

@@ -28,7 +28,7 @@ func markedPath(t *testing.T, n int) (*congest.Network, *tree.Protocol) {
 }
 
 // TestTestOutBroadcastAllocs pins one full TestOut broadcast-and-echo —
-// 64 lanes, stride lane lookup, unboxed parity-word echoes — at constant
+// 64 lanes, stride lane lookup, one-word parity echoes — at constant
 // allocations over a 256-node tree.
 func TestTestOutBroadcastAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
@@ -50,8 +50,9 @@ func TestTestOutBroadcastAllocs(t *testing.T) {
 }
 
 // TestHPTestOutBroadcastAllocs pins one HP-TestOut broadcast-and-echo at
-// constant allocations: pooled hpEval echoes circulate through the tree
-// instead of one pair-slice allocation per node.
+// zero allocations: each node's products fill an echo block that
+// recycles through the tree protocol's free lists, so a warm wave
+// allocates no per-node value.
 func TestHPTestOutBroadcastAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
 	const n = 256
@@ -60,16 +61,47 @@ func TestHPTestOutBroadcastAllocs(t *testing.T) {
 	alphas := DrawAlphas(rng.New(13), MaxReps)
 	iv := Interval{Lo: 1, Hi: 1 << 40}
 	wave := func() {
-		v, err := await(nw, runner.Start(pr, 1, alphas, iv))
-		if err != nil {
+		if err := await(nw, runner.Start(pr, 1, alphas, iv)); err != nil {
 			t.Fatal(err)
 		}
-		ConsumeHP(v)
+		runner.Leaving()
 	}
 	wave()
 	avg := testing.AllocsPerRun(5, wave)
-	if avg > 48 {
-		t.Errorf("HP-TestOut B&E on %d nodes: %.1f allocs, budget 48 — per-node churn reintroduced?", n, avg)
+	if avg != 0 {
+		t.Errorf("HP-TestOut B&E on %d nodes: %.1f allocs, want 0 — per-node churn reintroduced?", n, avg)
+	}
+}
+
+// TestSurveyBroadcastAllocs pins one survey broadcast-and-echo, five
+// words per echo, at zero allocations over a 256-node tree.
+func TestSurveyBroadcastAllocs(t *testing.T) {
+	race.SkipAllocTest(t)
+	const n = 256
+	nw, pr := markedPath(t, n)
+	runner := NewSurveyRunner()
+	wave := func() {
+		if err := await(nw, runner.Start(pr, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if got := runner.Result().Size; got != n {
+			t.Errorf("survey size = %d, want %d", got, n)
+		}
+	}
+	wave()
+	avg := testing.AllocsPerRun(5, wave)
+	if avg != 0 {
+		t.Errorf("survey B&E on %d nodes: %.1f allocs, want 0 — per-node churn reintroduced?", n, avg)
+	}
+}
+
+// TestEchoWidthsFitTree: every echo this package sends fits a tree block.
+func TestEchoWidthsFitTree(t *testing.T) {
+	if tree.MaxWidth < 2*MaxReps {
+		t.Errorf("tree.MaxWidth %d < 2*MaxReps %d: HP-TestOut's products do not fit an echo", tree.MaxWidth, 2*MaxReps)
+	}
+	if tree.MaxWidth < surveyWidth {
+		t.Errorf("tree.MaxWidth %d < survey width %d", tree.MaxWidth, surveyWidth)
 	}
 }
 

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"math"
-	"sync"
 
 	"kkt/internal/congest"
 	"kkt/internal/modring"
@@ -24,22 +23,6 @@ type hpDown struct {
 	Reps   int
 	Range  Interval
 }
-
-// hpPair is one repetition's pair of polynomial evaluations.
-type hpPair struct {
-	Up, Down uint64
-}
-
-// hpEval is one node's echo value: the per-repetition evaluation pairs,
-// inline. Evals are recycled through a pool — parents return their
-// children's evals as they fold them — so a broadcast-and-echo reuses a
-// handful of evals instead of allocating one per node.
-type hpEval struct {
-	pairs [MaxReps]hpPair
-	reps  int
-}
-
-var hpEvalPool = sync.Pool{New: func() any { return new(hpEval) }}
 
 // NumReps returns how many parallel repetitions are needed to push the
 // one-sided error below eps given that at most degreeBound edge endpoints
@@ -81,14 +64,13 @@ func DrawAlphas(r *rng.RNG, reps int) []uint64 {
 // hpLocal evaluates P(E-up(y))(alpha) and P(E-down(y))(alpha) over the
 // node's incident edges with composite weight in range, where E-up(y)
 // holds the edges on which y is the smaller endpoint and E-down(y) those
-// on which it is the larger.
-func hpLocal(node *congest.NodeState, downAny any) any {
+// on which it is the larger. Repetition i's products are echo words 2i
+// (up) and 2i+1 (down).
+func hpLocal(node *congest.NodeState, downAny any, acc []uint64) {
 	d := downAny.(*hpDown)
 	ring := modring.Default()
-	ev := hpEvalPool.Get().(*hpEval)
-	ev.reps = d.Reps
-	for i := 0; i < d.Reps; i++ {
-		ev.pairs[i] = hpPair{Up: 1, Down: 1}
+	for i := range acc {
+		acc[i] = 1
 	}
 	mask := node.EdgeNumMask()
 	for ei := range node.Edges {
@@ -97,33 +79,23 @@ func hpLocal(node *congest.NodeState, downAny any) any {
 			continue
 		}
 		root := ring.Reduce(he.Composite & mask)
-		isUp := node.ID < he.Neighbor
+		side := 1
+		if node.ID < he.Neighbor {
+			side = 0
+		}
 		for i := 0; i < d.Reps; i++ {
 			factor := ring.Sub(ring.Reduce(d.Alphas[i]), root)
-			if isUp {
-				ev.pairs[i].Up = ring.Mul(ev.pairs[i].Up, factor)
-			} else {
-				ev.pairs[i].Down = ring.Mul(ev.pairs[i].Down, factor)
-			}
+			acc[2*i+side] = ring.Mul(acc[2*i+side], factor)
 		}
 	}
-	return ev
 }
 
-// hpCombine multiplies children's products into the node's own and
-// recycles the children's evals.
-func hpCombine(node *congest.NodeState, downAny, local any, children []tree.ChildEcho) any {
-	ev := local.(*hpEval)
+// hpFold multiplies a child's products into the node's own.
+func hpFold(_ *congest.NodeState, _ any, acc []uint64, _ congest.NodeID, child []uint64) {
 	ring := modring.Default()
-	for _, c := range children {
-		cev := c.Value.(*hpEval)
-		for i := 0; i < ev.reps; i++ {
-			ev.pairs[i].Up = ring.Mul(ev.pairs[i].Up, cev.pairs[i].Up)
-			ev.pairs[i].Down = ring.Mul(ev.pairs[i].Down, cev.pairs[i].Down)
-		}
-		hpEvalPool.Put(cev)
+	for i := range acc {
+		acc[i] = ring.Mul(acc[i], child[i])
 	}
-	return ev
 }
 
 // HPRunner is a reusable HP-TestOut broadcast-and-echo (§2.2): multiset
@@ -132,9 +104,10 @@ func hpCombine(node *congest.NodeState, downAny, local any, children []tree.Chil
 // fingerprints agree for every alpha iff (w.h.p.) no edge leaves the
 // tree: every tree-internal edge contributes the same factor to both
 // sides (once from each endpoint), while a cut edge contributes to exactly
-// one side. The spec and payload refresh in place per call.
+// one side. The spec, payload and result words refresh in place per call.
 type HPRunner struct {
 	down hpDown
+	out  [2 * MaxReps]uint64
 	spec tree.Spec
 }
 
@@ -142,18 +115,19 @@ type HPRunner struct {
 func NewHPRunner() *HPRunner {
 	h := &HPRunner{}
 	h.spec = tree.Spec{
-		Down:    &h.down,
-		Local:   hpLocal,
-		Combine: hpCombine,
+		Down:  &h.down,
+		Local: hpLocal,
+		Fold:  hpFold,
+		Out:   h.out[:],
 	}
 	return h
 }
 
-// Start begins HP-TestOut(root, rng) with the given evaluation points; the
-// session completes with a pooled *hpEval to be consumed with ConsumeHP,
-// which reports whether an edge with composite weight in rng leaves the
-// tree containing root. A false answer is wrong with probability at most
-// (B/p)^len(alphas); a true answer is always correct.
+// Start begins HP-TestOut(root, rng) with the given evaluation points;
+// once the session completes, Leaving reports whether an edge with
+// composite weight in rng leaves the tree containing root. A false answer
+// is wrong with probability at most (B/p)^len(alphas); a true answer is
+// always correct.
 func (h *HPRunner) Start(pr *tree.Protocol, root congest.NodeID, alphas []uint64, rng Interval) congest.SessionID {
 	if len(alphas) == 0 || len(alphas) > MaxReps {
 		panic("sketch: HP-TestOut needs 1..MaxReps alphas")
@@ -162,22 +136,19 @@ func (h *HPRunner) Start(pr *tree.Protocol, root congest.NodeID, alphas []uint64
 	reps := copy(h.down.Alphas[:], alphas)
 	h.down.Reps = reps
 	h.down.Range = rng
+	h.spec.Width = 2 * reps
 	h.spec.DownBits = reps*ring.Bits() + 2*64 + 8
 	h.spec.UpBits = reps * 2 * ring.Bits()
 	return pr.StartBroadcastEcho(root, &h.spec)
 }
 
-// ConsumeHP folds a completed HP-TestOut session's value into the verdict
-// — does an edge in range leave the tree? — and recycles the pooled eval.
-func ConsumeHP(v any) bool {
-	ev := v.(*hpEval)
-	leaving := false
-	for i := 0; i < ev.reps; i++ {
-		if ev.pairs[i].Up != ev.pairs[i].Down {
-			leaving = true
-			break
+// Leaving is the verdict of the last completed HP-TestOut: does an edge
+// in range leave the tree?
+func (h *HPRunner) Leaving() bool {
+	for i := 0; i < h.down.Reps; i++ {
+		if h.out[2*i] != h.out[2*i+1] {
+			return true
 		}
 	}
-	hpEvalPool.Put(ev)
-	return leaving
+	return false
 }

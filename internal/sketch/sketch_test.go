@@ -27,15 +27,16 @@ func fixture(t *testing.T) (*congest.Network, *tree.Protocol, *graph.Graph) {
 	return nw, tree.Attach(nw), g
 }
 
-// await runs the network to quiescence and takes the session's result.
-func await(nw *congest.Network, sid congest.SessionID) (any, error) {
+// await runs the network to quiescence and takes the session's error;
+// the result is in the runner that started it.
+func await(nw *congest.Network, sid congest.SessionID) error {
 	if err := nw.Run(); err != nil {
-		return nil, err
+		return err
 	}
-	return nw.Take(sid).Value()
+	return nw.Take(sid).Err()
 }
 
-// awaitU is await for an unboxed result.
+// awaitU runs the network to quiescence and takes the session's word.
 func awaitU(nw *congest.Network, sid congest.SessionID) (uint64, error) {
 	if err := nw.Run(); err != nil {
 		return 0, err
@@ -51,11 +52,11 @@ func testOut(pr *tree.Protocol, root congest.NodeID, h hashing.OddHash, iv Inter
 
 // hpTestOut runs one HP-TestOut probe.
 func hpTestOut(pr *tree.Protocol, root congest.NodeID, alphas []uint64, iv Interval) (bool, error) {
-	v, err := await(pr.Network(), NewHPRunner().Start(pr, root, alphas, iv))
-	if err != nil {
+	h := NewHPRunner()
+	if err := await(pr.Network(), h.Start(pr, root, alphas, iv)); err != nil {
 		return false, err
 	}
-	return ConsumeHP(v), nil
+	return h.Leaving(), nil
 }
 
 func comp(g *graph.Graph, a, b uint32) uint64 {
@@ -64,11 +65,11 @@ func comp(g *graph.Graph, a, b uint32) uint64 {
 
 func TestSurvey(t *testing.T) {
 	nw, pr, g := fixture(t)
-	v, err := await(nw, StartSurvey(pr, 1))
-	if err != nil {
+	sr := NewSurveyRunner()
+	if err := await(nw, sr.Start(pr, 1)); err != nil {
 		t.Fatal(err)
 	}
-	s := ConsumeSurvey(v)
+	s := sr.Result()
 	if s.Size != 3 {
 		t.Errorf("Size = %d, want 3", s.Size)
 	}

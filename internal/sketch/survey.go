@@ -13,13 +13,14 @@
 //   - HP-TestOut (§2.2): the same question w.h.p., via Schwartz-Zippel
 //     multiset equality of the up-edge and down-edge sets over Z_p.
 //
-// All functions run on the marked tree containing the given root and touch
-// only node-local state inside their Local/Combine callbacks.
+// Each primitive is a runner that owns its spec, its broadcast payload
+// and the words the root's echo lands in, refreshed in place per call, so
+// a machine holding one probes without allocating. Every echo is a few
+// words (tree.Spec): a node's Local callback reads only its own state,
+// and Fold merges each child's echo into the node's words as it arrives.
 package sketch
 
 import (
-	"sync"
-
 	"kkt/internal/congest"
 	"kkt/internal/tree"
 )
@@ -45,71 +46,76 @@ type Survey struct {
 	MaxEdgeNum uint64
 }
 
+// The survey echo's words, in order.
+const (
+	svSize = iota
+	svDegreeSum
+	svUnmarkedDegreeSum
+	svMaxComposite
+	svMaxEdgeNum
+	surveyWidth
+)
+
 // surveyBits: echo carries five words.
-const surveyBits = 5 * 64
+const surveyBits = surveyWidth * 64
 
-// surveyPool recycles echo values: parents return their children's
-// surveys as they fold them, so one broadcast-and-echo circulates a
-// handful of *Survey instead of boxing one per node.
-var surveyPool = sync.Pool{New: func() any { return new(Survey) }}
-
-func surveyLocal(node *congest.NodeState, down any) any {
-	s := surveyPool.Get().(*Survey)
-	*s = Survey{Size: 1, DegreeSum: node.Degree()}
+func surveyLocal(node *congest.NodeState, _ any, acc []uint64) {
+	acc[svSize] = 1
+	acc[svDegreeSum] = uint64(node.Degree())
 	mask := node.EdgeNumMask()
 	for i := range node.Edges {
 		he := &node.Edges[i]
-		if en := he.Composite & mask; en > s.MaxEdgeNum {
-			s.MaxEdgeNum = en
-		}
+		acc[svMaxEdgeNum] = max(acc[svMaxEdgeNum], he.Composite&mask)
 		if !he.Marked {
-			s.UnmarkedDegreeSum++
-			if he.Composite > s.MaxComposite {
-				s.MaxComposite = he.Composite
-			}
+			acc[svUnmarkedDegreeSum]++
+			acc[svMaxComposite] = max(acc[svMaxComposite], he.Composite)
 		}
+	}
+}
+
+func surveyFold(_ *congest.NodeState, _ any, acc []uint64, _ congest.NodeID, child []uint64) {
+	acc[svSize] += child[svSize]
+	acc[svDegreeSum] += child[svDegreeSum]
+	acc[svUnmarkedDegreeSum] += child[svUnmarkedDegreeSum]
+	acc[svMaxComposite] = max(acc[svMaxComposite], child[svMaxComposite])
+	acc[svMaxEdgeNum] = max(acc[svMaxEdgeNum], child[svMaxEdgeNum])
+}
+
+// SurveyRunner is a reusable survey broadcast-and-echo: the runner owns
+// its spec and the words the root's echo lands in, so a machine that
+// holds one surveys without allocating.
+type SurveyRunner struct {
+	out  [surveyWidth]uint64
+	spec tree.Spec
+}
+
+// NewSurveyRunner returns a runner ready for repeated surveys.
+func NewSurveyRunner() *SurveyRunner {
+	s := &SurveyRunner{}
+	s.spec = tree.Spec{
+		DownBits: 8,
+		UpBits:   surveyBits,
+		Width:    surveyWidth,
+		Local:    surveyLocal,
+		Fold:     surveyFold,
+		Out:      s.out[:],
 	}
 	return s
 }
 
-func surveyCombine(node *congest.NodeState, down, local any, children []tree.ChildEcho) any {
-	s := local.(*Survey)
-	for _, c := range children {
-		cs := c.Value.(*Survey)
-		s.Size += cs.Size
-		s.DegreeSum += cs.DegreeSum
-		s.UnmarkedDegreeSum += cs.UnmarkedDegreeSum
-		if cs.MaxComposite > s.MaxComposite {
-			s.MaxComposite = cs.MaxComposite
-		}
-		if cs.MaxEdgeNum > s.MaxEdgeNum {
-			s.MaxEdgeNum = cs.MaxEdgeNum
-		}
-		surveyPool.Put(cs)
+// Start begins the survey broadcast-and-echo from root; read the
+// aggregate with Result once the session completes.
+func (s *SurveyRunner) Start(pr *tree.Protocol, root congest.NodeID) congest.SessionID {
+	return pr.StartBroadcastEcho(root, &s.spec)
+}
+
+// Result returns the aggregate of the last completed survey.
+func (s *SurveyRunner) Result() Survey {
+	return Survey{
+		Size:              int(s.out[svSize]),
+		DegreeSum:         int(s.out[svDegreeSum]),
+		UnmarkedDegreeSum: int(s.out[svUnmarkedDegreeSum]),
+		MaxComposite:      s.out[svMaxComposite],
+		MaxEdgeNum:        s.out[svMaxEdgeNum],
 	}
-	return s
-}
-
-// surveySpec is the shared, stateless broadcast-and-echo spec computing
-// Survey; echo values are pooled *Survey.
-var surveySpec = tree.Spec{
-	DownBits: 8,
-	UpBits:   surveyBits,
-	Local:    surveyLocal,
-	Combine:  surveyCombine,
-}
-
-// StartSurvey begins the survey broadcast-and-echo from root; the session
-// completes with a pooled *Survey to be consumed with ConsumeSurvey.
-func StartSurvey(pr *tree.Protocol, root congest.NodeID) congest.SessionID {
-	return pr.StartBroadcastEcho(root, &surveySpec)
-}
-
-// ConsumeSurvey copies the aggregate out of a completed survey session's
-// value and recycles the pooled carrier.
-func ConsumeSurvey(v any) Survey {
-	sp := v.(*Survey)
-	s := *sp
-	surveyPool.Put(sp)
-	return s
 }

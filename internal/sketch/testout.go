@@ -92,11 +92,11 @@ type testOutDown struct {
 // testOutDownBits: hash (2 words) + interval (2 words) + lane count.
 const testOutDownBits = 2*64 + 2*64 + 8
 
-// testOutLocalU computes one node's TestOut contribution: for each
+// testOutLocal computes one node's TestOut contribution: for each
 // incident edge in range whose odd-hash bit is set, flip the parity bit of
 // the edge's lane. The lane index is stride arithmetic — no per-node lane
 // slice, no per-edge lane scan.
-func testOutLocalU(node *congest.NodeState, downAny any) uint64 {
+func testOutLocal(node *congest.NodeState, downAny any, acc []uint64) {
 	d := downAny.(*testOutDown)
 	var word uint64
 	mask := node.EdgeNumMask()
@@ -110,14 +110,14 @@ func testOutLocalU(node *congest.NodeState, downAny any) uint64 {
 		}
 		word ^= uint64(1) << uint((he.Composite-d.Range.Lo)/d.stride)
 	}
-	return word
+	acc[0] = word
 }
 
 // TestOutRunner is a reusable TestOut broadcast-and-echo: the spec, its
 // payload and the lane table are owned by the runner and refreshed in
 // place per call, so repeated probes (FindMin's narrowing loop) allocate
-// nothing. A runner belongs to one driver; echoes are XOR-folded words on
-// the unboxed lane.
+// nothing. A runner belongs to one driver; echoes are one-word parity
+// vectors, XOR-folded.
 type TestOutRunner struct {
 	down testOutDown
 	spec tree.Spec
@@ -130,14 +130,14 @@ func NewTestOutRunner() *TestOutRunner {
 		Down:     &t.down,
 		DownBits: testOutDownBits,
 		UpBits:   Lanes,
-		LocalU:   testOutLocalU,
-		// CombineU nil: parity words XOR-fold.
+		Local:    testOutLocal,
+		// Fold nil: parity words XOR-fold.
 	}
 	return t
 }
 
 // Start begins one TestOut broadcast-and-echo from root over the lane
-// split of rng; the session completes (unboxed) with the parity word.
+// split of rng; the session completes with the parity word (Wake.U).
 // Bit i set means lane i certainly contains an edge leaving the tree
 // containing root; a zero bit is wrong with probability at most 7/8 when
 // the lane's cut is non-empty (the paper's TestOut(x, j, k) is the

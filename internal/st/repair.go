@@ -84,20 +84,19 @@ func forest(pr *tree.Protocol, cfg RepairConfig) admit.Structure[*findany.Machin
 
 // containsSpec builds the membership broadcast-and-echo spec: is target
 // in the root's tree? The echo is the OR of the subtree's membership
-// bits, one word on the unboxed lane.
+// bits, one word.
 func containsSpec(target congest.NodeID) *tree.Spec {
 	return &tree.Spec{
 		Down:     target,
 		DownBits: 32,
 		UpBits:   1,
-		LocalU: func(node *congest.NodeState, down any) uint64 {
+		Local: func(node *congest.NodeState, down any, acc []uint64) {
 			if node.ID == down.(congest.NodeID) {
-				return 1
+				acc[0] = 1
 			}
-			return 0
 		},
-		CombineU: func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
-			return acc | child
+		Fold: func(node *congest.NodeState, down any, acc []uint64, from congest.NodeID, child []uint64) {
+			acc[0] |= child[0]
 		},
 	}
 }

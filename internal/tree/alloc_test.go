@@ -34,28 +34,19 @@ func TestElectionWaveAllocs(t *testing.T) {
 	}
 }
 
-// TestUnboxedBroadcastEchoAllocs pins an unboxed-lane broadcast-and-echo
-// (the TestOut shape: words folded as they arrive) with an OnDown hook on
-// a 256-node marked path at constant allocations: per-node state slots,
-// slot-indexed specs, unboxed echoes in Message.U, an Emit value instead
-// of a per-node closure, and CompleteSessionU/Wake.U end to end.
+// TestUnboxedBroadcastEchoAllocs pins a one-word broadcast-and-echo (the
+// TestOut shape: words folded as they arrive) with an OnDown hook on a
+// 256-node marked path at constant allocations: per-node state slots,
+// slot-indexed specs, echo words in Message.U, an Emit value instead of a
+// per-node closure, and CompleteSessionU/Wake.U end to end.
 func TestUnboxedBroadcastEchoAllocs(t *testing.T) {
 	race.SkipAllocTest(t)
 	const n = 256
 	nw, pr := pathNet(t, n)
-	spec := &Spec{
-		DownBits: 8,
-		UpBits:   64,
-		LocalU: func(node *congest.NodeState, down any) uint64 {
-			return uint64(node.ID)
-		},
-		CombineU: func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
-			return acc + child
-		},
-		OnDown: func(node *congest.NodeState, down any, emit Emit) {},
-	}
+	spec := sumSpec()
+	spec.OnDown = func(node *congest.NodeState, down any, emit Emit) {}
 	wave := func() {
-		got, err := awaitU(nw, pr.StartBroadcastEcho(1, spec))
+		got, err := await(nw, pr.StartBroadcastEcho(1, spec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,6 +58,26 @@ func TestUnboxedBroadcastEchoAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(5, wave)
 	if avg > 32 {
 		t.Errorf("unboxed B&E on %d nodes: %.1f allocs, budget 32 — per-node churn reintroduced?", n, avg)
+	}
+}
+
+// TestWideBroadcastEchoAllocs pins a MaxWidth-word broadcast-and-echo on
+// a 256-node marked path at zero allocations: echo blocks recycle through
+// the protocol's free lists, so a warm wave draws no new ones.
+func TestWideBroadcastEchoAllocs(t *testing.T) {
+	race.SkipAllocTest(t)
+	const n = 256
+	nw, pr := pathNet(t, n)
+	spec := wideSpec(3)
+	wave := func() {
+		if _, err := await(nw, pr.StartBroadcastEcho(1, spec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wave() // warm the session slots, message and block free lists
+	avg := testing.AllocsPerRun(5, wave)
+	if avg != 0 {
+		t.Errorf("wide B&E on %d nodes: %.1f allocs, want 0 — per-node churn reintroduced?", n, avg)
 	}
 }
 

@@ -2,18 +2,15 @@ package tree
 
 import (
 	"fmt"
+	"unsafe"
 
 	"kkt/internal/congest"
 )
 
-// ChildEcho is one child's aggregated echo, tagged with the child's ID.
-// A Combine that needs the connecting edge (e.g. tree-path maxima) looks
-// it up with node.EdgeTo(From); the echo itself carries no edge copy, so
-// the many Combines that ignore the edge never pay for the search.
-type ChildEcho struct {
-	From  congest.NodeID
-	Value any
-}
+// MaxWidth is the widest echo a Spec may declare, in words: HP-TestOut
+// echoes two products per repetition (2·sketch.MaxReps) and the survey
+// five counters.
+const MaxWidth = 6
 
 // Emit lets OnDown side effects send extra protocol messages from the
 // receiving node (e.g. forwarding an add-edge instruction across the new
@@ -36,19 +33,14 @@ func (e Emit) Send(to congest.NodeID, kind congest.KindID, bits int, payload any
 // shared protocol code — identical at every node — and must only read the
 // *NodeState they are handed plus the broadcast value.
 //
-// A spec uses exactly one of two echo lanes:
-//
-//   - the boxed lane (Local/Combine): echo values are `any`; children's
-//     echoes are collected into a ChildEcho slice and folded at once.
-//     General, but every echo boxes its value.
-//
-//   - the unboxed lane (LocalU/CombineU): echo values are single uint64
-//     words (parities, XORs, small counters — the dominant case in the
-//     paper's sketches — and path maxima). Words travel in Message.U, fold
-//     into a per-node accumulator as they arrive, and complete the session
-//     via CompleteSessionU — no interface allocation anywhere on the path.
-//     CombineU gets the echoing child's ID, as ChildEcho.From does, so a
-//     fold that needs the connecting edge looks it up with node.EdgeTo.
+// An echo is Width words. Each node's Local fills a zeroed accumulator
+// and Fold merges every child's echo into it as the echo arrives, so a
+// node holds nothing but its accumulator while it waits. A one-word echo
+// travels in Message.U and completes the session through
+// CompleteSessionU: read it with Wake.U. A wider echo travels as a
+// *[MaxWidth]uint64 block recycled through the Protocol's per-lane free
+// lists; at the root its words are copied into Out, and the session
+// completes with the first of them.
 type Spec struct {
 	// Down is the broadcast payload, forwarded unchanged down the tree.
 	Down any
@@ -56,28 +48,33 @@ type Spec struct {
 	// and budget checking.
 	DownBits int
 	UpBits   int
-	// Local computes the node's own contribution upon receiving the
-	// broadcast (boxed lane). May be nil (treated as contributing nil).
-	Local func(node *congest.NodeState, down any) any
-	// Combine folds the node's local value with its children's echoes
-	// into the value echoed to the parent (and, at the root, into the
-	// session result). Required on the boxed lane.
-	Combine func(node *congest.NodeState, down any, local any, children []ChildEcho) any
-	// LocalU, when non-nil, selects the unboxed lane and computes the
-	// node's own word. Local and Combine must be nil then.
-	LocalU func(node *congest.NodeState, down any) uint64
-	// CombineU folds the echo word child of the child from into the
-	// accumulator (unboxed lane). The fold must be commutative and
-	// associative, since echoes fold in arrival order. nil means XOR.
-	CombineU func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64
+	// Width is the echo's length in words, 1..MaxWidth; 0 means 1.
+	Width int
+	// Local writes the node's own contribution into acc (Width zeroed
+	// words) upon receiving the broadcast. nil contributes zeros.
+	Local func(node *congest.NodeState, down any, acc []uint64)
+	// Fold merges child, the echo of the child from, into acc. Echoes
+	// fold in arrival order, so the fold must be commutative and
+	// associative. A fold that needs the connecting edge looks it up with
+	// node.EdgeTo(from). child is only valid during the call. nil XORs
+	// word by word.
+	Fold func(node *congest.NodeState, down any, acc []uint64, from congest.NodeID, child []uint64)
+	// Out receives a wide echo's words at the root. The runner that
+	// starts the session owns it; it must hold Width words when Width > 1.
+	Out []uint64
 	// OnDown, if non-nil, runs at every node when the broadcast arrives
 	// (including the root at start) and may mutate local state and send
 	// extra messages through emit. Used for marking instructions.
 	OnDown func(node *congest.NodeState, down any, emit Emit)
 }
 
-// unboxed reports which echo lane the spec uses.
-func (s *Spec) unboxed() bool { return s.LocalU != nil }
+// width returns the echo's length in words.
+func (s *Spec) width() int {
+	if s.Width == 0 {
+		return 1
+	}
+	return s.Width
+}
 
 // beState is one node's automaton state in one broadcast-and-echo.
 type beState struct {
@@ -85,23 +82,19 @@ type beState struct {
 	// parentPos is the parent's half-edge position in node.Edges, recorded
 	// by the child loop so the echo is sent by position (-1 at the root).
 	parentPos int32
-	expected  int32  // children still to echo
-	acc       uint64 // unboxed lane accumulator
-	// box holds the boxed lane's values at a node that waits for
-	// children; nil on the unboxed lane and at leaves, which echo at once.
-	box *beBox
+	expected  int32 // children still to echo
+	// acc accumulates a one-word echo; blk a wider one. A node takes its
+	// block when the broadcast arrives and sends it up as its echo.
+	acc [1]uint64
+	blk *[MaxWidth]uint64
 }
 
-// beBox is the boxed lane's buffer at a node waiting for children: the
-// node's Local value and its children's echoes. It is pooled rather than
-// held in the slot because only those nodes need it: inline, it would
-// nearly double every node's slot, and a serve daemon, which builds a
-// fresh network (so a fresh slot array) every epoch, pays that in peak
-// RSS. Boxes recycle through the Protocol's per-lane free lists, and
-// children keeps its backing array, so a warm protocol allocates none.
-type beBox struct {
-	local    any
-	children []ChildEcho
+// words returns the node's accumulator for a w-word echo.
+func (st *beState) words(w int) []uint64 {
+	if st.blk != nil {
+		return st.blk[:w]
+	}
+	return st.acc[:]
 }
 
 // beSlot is one node's entry in the Protocol's dense slot array: the
@@ -155,24 +148,52 @@ func (pr *Protocol) releaseBE(node *congest.NodeState, sid congest.SessionID) {
 	sl.sid = 0
 }
 
-// getBox pops a recycled box from the lane's free list, or allocates one.
-func (pr *Protocol) getBox(lane int) *beBox {
-	free := pr.boxFree[lane]
-	if n := len(free); n > 0 {
-		b := free[n-1]
-		free[n-1] = nil
-		pr.boxFree[lane] = free[:n-1]
-		return b
+// getBlock pops a zeroed echo block from the free list of nw's lane, or
+// allocates one.
+func (pr *Protocol) getBlock(nw *congest.Network) *[MaxWidth]uint64 {
+	if nw == pr.nw && len(pr.blkFree) > 1 {
+		pr.balanceBlocks()
 	}
-	return &beBox{}
+	lane := nw.LaneID()
+	free := pr.blkFree[lane]
+	if n := len(free); n > 0 {
+		pr.blkFree[lane] = free[:n-1]
+		return free[n-1]
+	}
+	return new([MaxWidth]uint64)
 }
 
-// putBox recycles a box, dropping value references for GC but keeping
-// the children capacity.
-func (pr *Protocol) putBox(lane int, b *beBox) {
-	clear(b.children)
-	*b = beBox{children: b.children[:0]}
-	pr.boxFree[lane] = append(pr.boxFree[lane], b)
+// balanceBlocks evens out the lanes' block lists. A block returns to the
+// list of the lane that folds it, not of the one that drew it, so under
+// shards the lane of the parents gains what the lane of the children
+// keeps allocating. The protocol's own view runs only while no shard
+// worker does, so each of its draws checks the lists and, once the
+// longest holds more than twice the shortest, moves half the gap across.
+func (pr *Protocol) balanceBlocks() {
+	hi, lo := 0, 0
+	for i, free := range pr.blkFree {
+		if len(free) > len(pr.blkFree[hi]) {
+			hi = i
+		}
+		if len(free) < len(pr.blkFree[lo]) {
+			lo = i
+		}
+	}
+	h, l := len(pr.blkFree[hi]), len(pr.blkFree[lo])
+	if h <= 2*l+64 {
+		return
+	}
+	keep := h - (h-l)/2
+	pr.blkFree[lo] = append(pr.blkFree[lo], pr.blkFree[hi][keep:]...)
+	clear(pr.blkFree[hi][keep:])
+	pr.blkFree[hi] = pr.blkFree[hi][:keep]
+}
+
+// putBlock zeroes a folded echo block and recycles it into the lane's
+// free list.
+func (pr *Protocol) putBlock(lane int, b *[MaxWidth]uint64) {
+	*b = [MaxWidth]uint64{}
+	pr.blkFree[lane] = append(pr.blkFree[lane], b)
 }
 
 // setSpec binds a session to its spec in the slot-indexed table (no map
@@ -203,17 +224,14 @@ func (pr *Protocol) clearSpec(sid congest.SessionID) {
 }
 
 // StartBroadcastEcho begins a broadcast-and-echo rooted at root over the
-// marked edges. The returned session completes with Combine's value at the
-// root — CombineU's word, read with Wake.U, on the unboxed lane. The marked subgraph containing root must be a tree,
-// otherwise the run panics — cycles are a protocol error here (Build-ST
-// handles cycles via elections, never via B&E).
+// marked edges. The returned session completes with the echo's first word
+// (Wake.U); a wide echo is also copied into spec.Out. The marked subgraph
+// containing root must be a tree, otherwise the run panics — cycles are a
+// protocol error here (Build-ST handles cycles via elections, never via
+// B&E).
 func (pr *Protocol) StartBroadcastEcho(root congest.NodeID, spec *Spec) congest.SessionID {
-	if spec.unboxed() {
-		if spec.Local != nil || spec.Combine != nil {
-			panic("tree: Spec mixes the unboxed (LocalU) and boxed (Local/Combine) lanes")
-		}
-	} else if spec.Combine == nil {
-		panic("tree: Spec.Combine is required")
+	if w := spec.width(); w < 1 || w > MaxWidth || (w > 1 && len(spec.Out) < w) {
+		panic(fmt.Sprintf("tree: Spec.Width %d needs 1..%d words and an Out that holds them (len %d)", spec.Width, MaxWidth, len(spec.Out)))
 	}
 	if o := pr.nw.Obs(); o != nil {
 		o.Count("tree.bcast_echo", 1)
@@ -229,17 +247,18 @@ func (pr *Protocol) StartBroadcastEcho(root congest.NodeID, spec *Spec) congest.
 // compute, forwarding, and the immediate echo when the node is a leaf.
 // The child loop sends by half-edge position and records the parent's
 // position for the echo. All engine calls go through nw — the network
-// view the caller was handed — so a shard worker's sends and completions
-// land in its own lane.
+// view the caller was handed — so a shard worker's sends, completions and
+// block draws land in its own lane.
 func (pr *Protocol) runDownAt(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState) {
 	if spec.OnDown != nil {
 		spec.OnDown(node, spec.Down, Emit{nw: nw, from: node.ID, sid: sid})
 	}
-	var local any
-	if spec.unboxed() {
-		st.acc = spec.LocalU(node, spec.Down)
-	} else if spec.Local != nil {
-		local = spec.Local(node, spec.Down)
+	w := spec.width()
+	if w > 1 {
+		st.blk = pr.getBlock(nw)
+	}
+	if spec.Local != nil {
+		spec.Local(node, spec.Down, st.words(w))
 	}
 	for i := range node.Edges {
 		he := &node.Edges[i]
@@ -254,48 +273,30 @@ func (pr *Protocol) runDownAt(nw *congest.Network, node *congest.NodeState, sid 
 		}
 	}
 	if st.expected == 0 {
-		pr.echoUp(nw, node, sid, spec, st, local)
-		return
-	}
-	if !spec.unboxed() {
-		st.box = pr.getBox(nw.LaneID())
-		st.box.local = local
+		pr.echoUp(nw, node, sid, spec, st)
 	}
 }
 
-// echoUp finishes a node: aggregates, releases its state, and either
-// completes the session (at the root) or echoes to the parent. On the
-// boxed lane a leaf passes its Local value; a node that waited for
-// children has it in its box.
-func (pr *Protocol) echoUp(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState, local any) {
-	parent, pos := st.parent, int(st.parentPos)
-	if spec.unboxed() {
-		val := st.acc
-		pr.releaseBE(node, sid)
-		if parent == 0 {
-			pr.clearSpec(sid)
-			nw.CompleteSessionU(sid, val, nil)
-			return
-		}
-		nw.SendUAt(node.ID, pos, parent, KindUp, sid, spec.UpBits, val)
-		return
-	}
-	var children []ChildEcho
-	box := st.box
-	if box != nil {
-		local, children = box.local, box.children
-	}
-	val := spec.Combine(node, spec.Down, local, children)
-	if box != nil {
-		pr.putBox(nw.LaneID(), box)
-	}
+// echoUp finishes a node: releases its state and either echoes its
+// accumulator to the parent — a block hands over to the message — or, at
+// the root, completes the session.
+func (pr *Protocol) echoUp(nw *congest.Network, node *congest.NodeState, sid congest.SessionID, spec *Spec, st *beState) {
+	parent, pos, word, blk := st.parent, int(st.parentPos), st.acc[0], st.blk
 	pr.releaseBE(node, sid)
-	if parent == 0 {
+	switch {
+	case parent != 0 && blk == nil:
+		nw.SendUAt(node.ID, pos, parent, KindUp, sid, spec.UpBits, word)
+	case parent != 0:
+		nw.SendAt(node.ID, pos, parent, KindUp, sid, spec.UpBits, blk)
+	default:
 		pr.clearSpec(sid)
-		nw.CompleteSession(sid, val, nil)
-		return
+		if blk != nil {
+			word = blk[0]
+			copy(spec.Out, blk[:spec.Width])
+			pr.putBlock(nw.LaneID(), blk)
+		}
+		nw.CompleteSessionU(sid, word, nil)
 	}
-	nw.SendAt(node.ID, pos, parent, KindUp, sid, spec.UpBits, val)
 }
 
 func (pr *Protocol) onDown(nw *congest.Network, node *congest.NodeState, msg *congest.Message) {
@@ -306,6 +307,8 @@ func (pr *Protocol) onDown(nw *congest.Network, node *congest.NodeState, msg *co
 	pr.runDownAt(nw, node, msg.Session, spec, pr.claimBE(node, msg.Session, msg.From))
 }
 
+// onUp folds one child's echo into the node's accumulator and recycles
+// the child's block, if any, into this lane.
 func (pr *Protocol) onUp(nw *congest.Network, node *congest.NodeState, msg *congest.Message) {
 	spec := pr.specFor(msg.Session)
 	if spec == nil {
@@ -315,17 +318,26 @@ func (pr *Protocol) onUp(nw *congest.Network, node *congest.NodeState, msg *cong
 	if st == nil {
 		panic(fmt.Sprintf("tree: node %d got echo without broadcast state in session %d", node.ID, msg.Session))
 	}
-	if spec.unboxed() {
-		if spec.CombineU != nil {
-			st.acc = spec.CombineU(node, spec.Down, st.acc, msg.From, msg.U)
-		} else {
-			st.acc ^= msg.U
-		}
+	w := spec.width()
+	var blk *[MaxWidth]uint64
+	child := unsafe.Slice(&msg.U, 1) // a one-word echo, read in place
+	if w > 1 {
+		blk = msg.Payload.(*[MaxWidth]uint64)
+		child = blk[:w]
+	}
+	acc := st.words(w)
+	if spec.Fold != nil {
+		spec.Fold(node, spec.Down, acc, msg.From, child)
 	} else {
-		st.box.children = append(st.box.children, ChildEcho{From: msg.From, Value: msg.Payload})
+		for i := range acc {
+			acc[i] ^= child[i]
+		}
+	}
+	if blk != nil {
+		pr.putBlock(nw.LaneID(), blk)
 	}
 	st.expected--
 	if st.expected == 0 {
-		pr.echoUp(nw, node, msg.Session, spec, st, nil)
+		pr.echoUp(nw, node, msg.Session, spec, st)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"kkt/internal/rng"
 )
 
-// BenchmarkBroadcastEcho is one unboxed-lane broadcast-and-echo per op
+// BenchmarkBroadcastEcho is one one-word broadcast-and-echo per op
 // (the TestOut shape: a word per node, folded as echoes arrive) over a
 // random recursive spanning tree of 2^17 nodes. The tree is about 30
 // levels deep, so its rounds carry thousands of messages, far more than
@@ -28,17 +28,10 @@ func BenchmarkBroadcastEcho(b *testing.B) {
 	nw := congest.NewNetwork(g)
 	nw.SetForest(forest)
 	pr := Attach(nw)
-	spec := &Spec{
-		DownBits: 8,
-		UpBits:   64,
-		LocalU:   func(node *congest.NodeState, down any) uint64 { return uint64(node.ID) },
-		CombineU: func(node *congest.NodeState, down any, acc uint64, from congest.NodeID, child uint64) uint64 {
-			return acc + child
-		},
-	}
+	spec := sumSpec()
 	waves := func(count int) {
 		for i := 0; i < count; i++ {
-			got, err := awaitU(nw, pr.StartBroadcastEcho(1, spec))
+			got, err := await(nw, pr.StartBroadcastEcho(1, spec))
 			if err != nil {
 				b.Fatal(err)
 			}

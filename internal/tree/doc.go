@@ -24,25 +24,35 @@
 // child loop sends down by half-edge position (congest.SendAt) and
 // records the parent's position, so the echo goes up by position too. A
 // node in two live sessions at once keeps the second session's state in
-// its NodeState session vector, the overflow. On the boxed lane, a node
-// waiting for children also holds a pooled box for its Local value and
-// the children's echoes (beBox); leaves and the unboxed lane need none.
+// its NodeState session vector, the overflow.
+//
+// One echo lane. Every echo is a fixed handful of words (Spec.Width, at
+// most MaxWidth), and every echo folds into the receiving node's
+// accumulator on arrival (Spec.Fold), so a node never holds its
+// children's echoes. A one-word echo accumulates in the slot and travels
+// in Message.U; a wider one accumulates in a *[MaxWidth]uint64 block the
+// node draws when the broadcast arrives, which then travels up as its
+// echo and returns to a free list once its parent has folded it. The
+// root copies a wide echo into Spec.Out, which the runner that started
+// the session owns.
 //
 // Zero-alloc steady state. A warm Protocol performs whole
 // broadcast-and-echoes and election waves without allocating: per-node
-// automaton states live in the slot array, boxes recycle through
+// automaton states live in the slot array, echo blocks recycle through
 // lane-indexed free lists, session→spec bindings live in a slot-indexed
-// table keyed by the engine's recycled session slots (validated by the full packed ID, so a
-// recycled slot never aliases), election receipts are bitmasks over each
-// node's sorted edge slice in a reusable buffer, single-word echoes
-// travel unboxed (Spec.LocalU/CombineU over Message.U), and OnDown hooks
-// send through an Emit value, not a per-node closure.
+// table keyed by the engine's recycled session slots (validated by the
+// full packed ID, so a recycled slot never aliases), election receipts
+// are bitmasks over each node's sorted edge slice in a reusable buffer,
+// and OnDown hooks send through an Emit value, not a per-node closure.
 //
 // Shard safety. Handlers route every engine call through the *Network
 // view they are handed, so sends and completions land in the correct
 // shard lane; a handler touches only the slot of the node it runs at,
 // and a node's messages are all handled in one shard, so workers never
-// share a slot, and per-lane box free lists mean they never contend.
+// share a slot. Each lane draws and frees echo blocks on its own free
+// list; a block freed in another lane than it was drawn in comes back
+// when the driver side, which runs while no worker does, evens the lists
+// out.
 // Drivers write spec-table entries between rounds; a handler only reads
 // them, and only the root node's handler (one node, hence one shard)
 // clears a session's entry — the table needs no locks.

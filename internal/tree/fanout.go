@@ -136,8 +136,7 @@ type fragment[S Search] struct {
 // Step implements congest.StepDriver.
 func (fr *fragment[S]) Step(t *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
 	if fr.adding {
-		_, err := w.Value()
-		return 0, true, err
+		return 0, true, w.Err()
 	}
 	f := fr.fan
 	if !fr.bound {

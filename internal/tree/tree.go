@@ -31,9 +31,9 @@ type Protocol struct {
 	// ID and stamped with its session (see claimBE). A node in two live
 	// sessions at once keeps the second in its session vector.
 	slots []beSlot
-	// boxFree recycles the boxed lane's per-node echo buffers (beBox),
-	// one free list per execution lane so shard workers never contend.
-	boxFree [][]*beBox
+	// blkFree recycles wide echoes' blocks, one free list per execution
+	// lane so shard workers never contend.
+	blkFree [][]*[MaxWidth]uint64
 	// electBuf is the reusable per-node election state array; electSid is
 	// the session currently borrowing it (0 = free). A second concurrent
 	// wave — which never happens in the paper's algorithms — falls back to
@@ -55,7 +55,7 @@ func Attach(nw *congest.Network) *Protocol {
 	pr := &Protocol{
 		nw:      nw,
 		slots:   make([]beSlot, nw.N()+1),
-		boxFree: make([][]*beBox, nw.Lanes()),
+		blkFree: make([][]*[MaxWidth]uint64, nw.Lanes()),
 		r:       nw.Rand(),
 	}
 	nw.RegisterHandler(KindDown, pr.onDown)
@@ -101,9 +101,6 @@ func AddEdgeSpec(edgeNum uint64) *Spec {
 					emit.Send(he.Neighbor, KindMarkX, 16, nil)
 				}
 			}
-		},
-		Combine: func(node *congest.NodeState, down, local any, children []ChildEcho) any {
-			return nil
 		},
 	}
 }
