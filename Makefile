@@ -21,7 +21,10 @@ bench:
 # (zero allocs on Send/dispatch) regress loudly here.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkSend$$|BenchmarkSendAsync$$|BenchmarkDeliverScattered$$' -benchtime 200000x -benchmem ./internal/congest
-	$(GO) test -run '^$$' -bench BenchmarkNewNetwork -benchtime 200x -benchmem ./internal/congest
+	$(GO) test -run '^$$' -bench 'BenchmarkNewNetwork$$' -benchtime 200x -benchmem ./internal/congest
+	$(GO) test -run '^$$' -bench 'BenchmarkNewNetworkGNM$$' -benchtime 20x -benchmem ./internal/congest
+	$(GO) test -run '^$$' -bench BenchmarkGNMDense -benchtime 10x -benchmem ./internal/graph
+	$(GO) test -run '^$$' -bench BenchmarkKruskal -benchtime 10x -benchmem ./internal/spanning
 	$(GO) test -run '^$$' -bench BenchmarkBroadcastEcho -benchtime 20x -benchmem ./internal/tree
 	$(GO) test -run '^$$' -bench BenchmarkBuildMST -benchtime 10x -benchmem ./internal/mst
 	$(GO) test -run '^$$' -bench BenchmarkRepairStorm -benchtime 10x -benchmem ./internal/harness

@@ -1,6 +1,8 @@
 package congest
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"kkt/internal/graph"
@@ -80,13 +82,35 @@ func BenchmarkDeliverScattered(b *testing.B) {
 	}
 }
 
-// BenchmarkNewNetwork measures network construction, dominated by the
-// per-node neighbour index build.
+// BenchmarkNewNetwork measures network construction on a dense graph,
+// K96: two passes over the half-edges of one backing array.
 func BenchmarkNewNetwork(b *testing.B) {
 	g := graph.Complete(96, 1024, graph.UnitWeights())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewNetwork(g)
+	}
+}
+
+// BenchmarkNewNetworkGNM measures the rebuild that opens every serve
+// epoch on gnm 20k/60k: the graph from its sorted edge list, as
+// serve.State.Graph builds it, then the network.
+func BenchmarkNewNetworkGNM(b *testing.B) {
+	const n, m = 20000, 60000
+	r := rng.New(1)
+	g := graph.GNM(r, n, m, 1<<20, graph.UniformWeights(r, 1<<20))
+	edges := slices.Clone(g.Edges())
+	slices.SortFunc(edges, func(x, y graph.Edge) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := graph.MustNewCap(n, g.MaxRaw, len(edges))
+		for _, e := range edges {
+			h.MustAddEdge(e.A, e.B, e.Raw)
+		}
+		NewNetwork(h)
 	}
 }

@@ -547,18 +547,20 @@ func WithAsync(maxDelay int64) Option {
 	}
 }
 
-// halfEdgesByNeighbor sorts a node's incident links by neighbour ID.
-type halfEdgesByNeighbor []HalfEdge
-
-func (h halfEdgesByNeighbor) Len() int           { return len(h) }
-func (h halfEdgesByNeighbor) Less(i, j int) bool { return h[i].Neighbor < h[j].Neighbor }
-func (h halfEdgesByNeighbor) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-
 // NewNetwork builds a network with one node per graph vertex and one link
 // per graph edge. No edges are marked; use SetForest or protocol runs to
-// mark. Construction is bulk: per-node edge slices are sized up front,
-// filled, and sorted once — O(deg log deg) per node instead of the O(deg²)
-// of repeated sorted inserts.
+// mark. Every node's Edges is a window of one backing array, cap-limited
+// (back[lo:hi:hi]) so that InsertLink's append reallocates the node's own
+// slice instead of overwriting the next node's half-edges.
+//
+// The windows come out sorted by neighbour without a sort, in O(n + m): a
+// first pass drops each edge's composite weight into the lastSched field
+// of a free slot in both endpoints' windows, in graph order. A second
+// pass walks the nodes v in ascending order and, for each composite in
+// v's window, writes the half-edge toward v into the other endpoint's
+// next sorted slot, so every window fills in ascending neighbour order.
+// The second pass writes only Neighbor and Composite, so the composites
+// it has not read yet survive; it zeroes v's lastSched once v is read.
 func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 	cfg := config{seed: 1, maxDelay: 8}
 	for _, o := range opts {
@@ -576,26 +578,47 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 		wdArmed: cfg.wd.enabled(),
 		ctx:     cfg.ctx,
 	}
-	deg := make([]int, g.N+1)
+	// lo[v] is the start of v's window; fill[v] its next free slot.
+	lo := make([]int, g.N+2)
 	for _, e := range g.Edges() {
-		deg[e.A]++
-		deg[e.B]++
+		lo[e.A+1]++
+		lo[e.B+1]++
 	}
+	for v := 1; v <= g.N+1; v++ {
+		lo[v] += lo[v-1]
+	}
+	back := make([]HalfEdge, 2*g.M())
+	fill := make([]int, g.N+1)
+	copy(fill, lo)
+	for _, e := range g.Edges() {
+		c := int64(g.Composite(e))
+		back[fill[e.A]].lastSched = c
+		fill[e.A]++
+		back[fill[e.B]].lastSched = c
+		fill[e.B]++
+	}
+	copy(fill, lo)
+	mask := g.Layout.MaxEdgeNum()
 	for v := 1; v <= g.N; v++ {
+		w := back[lo[v]:lo[v+1]:lo[v+1]]
+		for i := range w {
+			c := uint64(w[i].lastSched)
+			a, b := g.Layout.SplitEdgeNum(c & mask)
+			u := a ^ b ^ uint32(v)
+			he := &back[fill[u]]
+			he.Neighbor, he.Composite = NodeID(v), c
+			fill[u]++
+		}
+		for i := range w {
+			w[i].lastSched = 0
+		}
 		ns := &nw.states[v]
 		ns.ID = NodeID(v)
 		ns.edgeNumBits = uint8(g.Layout.EdgeNumBits)
-		if deg[v] > 0 {
-			ns.Edges = make([]HalfEdge, 0, deg[v])
+		if len(w) > 0 {
+			ns.Edges = w
 		}
 		nw.nodes[v] = ns
-	}
-	for _, e := range g.Edges() {
-		nw.appendHalf(NodeID(e.A), NodeID(e.B), e.Raw)
-		nw.appendHalf(NodeID(e.B), NodeID(e.A), e.Raw)
-	}
-	for v := 1; v <= g.N; v++ {
-		sort.Sort(halfEdgesByNeighbor(nw.nodes[v].Edges))
 	}
 	if cfg.async {
 		nw.asyncMode = true
@@ -615,13 +638,6 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 // makeHalf builds the local view of the link at -> to.
 func (nw *Network) makeHalf(at, to NodeID, raw uint64) HalfEdge {
 	return HalfEdge{Neighbor: to, Composite: nw.layout.Composite(raw, nw.layout.EdgeNum(uint32(at), uint32(to)))}
-}
-
-// appendHalf adds a half-edge without maintaining sort order; used only by
-// bulk construction, which sorts once at the end.
-func (nw *Network) appendHalf(at, to NodeID, raw uint64) {
-	ns := nw.nodes[at]
-	ns.Edges = append(ns.Edges, nw.makeHalf(at, to, raw))
 }
 
 // addHalf inserts a half-edge into the sorted Edges slice in place: one
@@ -705,6 +721,8 @@ func (nw *Network) getMessage() *Message {
 	free := &nw.msgFree
 	if nw.lane != nil {
 		free = &nw.lane.msgFree
+	} else if len(nw.msgFree) == 0 && nw.shardEng != nil {
+		nw.shardEng.refillRoot(free)
 	}
 	if n := len(*free); n > 0 {
 		m := (*free)[n-1]

@@ -337,13 +337,23 @@ type DriverStats struct {
 	// OpenSessions is the number of session slots currently allocated:
 	// sessions opened and not yet consumed (by a parked task or Take).
 	OpenSessions int
+	// ParkedMessages is the number of Message structs on the free lists,
+	// the root's and every shard lane's: what the engine keeps for reuse.
+	ParkedMessages int
 }
 
 // DriverStats returns the driver footprint.
 func (nw *Network) DriverStats() DriverStats {
-	return DriverStats{
+	ds := DriverStats{
 		PeakTasks:    nw.peakTasks,
 		PeakLive:     nw.peakLive,
 		OpenSessions: len(nw.slots) - len(nw.freeSlots),
 	}
+	ds.ParkedMessages = len(nw.msgFree)
+	if se := nw.shardEng; se != nil {
+		for _, l := range se.lanes {
+			ds.ParkedMessages += len(l.msgFree)
+		}
+	}
+	return ds
 }

@@ -176,22 +176,53 @@ func (nw *Network) deliverSharded(se *shardEngine, batch []*Message) {
 		se.load[i] += l.handled
 		l.handled = 0
 	}
-	// Message structs flow one way by default: driver sends draw from the
-	// root free list, deliveries recycle into lane lists. Top the root
-	// list back up at the barrier so session-starting drivers stay
-	// allocation-free instead of slowly draining into the lanes.
-	const rootFreeTarget = 256
-	for _, l := range se.lanes {
-		for len(l.msgFree) > 0 && len(nw.msgFree) < rootFreeTarget {
-			n := len(l.msgFree) - 1
-			nw.msgFree = append(nw.msgFree, l.msgFree[n])
-			l.msgFree[n] = nil
-			l.msgFree = l.msgFree[:n]
+	se.balanceMessages()
+}
+
+// balanceMessages evens out the lanes' Message free lists. A handler's
+// sends draw from its own lane's list and a delivery recycles into the
+// receiving lane's, so a lane whose nodes receive more than they send
+// would gain what the others keep allocating. At each barrier, while the
+// longest list holds more than twice the shortest, half the gap moves
+// across, as tree's balanceBlocks does for echo blocks.
+func (se *shardEngine) balanceMessages() {
+	for {
+		hi, lo := se.lanes[0], se.lanes[0]
+		for _, l := range se.lanes[1:] {
+			if len(l.msgFree) > len(hi.msgFree) {
+				hi = l
+			}
+			if len(l.msgFree) < len(lo.msgFree) {
+				lo = l
+			}
 		}
-		if len(nw.msgFree) >= rootFreeTarget {
-			break
+		h, n := len(hi.msgFree), len(lo.msgFree)
+		if h <= 2*n+64 {
+			return
+		}
+		keep := h - (h-n)/2
+		lo.msgFree = append(lo.msgFree, hi.msgFree[keep:]...)
+		clear(hi.msgFree[keep:])
+		hi.msgFree = hi.msgFree[:keep]
+	}
+}
+
+// refillRoot moves half the longest lane list, at least one message, to
+// the root's empty list. Driver sends and inline batches draw from the
+// root, and sharded deliveries recycle into the lanes, so without it the
+// sends that open every phase would allocate afresh. The root sends only
+// between batches, when no worker touches the lanes.
+func (se *shardEngine) refillRoot(root *[]*Message) {
+	hi := se.lanes[0]
+	for _, l := range se.lanes[1:] {
+		if len(l.msgFree) > len(hi.msgFree) {
+			hi = l
 		}
 	}
+	keep := len(hi.msgFree) / 2
+	*root = append(*root, hi.msgFree[keep:]...)
+	clear(hi.msgFree[keep:])
+	hi.msgFree = hi.msgFree[:keep]
 }
 
 // runShard processes one shard's slice of the round on its worker: run

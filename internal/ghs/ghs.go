@@ -5,7 +5,9 @@
 // Each phase, every fragment broadcasts its identity down its tree; every
 // node then probes its cheapest incident candidate edges one at a time
 // ("test"), and the probed neighbour answers accept (different fragment)
-// or reject (same fragment). A rejected edge is internal forever
+// or reject (same fragment). A node orders its incident edges by weight
+// once per build and each phase walks that order, skipping tree edges and
+// cached rejections. A rejected edge is internal forever
 // (fragments only merge), so both endpoints cache the rejection and never
 // test it again — that cache is why GHS is *not* impromptu: it keeps
 // O(deg) bits of state per node between operations, which is exactly the
@@ -15,9 +17,10 @@
 package ghs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"kkt/internal/congest"
 	"kkt/internal/tree"
@@ -46,27 +49,32 @@ type candidate struct {
 // for high-degree nodes — no per-node map, and re-entering a phase
 // allocates nothing once warm.
 //
+// The probe order is fixed once per build: phase 1 sorts the node's edge
+// positions by composite weight into order, and every phase filters that
+// order into probes. A phase sorts nothing.
+//
 // Invariant: the topology must not mutate during a build — edge positions
-// key the cache, so an insert/delete would shift them. GHS only runs as a
-// build on a static topology (repairs never use it).
+// key the cache and the probe order, so an insert/delete would shift
+// them. GHS only runs as a build on a static topology (repairs never use
+// it).
 type nodeState struct {
 	rejLow  uint64
 	rejHigh []uint64
 
-	phase      int
-	fragID     congest.NodeID
-	parent     congest.NodeID
-	expected   int       // children reports still missing
-	ownBest    candidate // the node's own accepted candidate
-	childBest  candidate // minimum over children's reports
-	ownDone    bool      // this node's probing finished
-	probeIdx   int       // position in the sorted candidate list
-	probing    bool      // a test is in flight
-	reported   bool      // report went up (or completed, at the root)
-	probes     []int32   // candidate edge indices into NodeState.Edges
-	probeComps []uint64
-	deferred   []deferredTest    // tests from the next phase, answered on entry
-	session    congest.SessionID // root only: fragment session to complete
+	phase     int
+	fragID    congest.NodeID
+	parent    congest.NodeID
+	expected  int               // children reports still missing
+	ownBest   candidate         // the node's own accepted candidate
+	childBest candidate         // minimum over children's reports
+	ownDone   bool              // this node's probing finished
+	probeIdx  int               // position in probes
+	probing   bool              // a test, of probes[probeIdx], is in flight
+	reported  bool              // report went up (or completed, at the root)
+	order     []int32           // every edge index into NodeState.Edges, cheapest first
+	probes    []int32           // this phase's candidates: order minus marked and rejected
+	deferred  []deferredTest    // tests from the next phase, answered on entry
+	session   congest.SessionID // root only: fragment session to complete
 }
 
 // reject caches that the i-th incident edge is internal forever.
@@ -92,15 +100,6 @@ func (st *nodeState) isRejected(i int) bool {
 		return false
 	}
 	return st.rejHigh[w]&(1<<uint((i-64)&63)) != 0
-}
-
-// sort.Interface over the parallel probe buffers, cheapest first; *nodeState
-// implements it directly so sort.Sort gets a pointer and allocates nothing.
-func (st *nodeState) Len() int           { return len(st.probes) }
-func (st *nodeState) Less(i, j int) bool { return st.probeComps[i] < st.probeComps[j] }
-func (st *nodeState) Swap(i, j int) {
-	st.probes[i], st.probes[j] = st.probes[j], st.probes[i]
-	st.probeComps[i], st.probeComps[j] = st.probeComps[j], st.probeComps[i]
 }
 
 // Protocol is the per-network GHS instance.
@@ -248,22 +247,28 @@ func (g *Protocol) enterPhase(nw *congest.Network, node *congest.NodeState, st *
 		he := &node.Edges[i]
 		if he.Marked && he.Neighbor != parent {
 			st.expected++
-			nw.SendU(node.ID, he.Neighbor, KindFrag, 0, 64, packPhaseFrag(phase, fragID))
+			nw.SendUAt(node.ID, i, he.Neighbor, KindFrag, 0, 64, packPhaseFrag(phase, fragID))
 		}
 	}
 	// candidate edges: unmarked, not rejected, cheapest first (composites
-	// are unique, so the order is deterministic). The parallel buffers
-	// recycle across phases.
+	// are unique, so the order is deterministic). The buffers recycle
+	// across phases and builds.
+	if phase == 1 {
+		st.order = st.order[:0]
+		for i := range node.Edges {
+			st.order = append(st.order, int32(i))
+		}
+		edges := node.Edges
+		slices.SortFunc(st.order, func(a, b int32) int {
+			return cmp.Compare(edges[a].Composite, edges[b].Composite)
+		})
+	}
 	st.probes = st.probes[:0]
-	st.probeComps = st.probeComps[:0]
-	for i := range node.Edges {
-		he := &node.Edges[i]
-		if !he.Marked && !st.isRejected(i) {
-			st.probes = append(st.probes, int32(i))
-			st.probeComps = append(st.probeComps, he.Composite)
+	for _, i := range st.order {
+		if !node.Edges[i].Marked && !st.isRejected(int(i)) {
+			st.probes = append(st.probes, i)
 		}
 	}
-	sort.Sort(st)
 	// answer probes that arrived before we entered the phase.
 	deferred := st.deferred
 	st.deferred = nil
@@ -312,7 +317,7 @@ func (g *Protocol) advanceProbe(nw *congest.Network, node *congest.NodeState, st
 			continue
 		}
 		st.probing = true
-		nw.SendU(node.ID, node.Edges[ei].Neighbor, KindTest, 0, 64, packPhaseFrag(st.phase, st.fragID))
+		nw.SendUAt(node.ID, ei, node.Edges[ei].Neighbor, KindTest, 0, 64, packPhaseFrag(st.phase, st.fragID))
 		return
 	}
 	st.ownDone = true
@@ -353,29 +358,39 @@ func (g *Protocol) answerTest(nw *congest.Network, node *congest.NodeState, from
 		st.deferred = append(st.deferred, deferredTest{from: from, tm: tm})
 		return
 	}
+	ei := node.EdgeIndex(from)
 	accept := st.fragID != tm.FragID
 	if !accept {
 		// internal forever: cache the rejection on this side too.
-		st.reject(node.EdgeIndex(from))
+		st.reject(ei)
 	}
 	var word uint64
 	if accept {
 		word = 1
 	}
-	nw.SendU(node.ID, from, KindStatus, 0, 8, word)
+	nw.SendUAt(node.ID, ei, from, KindStatus, 0, 8, word)
 }
 
+// onStatus takes the answer to the node's one test in flight, which
+// probed the edge at probes[probeIdx].
 func (g *Protocol) onStatus(nw *congest.Network, node *congest.NodeState, msg *congest.Message) {
 	st := &g.state[node.ID]
+	if !st.probing {
+		panic(fmt.Sprintf("ghs: node %d got a status from %d with no test in flight", node.ID, msg.From))
+	}
+	ei := int(st.probes[st.probeIdx])
+	he := &node.Edges[ei]
+	if he.Neighbor != msg.From {
+		panic(fmt.Sprintf("ghs: node %d got a status from %d, its test in flight went to %d", node.ID, msg.From, he.Neighbor))
+	}
 	st.probing = false
 	if msg.U != 0 {
 		// probing in increasing weight order: the first accept is the
 		// node's minimum outgoing edge.
-		he := node.EdgeTo(msg.From)
 		st.ownBest = candidate{composite: he.Composite, edgeNum: node.EdgeNum(he), valid: true}
 		st.ownDone = true
 	} else {
-		st.reject(node.EdgeIndex(msg.From))
+		st.reject(ei)
 		st.probeIdx++
 	}
 	g.advanceProbe(nw, node, st)

@@ -131,3 +131,25 @@ func TestGHSRejectCachePersists(t *testing.T) {
 		t.Errorf("test messages = %d, bound %d", tests, bound)
 	}
 }
+
+// TestGHSDenseMatchesKruskalPinned runs GHS on a dense gnm (m = n²/8, the
+// density of the scaling ladder) and pins each phase's message count: the
+// probe order, fixed once per build, must send exactly the tests that
+// sorting the candidates afresh every phase sent.
+func TestGHSDenseMatchesKruskalPinned(t *testing.T) {
+	r := rng.New(7)
+	g := graph.GNM(r, 128, 128*128/8, 1<<16, graph.UniformWeights(r, 1<<16))
+	res := buildAndCheck(t, g)
+	want := []uint64{384, 805, 950, 1420, 4356}
+	if len(res.PhaseStats) != len(want) {
+		t.Fatalf("%d phases, want %d", len(res.PhaseStats), len(want))
+	}
+	for i, ps := range res.PhaseStats {
+		if ps.Messages != want[i] {
+			t.Errorf("phase %d: %d messages, want %d", i+1, ps.Messages, want[i])
+		}
+	}
+	if res.Messages != 7915 {
+		t.Errorf("%d messages in total, want 7915", res.Messages)
+	}
+}

@@ -38,14 +38,19 @@ func PermutationWeights(r *rng.RNG, m int) WeightFunc {
 // attaches to a uniform predecessor, giving a random recursive tree —
 // low-diameter, used as connected scaffolding).
 func RandomTree(r *rng.RNG, n int, u uint64, w WeightFunc) *Graph {
-	g := MustNew(n, u)
-	order := r.Perm(n)
-	for i := 1; i < n; i++ {
+	g := MustNewCap(n, u, n-1)
+	addRandomTree(r, g, w)
+	return g
+}
+
+// addRandomTree adds RandomTree's edges to the empty graph g.
+func addRandomTree(r *rng.RNG, g *Graph, w WeightFunc) {
+	order := r.Perm(g.N)
+	for i := 1; i < g.N; i++ {
 		a := uint32(order[i] + 1)
 		b := uint32(order[r.Intn(i)] + 1)
 		g.MustAddEdge(a, b, w(i-1))
 	}
-	return g
 }
 
 // Path returns the path 1-2-...-n, the maximum-diameter tree. Worst case
@@ -143,12 +148,14 @@ func GNMWorkers(r *rng.RNG, n, m int, u uint64, w WeightFunc, workers int) *Grap
 	if m < n-1 || m > maxM {
 		panic(fmt.Sprintf("graph: GNM with m=%d outside [n-1=%d, %d]", m, n-1, maxM))
 	}
-	g := RandomTree(r, n, u, w)
+	// Sized for m up front, so the index never rehashes. Each draw costs
+	// one membership probe; MustAddEdge inserts without probing again.
+	g := MustNewCap(n, u, m)
+	addRandomTree(r, g, w)
 	k := n - 1
 
 	var cand [][2]uint32
 	var taken []bool
-	var seen map[uint64]struct{}
 	for g.M() < m {
 		need := m - g.M()
 		if workers < 2 || need < gnmParallelMin {
@@ -193,28 +200,18 @@ func GNMWorkers(r *rng.RNG, n, m int, u uint64, w WeightFunc, workers int) *Grap
 			}(lo, hi)
 		}
 		wg.Wait()
-		// Sequential resolve in draw order: within-batch duplicates reject
-		// exactly as the rejection loop would have.
-		if seen == nil {
-			seen = make(map[uint64]struct{}, need)
-		}
+		// Sequential resolve in draw order: a candidate the pre-batch graph
+		// lacks is a duplicate iff an earlier accept of this batch added
+		// it, so probing the graph again rejects exactly as the rejection
+		// loop would have.
 		for i := 0; i < need && g.M() < m; i++ {
-			if taken[i] {
-				continue
-			}
 			a, b := cand[i][0], cand[i][1]
-			if a > b {
-				a, b = b, a
-			}
-			key := uint64(a)<<32 | uint64(b)
-			if _, dup := seen[key]; dup {
+			if taken[i] || g.HasEdge(a, b) {
 				continue
 			}
-			seen[key] = struct{}{}
 			g.MustAddEdge(a, b, w(k))
 			k++
 		}
-		clear(seen)
 	}
 	return g
 }

@@ -36,6 +36,26 @@ type Graph struct {
 
 // New creates an empty graph on n nodes with raw weights bounded by maxRaw.
 func New(n int, maxRaw uint64) (*Graph, error) {
+	return newCap(n, maxRaw, 0)
+}
+
+// MustNew is New but panics on error.
+func MustNew(n int, maxRaw uint64) *Graph {
+	return MustNewCap(n, maxRaw, 0)
+}
+
+// MustNewCap is MustNew with room for m edges: the edge slice and the
+// edge-number index are sized up front, so adding up to m edges never
+// regrows them.
+func MustNewCap(n int, maxRaw uint64, m int) *Graph {
+	g, err := newCap(n, maxRaw, m)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+func newCap(n int, maxRaw uint64, m int) (*Graph, error) {
 	layout, err := bitwidth.New(n, maxRaw)
 	if err != nil {
 		return nil, err
@@ -44,17 +64,9 @@ func New(n int, maxRaw uint64) (*Graph, error) {
 		N:      n,
 		MaxRaw: maxRaw,
 		Layout: layout,
-		byNum:  make(map[uint64]int),
+		edges:  make([]Edge, 0, m),
+		byNum:  make(map[uint64]int, m),
 	}, nil
-}
-
-// MustNew is New but panics on error.
-func MustNew(n int, maxRaw uint64) *Graph {
-	g, err := New(n, maxRaw)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // M returns the number of edges.
@@ -70,34 +82,59 @@ func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 // Self-loops, duplicate edges, out-of-range endpoints and out-of-range
 // weights are rejected.
 func (g *Graph) AddEdge(a, b uint32, raw uint64) error {
+	a, b, err := g.check(a, b, raw)
+	if err != nil {
+		return err
+	}
+	if _, dup := g.byNum[g.Layout.EdgeNum(a, b)]; dup {
+		return fmt.Errorf("graph: duplicate edge {%d,%d}", a, b)
+	}
+	g.add(a, b, raw)
+	return nil
+}
+
+// MustAddEdge is AddEdge but panics on error; for generators and
+// rebuilds whose edges are distinct by construction. It hashes the edge
+// number once, where AddEdge probes before inserting: a duplicate shows
+// as an index that did not grow, and leaves the graph unusable, which the
+// panic reports.
+func (g *Graph) MustAddEdge(a, b uint32, raw uint64) {
+	a, b, err := g.check(a, b, raw)
+	if err != nil {
+		panic(err)
+	}
+	if !g.add(a, b, raw) {
+		panic(fmt.Errorf("graph: duplicate edge {%d,%d}", a, b))
+	}
+}
+
+// check validates an edge and returns its endpoints smallest first.
+func (g *Graph) check(a, b uint32, raw uint64) (uint32, uint32, error) {
 	if a == b {
-		return fmt.Errorf("graph: self-loop at %d", a)
+		return 0, 0, fmt.Errorf("graph: self-loop at %d", a)
 	}
 	if a < 1 || int(a) > g.N || b < 1 || int(b) > g.N {
-		return fmt.Errorf("graph: endpoint out of range: {%d,%d} with n=%d", a, b, g.N)
+		return 0, 0, fmt.Errorf("graph: endpoint out of range: {%d,%d} with n=%d", a, b, g.N)
 	}
 	if raw < 1 || raw > g.MaxRaw {
-		return fmt.Errorf("graph: raw weight %d outside [1,%d]", raw, g.MaxRaw)
+		return 0, 0, fmt.Errorf("graph: raw weight %d outside [1,%d]", raw, g.MaxRaw)
 	}
 	if a > b {
 		a, b = b, a
 	}
-	num := g.Layout.EdgeNum(a, b)
-	if _, dup := g.byNum[num]; dup {
-		return fmt.Errorf("graph: duplicate edge {%d,%d}", a, b)
-	}
-	g.byNum[num] = len(g.edges)
-	g.edges = append(g.edges, Edge{A: a, B: b, Raw: raw})
-	g.adjval = false
-	return nil
+	return a, b, nil
 }
 
-// MustAddEdge is AddEdge but panics on error; for generators whose inputs
-// are valid by construction.
-func (g *Graph) MustAddEdge(a, b uint32, raw uint64) {
-	if err := g.AddEdge(a, b, raw); err != nil {
-		panic(err)
+// add indexes and appends the checked edge {a,b}, a < b, and reports
+// whether it was new. A duplicate overwrites its index entry.
+func (g *Graph) add(a, b uint32, raw uint64) bool {
+	g.byNum[g.Layout.EdgeNum(a, b)] = len(g.edges)
+	if len(g.byNum) == len(g.edges) {
+		return false
 	}
+	g.edges = append(g.edges, Edge{A: a, B: b, Raw: raw})
+	g.adjval = false
+	return true
 }
 
 // HasEdge reports whether the undirected edge {a,b} exists.

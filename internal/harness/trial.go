@@ -390,7 +390,11 @@ func pickNonLink(nw *congest.Network, r *rng.RNG) (congest.NodeID, congest.NodeI
 // topology (which repair storms mutate away from the generated graph) and
 // returns it with the marked forest.
 func graphFromNetwork(nw *congest.Network) (*graph.Graph, [][2]congest.NodeID) {
-	g := graph.MustNew(nw.N(), nw.MaxRaw())
+	halves := 0
+	for v := 1; v <= nw.N(); v++ {
+		halves += len(nw.Node(congest.NodeID(v)).Edges)
+	}
+	g := graph.MustNewCap(nw.N(), nw.MaxRaw(), halves/2)
 	for v := 1; v <= nw.N(); v++ {
 		node := nw.Node(congest.NodeID(v))
 		for i := range node.Edges {

@@ -95,7 +95,7 @@ func StateOf(g *graph.Graph, forest []int) State {
 // Graph rebuilds the topology as a graph.Graph (marks are not a graph
 // property; see MarkedPairs).
 func (st State) Graph() *graph.Graph {
-	g := graph.MustNew(st.N, st.MaxRaw)
+	g := graph.MustNewCap(st.N, st.MaxRaw, len(st.Edges))
 	for _, e := range st.Edges {
 		g.MustAddEdge(e.A, e.B, e.Raw)
 	}

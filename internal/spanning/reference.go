@@ -1,7 +1,9 @@
 package spanning
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"kkt/internal/graph"
@@ -12,19 +14,21 @@ import (
 // are distinct, the MSF is unique and set comparison against a distributed
 // run is exact.
 func Kruskal(g *graph.Graph) []int {
-	order := make([]int, g.M())
-	for i := range order {
-		order[i] = i
+	type key struct {
+		composite uint64
+		edge      int
 	}
-	sort.Slice(order, func(x, y int) bool {
-		return g.Composite(g.Edge(order[x])) < g.Composite(g.Edge(order[y]))
-	})
+	keys := make([]key, g.M())
+	for i, e := range g.Edges() {
+		keys[i] = key{g.Composite(e), i}
+	}
+	slices.SortFunc(keys, func(x, y key) int { return cmp.Compare(x.composite, y.composite) })
 	uf := NewUnionFind(g.N)
 	forest := make([]int, 0, g.N-1)
-	for _, ei := range order {
-		e := g.Edge(ei)
+	for _, k := range keys {
+		e := g.Edge(k.edge)
 		if uf.Union(e.A, e.B) {
-			forest = append(forest, ei)
+			forest = append(forest, k.edge)
 		}
 	}
 	sort.Ints(forest)

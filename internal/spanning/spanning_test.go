@@ -83,6 +83,46 @@ func TestKruskalIsMinimumExhaustive(t *testing.T) {
 	}
 }
 
+// TestKruskalMatchesCycleRule compares Kruskal's edge set with the cycle
+// rule on small graphs whose raw weights tie often: an edge belongs to the
+// MSF iff the strictly lighter edges (by composite weight) do not already
+// connect its endpoints. The reference sorts nothing.
+func TestKruskalMatchesCycleRule(t *testing.T) {
+	r := rng.New(12)
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + r.Intn(8)
+		m := r.Intn(n*(n-1)/2 + 1)
+		g := graph.MustNew(n, 3)
+		for g.M() < m {
+			a, b := uint32(r.Intn(n)+1), uint32(r.Intn(n)+1)
+			if a != b && !g.HasEdge(a, b) {
+				g.MustAddEdge(a, b, r.Range(1, 3))
+			}
+		}
+		var want []int
+		for i, e := range g.Edges() {
+			uf := NewUnionFind(n)
+			for _, f := range g.Edges() {
+				if g.Composite(f) < g.Composite(e) {
+					uf.Union(f.A, f.B)
+				}
+			}
+			if !uf.Same(e.A, e.B) {
+				want = append(want, i)
+			}
+		}
+		got := Kruskal(g)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: Kruskal = %v, cycle rule = %v", trial, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: Kruskal = %v, cycle rule = %v", trial, got, want)
+			}
+		}
+	}
+}
+
 // bruteForceMinSpanningWeight enumerates all (n-1)-subsets of edges.
 func bruteForceMinSpanningWeight(g *graph.Graph) uint64 {
 	m := g.M()
