@@ -94,7 +94,8 @@ type NodeState struct {
 	edgeNumBits uint8
 	// Edges lists incident links sorted by neighbour ID. The sorted slice
 	// is also the neighbour index: lookups binary-search it, so there is
-	// no side map to rebuild on topology changes.
+	// no side map to rebuild on topology changes. NewNetwork makes it a
+	// cap-limited window of one backing array shared by all nodes.
 	Edges []HalfEdge
 
 	// sess holds per-protocol automaton state keyed by session ID: a tiny

@@ -35,6 +35,26 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 }
 
+// TestMustAddEdgePanicsOnDuplicate covers MustAddEdge's single-hash
+// duplicate check: the index that did not grow, in either direction.
+func TestMustAddEdgePanicsOnDuplicate(t *testing.T) {
+	for _, dup := range [][2]uint32{{1, 2}, {2, 1}} {
+		g := MustNewCap(3, 5, 2)
+		g.MustAddEdge(1, 2, 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MustAddEdge(%d,%d) of an existing edge did not panic", dup[0], dup[1])
+				}
+			}()
+			g.MustAddEdge(dup[0], dup[1], 2)
+		}()
+		if g.M() != 1 {
+			t.Errorf("duplicate appended: %d edges", g.M())
+		}
+	}
+}
+
 func TestEdgeNormalisationAndLookup(t *testing.T) {
 	g := MustNew(10, 5)
 	g.MustAddEdge(7, 3, 2)

@@ -1,7 +1,6 @@
 package spanning
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,21 +13,21 @@ import (
 // are distinct, the MSF is unique and set comparison against a distributed
 // run is exact.
 func Kruskal(g *graph.Graph) []int {
-	type key struct {
-		composite uint64
-		edge      int
-	}
-	keys := make([]key, g.M())
+	// A composite weight ends in the edge number, which names both
+	// endpoints, so the sorted composites alone drive the union-find and
+	// only the forest's edges need their index looked up.
+	comps := make([]uint64, g.M())
 	for i, e := range g.Edges() {
-		keys[i] = key{g.Composite(e), i}
+		comps[i] = g.Composite(e)
 	}
-	slices.SortFunc(keys, func(x, y key) int { return cmp.Compare(x.composite, y.composite) })
+	slices.Sort(comps)
 	uf := NewUnionFind(g.N)
 	forest := make([]int, 0, g.N-1)
-	for _, k := range keys {
-		e := g.Edge(k.edge)
-		if uf.Union(e.A, e.B) {
-			forest = append(forest, k.edge)
+	for _, c := range comps {
+		_, num := g.Layout.SplitComposite(c)
+		a, b := g.Layout.SplitEdgeNum(num)
+		if uf.Union(a, b) {
+			forest = append(forest, g.EdgeIndex(a, b))
 		}
 	}
 	sort.Ints(forest)
