@@ -176,35 +176,6 @@ func (nw *Network) deliverSharded(se *shardEngine, batch []*Message) {
 		se.load[i] += l.handled
 		l.handled = 0
 	}
-	se.balanceMessages()
-}
-
-// balanceMessages evens out the lanes' Message free lists. A handler's
-// sends draw from its own lane's list and a delivery recycles into the
-// receiving lane's, so a lane whose nodes receive more than they send
-// would gain what the others keep allocating. At each barrier, while the
-// longest list holds more than twice the shortest, half the gap moves
-// across, as tree's balanceBlocks does for echo blocks.
-func (se *shardEngine) balanceMessages() {
-	for {
-		hi, lo := se.lanes[0], se.lanes[0]
-		for _, l := range se.lanes[1:] {
-			if len(l.msgFree) > len(hi.msgFree) {
-				hi = l
-			}
-			if len(l.msgFree) < len(lo.msgFree) {
-				lo = l
-			}
-		}
-		h, n := len(hi.msgFree), len(lo.msgFree)
-		if h <= 2*n+64 {
-			return
-		}
-		keep := h - (h-n)/2
-		lo.msgFree = append(lo.msgFree, hi.msgFree[keep:]...)
-		clear(hi.msgFree[keep:])
-		hi.msgFree = hi.msgFree[:keep]
-	}
 }
 
 // refillRoot moves half the longest lane list, at least one message, to
