@@ -5,6 +5,7 @@ import (
 
 	"kkt/internal/congest"
 	"kkt/internal/graph"
+	"kkt/internal/race"
 	"kkt/internal/rng"
 	"kkt/internal/tree"
 )
@@ -19,8 +20,14 @@ func TestShardedBuildParksFewMessages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 20k-node MST three times")
 	}
+	n, m := 20000, 60000
+	if race.Enabled {
+		// The race build checks the refill's synchronization, which a
+		// tenth of the graph exercises as well, in a tenth of the time.
+		n, m = 2000, 6000
+	}
 	r := rng.New(1)
-	g := graph.GNM(r, 20000, 60000, 1<<20, graph.UniformWeights(r, 1<<20))
+	g := graph.GNM(r, n, m, 1<<20, graph.UniformWeights(r, 1<<20))
 	parked := func(shards int) int {
 		nw := congest.NewNetwork(g, congest.WithShards(shards))
 		if _, err := Build(nw, tree.Attach(nw), DefaultBuild(1)); err != nil {
