@@ -26,6 +26,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench BenchmarkGNMDense -benchtime 10x -benchmem ./internal/graph
 	$(GO) test -run '^$$' -bench BenchmarkKruskal -benchtime 10x -benchmem ./internal/spanning
 	$(GO) test -run '^$$' -bench BenchmarkBroadcastEcho -benchtime 20x -benchmem ./internal/tree
+	$(GO) test -run '^$$' -bench BenchmarkRelayout -benchtime 20x -benchmem ./internal/tree
 	$(GO) test -run '^$$' -bench BenchmarkBuildMST -benchtime 10x -benchmem ./internal/mst
 	$(GO) test -run '^$$' -bench BenchmarkRepairStorm -benchtime 10x -benchmem ./internal/harness
 

@@ -89,9 +89,11 @@ type HalfEdge struct {
 // that is the locality discipline of the model.
 type NodeState struct {
 	ID NodeID
-	// edgeNumBits is the layout's edge-number width: the low bits of every
-	// incident composite weight (see EdgeNumMask).
-	edgeNumBits uint8
+	// place packs the node's storage slot (Slot) above the layout's
+	// edge-number width (the low placeBits bits: the low bits of every
+	// incident composite weight, see EdgeNumMask). Both fit beside ID in
+	// the struct's first word, on the line the delivery warm pass loads.
+	place uint32
 	// Edges lists incident links sorted by neighbour ID. The sorted slice
 	// is also the neighbour index: lookups binary-search it, so there is
 	// no side map to rebuild on topology changes. NewNetwork makes it a
@@ -126,16 +128,39 @@ type stagedMark struct {
 	marked   bool
 }
 
+// placeBits is the width of the edge-number width in NodeState.place: an
+// edge number is at most 2·bitwidth.MaxSupportedIDBits = 60 bits wide.
+// The slot takes the other 26 bits, so a network holds at most maxNodes
+// nodes.
+const placeBits = 6
+
+// maxNodes is the largest node count a Network can hold: every storage
+// slot must fit beside the edge-number width in NodeState.place.
+const maxNodes = 1<<(32-placeBits) - 1
+
+// Slot returns the node's storage slot: its index in the network's array
+// of node states, 1..n. NewNetwork stores node v at slot v, and Relayout
+// moves states (and the slots with them) without changing any ID. Side
+// arrays that hold per-node protocol state index by slot, so that nodes
+// stored together keep their side state together.
+func (ns *NodeState) Slot() int { return int(ns.place >> placeBits) }
+
+// setSlot records the node's storage slot, keeping the edge-number width.
+func (ns *NodeState) setSlot(s int) { ns.place = uint32(s)<<placeBits | ns.place&(1<<placeBits-1) }
+
+// edgeNumBits returns the layout's edge-number width.
+func (ns *NodeState) edgeNumBits() uint { return uint(ns.place & (1<<placeBits - 1)) }
+
 // EdgeNumMask masks an incident composite weight down to its edge number.
 // Local scans over Edges hoist it out of the loop.
-func (ns *NodeState) EdgeNumMask() uint64 { return 1<<ns.edgeNumBits - 1 }
+func (ns *NodeState) EdgeNumMask() uint64 { return 1<<ns.edgeNumBits() - 1 }
 
 // EdgeNum returns the paper's edge number of he, one of the node's
 // half-edges.
 func (ns *NodeState) EdgeNum(he *HalfEdge) uint64 { return he.Composite & ns.EdgeNumMask() }
 
 // Raw returns the raw weight of he, one of the node's half-edges.
-func (ns *NodeState) Raw(he *HalfEdge) uint64 { return he.Composite >> ns.edgeNumBits }
+func (ns *NodeState) Raw(he *HalfEdge) uint64 { return he.Composite >> ns.edgeNumBits() }
 
 // edgePos returns the position of the half-edge toward neighbor in the
 // sorted Edges slice, or -1. Hand-rolled binary search: this is the
@@ -358,8 +383,13 @@ type session struct {
 // Network is the simulator: topology, schedulers, counters, sessions and
 // drivers.
 type Network struct {
-	nodes  []*NodeState // index 1..n; index 0 nil
-	states []NodeState  // backing array for nodes, one allocation
+	// nodes maps each ID to its state (index 1..n; index 0 nil). states
+	// holds the states in storage order, indexed by slot, and back the
+	// half-edge windows in the same order (see Relayout).
+	nodes  []*NodeState
+	states []NodeState
+	back   []HalfEdge
+	relay  relayScratch
 	layout bitwidth.Layout
 	maxRaw uint64
 
@@ -567,6 +597,9 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if g.N > maxNodes {
+		panic(fmt.Sprintf("congest: %d nodes, at most %d fit the storage slots", g.N, maxNodes))
+	}
 	nw := &Network{
 		nodes:   make([]*NodeState, g.N+1),
 		states:  make([]NodeState, g.N+1),
@@ -589,6 +622,7 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 		lo[v] += lo[v-1]
 	}
 	back := make([]HalfEdge, 2*g.M())
+	nw.back = back
 	fill := make([]int, g.N+1)
 	copy(fill, lo)
 	for _, e := range g.Edges() {
@@ -615,7 +649,7 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 		}
 		ns := &nw.states[v]
 		ns.ID = NodeID(v)
-		ns.edgeNumBits = uint8(g.Layout.EdgeNumBits)
+		ns.place = uint32(v)<<placeBits | uint32(g.Layout.EdgeNumBits)
 		if len(w) > 0 {
 			ns.Edges = w
 		}

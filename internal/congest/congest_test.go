@@ -378,6 +378,18 @@ func TestHalfEdgeSize(t *testing.T) {
 	}
 }
 
+// TestNodeStateSize pins the node state at ten words: ID and place (slot
+// plus edge-number width) share the first, then the three slices. Every
+// node has one, and the delivery warm pass loads its first line.
+func TestNodeStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(NodeState{}); got != 80 {
+		t.Errorf("NodeState is %d bytes, want 80", got)
+	}
+	if got := unsafe.Offsetof(NodeState{}.place); got != 4 {
+		t.Errorf("NodeState.place at offset %d, want 4 (beside ID)", got)
+	}
+}
+
 // TestHalfEdgeSplitsComposite checks the accessors against the layout:
 // every half-edge's raw weight and edge number are the halves of its
 // composite weight.

@@ -40,6 +40,18 @@
 //
 // # Invariants
 //
+// Identity and storage. A node's identity is its ID, 1..n: messages,
+// sessions, draws and reports name nodes by ID, and Node(id) finds the
+// state. Where that state sits is a separate thing, its storage slot
+// (NodeState.Slot): the index of the state in the network's array of
+// node states, whose half-edge windows lie in one backing array in the
+// same order. NewNetwork puts node v at slot v. Relayout moves states
+// and windows into another order in place, between Runs, and nothing
+// observable changes; per-node side arrays that protocol layers keep
+// (package tree's broadcast-and-echo slots) index by slot, so they
+// follow. Build MST re-lays out storage in fragment order at every
+// Borůvka phase, so the nodes a fragment's messages visit sit together.
+//
 // Delivery. Each batch is delivered in windows of 64 messages: a tight
 // loop first touches every destination's NodeState (warmNode), so their
 // cache misses overlap, then the window's handlers run in batch order.

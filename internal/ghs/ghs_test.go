@@ -153,3 +153,21 @@ func TestGHSDenseMatchesKruskalPinned(t *testing.T) {
 		t.Errorf("%d messages in total, want 7915", res.Messages)
 	}
 }
+
+// TestGHSKeepsLayout builds on a sparse gnm on which Build MST would
+// re-lay out node storage, and checks that GHS, which does not ask its
+// fan-out for storage order (tree.Fanout.OrderStorage), leaves every node
+// in its own slot.
+func TestGHSKeepsLayout(t *testing.T) {
+	r := rng.New(5)
+	g := graph.GNM(r, 5000, 15000, 1<<20, graph.UniformWeights(r, 1<<20))
+	nw := congest.NewNetwork(g)
+	if _, err := Build(nw, tree.Attach(nw), Attach(nw)); err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= nw.N(); v++ {
+		if s := nw.Node(congest.NodeID(v)).Slot(); s != v {
+			t.Fatalf("node %d moved to slot %d", v, s)
+		}
+	}
+}

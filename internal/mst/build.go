@@ -123,6 +123,7 @@ func Build(nw *congest.Network, pr *tree.Protocol, cfg BuildConfig) (BuildResult
 	fan := tree.NewFanout(pr, "mst", "findmin", findmin.NewMachine, func(m *findmin.Machine, phase int, leader congest.NodeID) {
 		m.Reset(pr, leader, fragmentSeed(cfg.Seed, phase, leader), cfg.FindMin)
 	})
+	fan.OrderStorage()
 	for phase := 1; ; phase++ {
 		if phase > maxPhases {
 			if cfg.Policy == Fixed {

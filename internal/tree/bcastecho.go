@@ -114,7 +114,7 @@ type beSlot struct {
 // Shard safety: a node's slot is only touched by handlers at that node
 // (one shard) or by a driver between rounds.
 func (pr *Protocol) claimBE(node *congest.NodeState, sid congest.SessionID, parent congest.NodeID) *beState {
-	sl := &pr.slots[node.ID]
+	sl := &pr.slots[node.Slot()]
 	if sl.sid == 0 {
 		sl.sid = sid
 		sl.parent, sl.parentPos = parent, -1
@@ -130,7 +130,7 @@ func (pr *Protocol) claimBE(node *congest.NodeState, sid congest.SessionID, pare
 
 // stateBE returns node's state for session sid, or nil.
 func (pr *Protocol) stateBE(node *congest.NodeState, sid congest.SessionID) *beState {
-	if sl := &pr.slots[node.ID]; sl.sid == sid {
+	if sl := &pr.slots[node.Slot()]; sl.sid == sid {
 		return &sl.beState
 	}
 	st, _ := node.SessionState(sid).(*beState)
@@ -139,7 +139,7 @@ func (pr *Protocol) stateBE(node *congest.NodeState, sid congest.SessionID) *beS
 
 // releaseBE frees node's state for session sid.
 func (pr *Protocol) releaseBE(node *congest.NodeState, sid congest.SessionID) {
-	sl := &pr.slots[node.ID]
+	sl := &pr.slots[node.Slot()]
 	if sl.sid != sid {
 		node.SetSessionState(sid, nil)
 		return

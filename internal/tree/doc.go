@@ -20,11 +20,25 @@
 //
 // Per-node broadcast-and-echo slots. Each node's broadcast-and-echo state
 // (beState) lives inline in a dense slot array owned by the Protocol,
-// indexed by node ID and stamped with the session ID (0 = free). The
+// indexed by the node's storage slot (NodeState.Slot, not its ID) and
+// stamped with the session ID (0 = free). The
 // child loop sends down by half-edge position (congest.SendAt) and
 // records the parent's position, so the echo goes up by position too. A
 // node in two live sessions at once keeps the second session's state in
 // its NodeState session vector, the overflow.
+//
+// Storage in fragment order. Fanout.Run re-lays out node storage
+// (congest.Network.Relayout) after each phase's election and before it
+// spawns a fragment: fragments in leader order, each in DFS preorder of
+// its marked tree from the leader, children in Edges order. Slots and
+// the election buffer index by storage slot, so they follow the states
+// without moving: between Runs no broadcast-and-echo is in flight and
+// every slot is free. A fixed rule skips the re-layout where it cannot
+// pay: networks under relayoutMinNodes nodes or of average degree above
+// relayoutMaxDegree, and phases whose fragments are all single nodes.
+// Only a protocol that asks for it (Fanout.OrderStorage) re-lays out:
+// Build MST does, GHS and Build ST, whose phases do not repay the move,
+// do not.
 //
 // One echo lane. Every echo is a fixed handful of words (Spec.Width, at
 // most MaxWidth), and every echo folds into the receiving node's

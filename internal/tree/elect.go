@@ -108,7 +108,7 @@ func (pr *Protocol) StartElectAll() congest.SessionID {
 	}
 	for v := 1; v <= n; v++ {
 		node := pr.nw.Node(congest.NodeID(v))
-		st := &states[v]
+		st := &states[node.Slot()]
 		st.reset()
 		node.SetSessionState(sid, st)
 		pr.electMaybeAct(pr.nw, node, sid, st)

@@ -73,6 +73,46 @@ type Fanout[S Search] struct {
 	free  []S // searches bound to no running fragment
 	tally Tally
 	frags []fragment[S]
+
+	// relayout is set by OrderStorage to the skip rule's verdict on the
+	// network (relayoutPays); order, stack and seen (stamped with stamp)
+	// are fragmentOrder's scratch, kept across phases.
+	relayout bool
+	order    []congest.NodeID
+	stack    []congest.NodeID
+	seen     []uint32
+	stamp    uint32
+}
+
+// The skip rule: a fan-out that asked for storage order (OrderStorage)
+// re-lays out node storage in fragment order (see Run) only on a network
+// of at least relayoutMinNodes nodes whose average degree is at most
+// relayoutMaxDegree, and only when some fragment has two nodes or more.
+// Both bounds come from timing Build MST on gnm graphs with a re-layout
+// every phase against none, 10 interleaved pairs a point
+// (docs/ARCHITECTURE.md, rule 6, has the table). At average degree 6 and
+// 16 the re-layout gained from 4096 nodes up, 11% to 16% at 16384 and
+// 32768 nodes, while at 1024 nodes no gain showed; there it would only add its scratch
+// to every small build. At degree 32 it was flat, at 64 it lost at most
+// sizes, and on the dense ladder's top rung, gnm(2048, n²/8), it took
+// 2.20 s against 1.34 s: a window that spans many cache lines gains little
+// from its neighbours and costs its full length to move.
+const (
+	relayoutMinNodes  = 1 << 12
+	relayoutMaxDegree = 16
+)
+
+// relayoutPays applies the size and degree parts of the skip rule.
+func relayoutPays(nw *congest.Network) bool {
+	n := nw.N()
+	if n < relayoutMinNodes {
+		return false
+	}
+	halves := 0
+	for v := 1; v <= n; v++ {
+		halves += len(nw.Node(congest.NodeID(v)).Edges)
+	}
+	return halves <= relayoutMaxDegree*n
 }
 
 // NewFanout returns a fan-out over pr. proto names the protocol in the
@@ -85,6 +125,17 @@ func NewFanout[S Search](pr *Protocol, proto, prefix string, newSearch func() S,
 	return &Fanout[S]{pr: pr, proto: proto, prefix: prefix, newSearch: newSearch, arm: arm}
 }
 
+// OrderStorage has every later Run move node storage into fragment order
+// before it spawns, in the phases the skip rule lets through. Only a
+// protocol whose phases repay the move calls it. Build MST does: its
+// phases send about 60 messages per node on gnm 100k/300k, most of them
+// along tree edges. GHS and Build ST do not. On a 2-vCPU Xeon, 10
+// interleaved pairs each, re-laying out every phase slowed a GHS build
+// on gnm 100k/200k from 1.89 to 2.31 s (about 6 messages per node a
+// phase, many of them tests over non-tree edges) and a Build ST on gnm
+// 16384/49152 from 0.97 to 1.06 s.
+func (f *Fanout[S]) OrderStorage() { f.relayout = relayoutPays(f.pr.nw) }
+
 // Begin opens a phase's cost bracket. Call it before the phase's
 // elections, so their traffic is charged to the phase.
 func (f *Fanout[S]) Begin() { f.meter.Begin(f.pr.nw) }
@@ -93,10 +144,21 @@ func (f *Fanout[S]) Begin() { f.meter.Begin(f.pr.nw) }
 // task per leader (in the given order, which fixes session serials), run
 // the network to the phase barrier, then ApplyStaged. It returns the
 // phase's searches tallied by outcome, together with the phase cost.
+//
+// Before it spawns, Run moves node storage into fragment order
+// (congest.Network.Relayout), unless the skip rule says it cannot pay
+// (relayoutMinNodes) or the protocol did not ask for it (OrderStorage): fragments in leader order, and each fragment in DFS
+// preorder of its marked tree from the leader, children in Edges order.
+// Almost every message of the phase travels a tree edge inside one
+// fragment, so consecutive deliveries then touch nearby states, windows
+// and slots. The move is invisible: no ID, draw or counter changes.
 func (f *Fanout[S]) Run(phase int, leaders []congest.NodeID) (Tally, congest.PhaseCosts, error) {
 	nw := f.pr.nw
 	if o := nw.Obs(); o != nil {
 		o.PhaseStart(f.proto, phase, len(leaders), nw.Now())
+	}
+	if f.relayout && len(leaders) < nw.N() && f.fragmentOrder(leaders) {
+		nw.Relayout(f.order)
 	}
 	n := len(leaders)
 	if len(f.frags) < n {
@@ -120,6 +182,43 @@ func (f *Fanout[S]) Run(phase int, leaders []congest.NodeID) (Tally, congest.Pha
 		o.PhaseEnd(f.proto, phase, nw.Now(), cost)
 	}
 	return f.tally, cost, nil
+}
+
+// fragmentOrder fills f.order with every node, fragment by fragment in
+// leader order, each fragment in DFS preorder of its marked tree from its
+// leader with children in Edges order. It reports false, and the phase
+// keeps its layout, when the leaders do not reach every node exactly once.
+func (f *Fanout[S]) fragmentOrder(leaders []congest.NodeID) bool {
+	nw := f.pr.nw
+	n := nw.N()
+	if len(f.seen) != n+1 {
+		f.seen, f.stamp = make([]uint32, n+1), 0
+	}
+	f.stamp++
+	seen, stamp := f.seen, f.stamp
+	order, stack := f.order[:0], f.stack[:0]
+	for _, leader := range leaders {
+		if seen[leader] == stamp {
+			return false
+		}
+		seen[leader] = stamp
+		stack = append(stack, leader)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			order = append(order, v)
+			// Push the children in reverse, so they pop in Edges order.
+			edges := nw.Node(v).Edges
+			for i := len(edges) - 1; i >= 0; i-- {
+				if he := &edges[i]; he.Marked && seen[he.Neighbor] != stamp {
+					seen[he.Neighbor] = stamp
+					stack = append(stack, he.Neighbor)
+				}
+			}
+		}
+	}
+	f.order, f.stack = order, stack
+	return len(order) == n
 }
 
 // fragment is the task body of one fragment in one phase: the search,

@@ -7,6 +7,8 @@ import (
 
 	"kkt/internal/congest"
 	"kkt/internal/graph"
+	"kkt/internal/rng"
+	"kkt/internal/spanning"
 )
 
 // pickSearch selects a fixed edge per leader (0 = none) after awaiting
@@ -120,5 +122,130 @@ func TestFanoutSingletonsShareOneSearch(t *testing.T) {
 	}
 	if built != 1 {
 		t.Errorf("built %d searches for %d singleton fragments, want 1", built, n)
+	}
+}
+
+// sumSearch runs one broadcast-and-echo of sumSpec over its fragment,
+// records the echo under the leader and reports an empty cut.
+type sumSearch struct {
+	pr      *Protocol
+	sums    map[congest.NodeID]uint64
+	leader  congest.NodeID
+	started bool
+}
+
+func (s *sumSearch) Arm(phase int, leader congest.NodeID) {
+	s.leader, s.started = leader, false
+}
+
+func (s *sumSearch) Found() (uint64, Outcome) { return 0, EmptyCut }
+
+func (s *sumSearch) Step(_ *congest.Task, w congest.Wake) (congest.SessionID, bool, error) {
+	if !s.started {
+		s.started = true
+		return s.pr.StartBroadcastEcho(s.leader, sumSpec()), false, nil
+	}
+	u, err := w.U()
+	s.sums[s.leader] = u
+	return 0, true, err
+}
+
+// TestFanoutRelaysOutInFragmentOrder runs fan-out phases over the
+// fragments of a marked forest on a network the skip rule re-lays out.
+// Before each phase's re-layout and after its barrier no broadcast-and-
+// echo slot is taken, so the slots need not move with the states. After
+// the re-layout the fragments lie in leader order, each in DFS preorder
+// from its leader with children in Edges order, and every fragment's
+// broadcast-and-echo, run on the new layout, sums the IDs of its nodes.
+func TestFanoutRelaysOutInFragmentOrder(t *testing.T) {
+	r := rng.New(9)
+	g := graph.GNM(r, 5000, 12000, 1<<16, graph.UniformWeights(r, 1<<16))
+	nw := congest.NewNetwork(g)
+	var forest [][2]congest.NodeID
+	for i, ei := range spanning.Kruskal(g) {
+		if i%5 != 0 {
+			e := g.Edge(ei)
+			forest = append(forest, [2]congest.NodeID{congest.NodeID(e.A), congest.NodeID(e.B)})
+		}
+	}
+	nw.SetForest(forest)
+	pr := Attach(nw)
+	sums := map[congest.NodeID]uint64{}
+	fan := NewFanout(pr, "test", "sum", func() *sumSearch { return &sumSearch{pr: pr, sums: sums} }, (*sumSearch).Arm)
+	fan.OrderStorage()
+	if !fan.relayout {
+		t.Fatal("the skip rule skips a sparse 5000-node network")
+	}
+	slotsFree := func(when string) {
+		t.Helper()
+		for i := range pr.slots {
+			if pr.slots[i].sid != 0 {
+				t.Fatalf("%s: broadcast-and-echo slot %d is taken", when, i)
+			}
+		}
+	}
+	// dfs appends the fragment of v in preorder, children in Edges order.
+	var dfs func(v, parent congest.NodeID, order []congest.NodeID) []congest.NodeID
+	dfs = func(v, parent congest.NodeID, order []congest.NodeID) []congest.NodeID {
+		order = append(order, v)
+		for _, he := range nw.Node(v).Edges {
+			if he.Marked && he.Neighbor != parent {
+				order = dfs(he.Neighbor, v, order)
+			}
+		}
+		return order
+	}
+	for phase := 1; phase <= 2; phase++ {
+		fan.Begin()
+		elect, err := pr.ElectAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(elect.Leaders) < 500 || len(elect.Leaders) >= nw.N() {
+			t.Fatalf("phase %d: %d fragments", phase, len(elect.Leaders))
+		}
+		slotsFree("before the re-layout")
+		if _, _, err := fan.Run(phase, elect.Leaders); err != nil {
+			t.Fatal(err)
+		}
+		slotsFree("after the barrier")
+		var order []congest.NodeID
+		for _, leader := range elect.Leaders {
+			start := len(order)
+			order = dfs(leader, 0, order)
+			want := uint64(0)
+			for _, v := range order[start:] {
+				want += uint64(v)
+			}
+			if sums[leader] != want {
+				t.Fatalf("phase %d: fragment of %d sums to %d, want %d", phase, leader, sums[leader], want)
+			}
+		}
+		for i, v := range order {
+			if s := nw.Node(v).Slot(); s != i+1 {
+				t.Fatalf("phase %d: node %d at slot %d, want %d", phase, v, s, i+1)
+			}
+		}
+	}
+}
+
+// TestFanoutRelayoutSkipRule pins the size and degree parts of the skip
+// rule: below relayoutMinNodes nodes, or above an average degree of
+// relayoutMaxDegree, a fan-out keeps the layout it finds.
+func TestFanoutRelayoutSkipRule(t *testing.T) {
+	r := rng.New(3)
+	for _, tc := range []struct {
+		n, m int
+		want bool
+	}{
+		{relayoutMinNodes - 1, 3 * relayoutMinNodes, false},
+		{relayoutMinNodes, 3 * relayoutMinNodes, true},
+		{relayoutMinNodes, relayoutMaxDegree * relayoutMinNodes / 2, true},
+		{relayoutMinNodes, relayoutMaxDegree*relayoutMinNodes/2 + 1, false},
+	} {
+		g := graph.GNM(r, tc.n, tc.m, 16, graph.UniformWeights(r, 16))
+		if got := relayoutPays(congest.NewNetwork(g)); got != tc.want {
+			t.Errorf("n=%d m=%d: relayoutPays = %v, want %v", tc.n, tc.m, got, tc.want)
+		}
 	}
 }

@@ -27,17 +27,20 @@ type Protocol struct {
 	// session's root is one node, so one shard) their own slots, which
 	// keeps the table shard-safe without locks.
 	specs []specSlot
-	// slots holds each node's broadcast-and-echo state, indexed by node
-	// ID and stamped with its session (see claimBE). A node in two live
-	// sessions at once keeps the second in its session vector.
+	// slots holds each node's broadcast-and-echo state, indexed by the
+	// node's storage slot (NodeState.Slot, not its ID, so that the slots
+	// of a fragment's nodes sit together as their states do) and stamped
+	// with its session (see claimBE). A node in two live sessions at once
+	// keeps the second in its session vector. No slot is taken between
+	// Runs, so a re-layout moves none.
 	slots []beSlot
 	// blkFree recycles wide echoes' blocks, one free list per execution
 	// lane so shard workers never contend.
 	blkFree [][]*[MaxWidth]uint64
-	// electBuf is the reusable per-node election state array; electSid is
-	// the session currently borrowing it (0 = free). A second concurrent
-	// wave — which never happens in the paper's algorithms — falls back to
-	// a fresh allocation.
+	// electBuf is the reusable per-node election state array, indexed by
+	// storage slot like slots; electSid is the session currently borrowing
+	// it (0 = free). A second concurrent wave — which never happens in the
+	// paper's algorithms — falls back to a fresh allocation.
 	electBuf []electState
 	electSid congest.SessionID
 	r        *rng.RNG
