@@ -180,14 +180,14 @@ func cmdList(args []string, stdout, stderr io.Writer) error {
 	return tw.Flush()
 }
 
-// faultsLabel renders the FAULTS column: an exact count for fixed fault
-// workloads, a ~prefixed estimate for compiled fault plans (the exact event
-// count depends on the seed and the graph).
+// faultsLabel renders the FAULTS column: 0 without a fault plan, else a
+// ~prefixed estimate (the exact event count depends on the seed and the
+// graph).
 func faultsLabel(s harness.Spec) string {
-	if s.Plan != nil {
-		return "~" + strconv.Itoa(s.Plan.Approx())
+	if s.Plan == nil {
+		return "0"
 	}
-	return strconv.Itoa(s.Faults.Total())
+	return "~" + strconv.Itoa(s.Plan.Approx())
 }
 
 func cmdRun(args []string, stdout, stderr io.Writer) error {

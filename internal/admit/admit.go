@@ -291,7 +291,7 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 		return 0, nil
 	}
 
-	base := nw.Counters()
+	baseMsgs, baseBits := nw.Totals()
 	baseTime := nw.Now()
 	if obs != nil {
 		for i := range wave {
@@ -310,10 +310,10 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 	// marks (including far-half markx) are in flight no longer.
 	nw.ApplyStaged()
 
-	delta := nw.CountersSince(base)
+	msgs, bits := nw.Totals()
 	dt := nw.Now() - baseTime
-	perMsgs := delta.Messages / uint64(len(wave))
-	perBits := delta.Bits / uint64(len(wave))
+	perMsgs := (msgs - baseMsgs) / uint64(len(wave))
+	perBits := (bits - baseBits) / uint64(len(wave))
 	doneTime := nw.Now()
 	for i := range wave {
 		action := wave[i].driver.Action().String()

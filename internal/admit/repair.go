@@ -140,7 +140,8 @@ func Apply[S tree.Search](nw *congest.Network, pr *tree.Protocol, s Structure[S]
 		Inline(nw, dec.Op, dec.Action)
 		return Report{Action: dec.Action}, nil
 	}
-	base, baseTime := nw.Counters(), nw.Now()
+	baseMsgs, baseBits := nw.Totals()
+	baseTime := nw.Now()
 	obs := nw.Obs()
 	if obs != nil {
 		obs.RepairStart(dec.Op, baseTime)
@@ -150,8 +151,8 @@ func Apply[S tree.Search](nw *congest.Network, pr *tree.Protocol, s Structure[S]
 		return Report{}, err
 	}
 	nw.ApplyStaged()
-	delta := nw.CountersSince(base)
-	rep := Report{Action: dec.Driver.Action(), Cost: Cost{Messages: delta.Messages, Bits: delta.Bits, Time: nw.Now() - baseTime}}
+	msgs, bits := nw.Totals()
+	rep := Report{Action: dec.Driver.Action(), Cost: Cost{Messages: msgs - baseMsgs, Bits: bits - baseBits, Time: nw.Now() - baseTime}}
 	if obs != nil {
 		obs.RepairDone(dec.Op, rep.Action.String(), nw.Now(), rep.Time, rep.Messages, rep.Bits)
 	}

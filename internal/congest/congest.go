@@ -973,6 +973,12 @@ func (nw *Network) completeSession(sid SessionID, w Wake) {
 // Counters returns a snapshot of the cost counters.
 func (nw *Network) Counters() Counters { return nw.counters.snapshot() }
 
+// Totals returns the ledger's total messages and bits: Counters without
+// the per-kind map, for callers that meter many short sections.
+func (nw *Network) Totals() (messages, bits uint64) {
+	return nw.counters.messages, nw.counters.bits
+}
+
 // CountersSince returns the costs accumulated since the earlier snapshot
 // (taken from Counters on this network). It lets callers meter a phase or
 // a single operation without resetting the global ledger.

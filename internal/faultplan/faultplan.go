@@ -57,11 +57,11 @@ type Event struct {
 	Stage string `json:"stage"`
 }
 
-// Plan is the declarative adversarial workload of a repair scenario: how
-// many faults of each targeting strategy to compile. A Plan plus a seed
-// and a topology determines a reproducible event list (see Compile); the
-// legacy FaultScript's uniform deletes/inserts/weight changes live on as
-// the Deletes/Inserts/WeightChanges background block.
+// Plan is the declarative workload of a repair scenario: how many faults
+// of each targeting strategy to compile. A Plan plus a seed
+// and a topology determines a reproducible event list (see Compile). A
+// plan with only the Deletes/Inserts/WeightChanges background block is
+// the uniform random workload of the non-adversarial repair scenarios.
 //
 // Stages compile in a fixed order chosen to maximize stress: partitions
 // first (they shatter the forest into regions the later faults land in),
@@ -93,8 +93,7 @@ type Plan struct {
 	HubDeletes int `json:"hub_deletes,omitempty"`
 
 	// Deletes/Inserts/WeightChanges are the uniform background block,
-	// compiled in seeded shuffled interleaving (the legacy FaultScript
-	// semantics).
+	// compiled in seeded shuffled interleaving.
 	Deletes       int `json:"deletes,omitempty"`
 	Inserts       int `json:"inserts,omitempty"`
 	WeightChanges int `json:"weight_changes,omitempty"`
@@ -609,8 +608,8 @@ func (m *model) hubDeletes(p Plan) {
 	}
 }
 
-// background compiles the uniform random block (the legacy FaultScript
-// workload) in seeded shuffled interleaving.
+// background compiles the uniform random block in seeded shuffled
+// interleaving.
 func (m *model) background(p Plan) {
 	ops := make([]Op, 0, p.Deletes+p.Inserts+p.WeightChanges)
 	for i := 0; i < p.Deletes; i++ {
@@ -654,8 +653,8 @@ func (m *model) setRaw(a, b uint32, raw uint64) {
 	}
 }
 
-// pickEdge draws a uniformly random surviving edge (via a random node with
-// degree > 0), mirroring the harness's legacy pickLink.
+// pickEdge draws a random surviving edge: a uniformly random node with
+// degree > 0, then a uniformly random incident edge.
 func (m *model) pickEdge() (uint32, uint32, bool) {
 	for attempt := 0; attempt < 16*m.n; attempt++ {
 		v := uint32(m.r.Intn(m.n) + 1)

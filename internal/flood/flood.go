@@ -61,9 +61,7 @@ func (f *Protocol) Build() (BuildResult, error) {
 		nw.ApplyStaged()
 	}
 	result.Forest = nw.MarkedEdges()
-	c := nw.Counters()
-	result.Messages = c.Messages
-	result.Bits = c.Bits
+	result.Messages, result.Bits = nw.Totals()
 	result.Rounds = nw.Now()
 	return result, nil
 }

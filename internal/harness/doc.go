@@ -1,6 +1,6 @@
 // Package harness is the experiment engine over the CONGEST simulator: a
 // registry of declarative scenarios (graph family × size × scheduler ×
-// algorithm × fault script), a parallel runner executing many seeded
+// algorithm × fault plan), a parallel runner executing many seeded
 // trials on a bounded worker pool, and deterministic aggregation of the
 // per-trial cost metrics (messages, bits, time, repair actions) into
 // mean/p50/p99 summaries. The cmd/kkt CLI is a thin shell over this

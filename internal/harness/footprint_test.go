@@ -5,8 +5,8 @@ import "testing"
 // TestContinuationDriversCutPeakGoroutines is the footprint gate of the
 // continuation driver model, measured in-process on builds small enough
 // for a test: the first phase's one-per-node fan-out lives in pooled heap
-// tasks, all live at once, and a churn trial's single-op repairs each run
-// as one task.
+// tasks, all live at once, and a repair trial's wave repairs each run as
+// one task.
 func TestContinuationDriversCutPeakGoroutines(t *testing.T) {
 	for _, algo := range []string{AlgoMSTBuildAdaptive, AlgoSTBuild, AlgoGHS} {
 		spec := Spec{

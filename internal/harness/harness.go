@@ -42,18 +42,6 @@ const (
 	AlgoDebugStall = "debug-stall"
 )
 
-// FaultScript is the declarative dynamic workload of a repair scenario:
-// how many of each topology change a trial applies, in seeded random
-// interleaving, against the maintained forest.
-type FaultScript struct {
-	Deletes       int `json:"deletes,omitempty"`
-	Inserts       int `json:"inserts,omitempty"`
-	WeightChanges int `json:"weight_changes,omitempty"`
-}
-
-// Total returns the number of operations in the script.
-func (f FaultScript) Total() int { return f.Deletes + f.Inserts + f.WeightChanges }
-
 // WatchdogSpec declares the engine watchdog budgets of a scenario, in
 // scheduler-clock units (see congest.Watchdog). Zero fields are unbounded.
 type WatchdogSpec struct {
@@ -87,18 +75,17 @@ type Spec struct {
 	Sched    string `json:"sched"`
 	MaxDelay int64  `json:"max_delay,omitempty"`
 
-	// Algo picks the protocol under test; Faults is its dynamic workload
-	// (repair algorithms only).
-	Algo   string      `json:"algo"`
-	Faults FaultScript `json:"faults,omitzero"`
+	// Algo picks the protocol under test.
+	Algo string `json:"algo"`
 
-	// Plan is the adversarial alternative to Faults: a compiled fault plan
-	// (targeted deletes, bursts, partition-and-heal) driven through the
-	// concurrent-repair admission queue in waves. Repair algorithms take
-	// exactly one of Faults or Plan.
+	// Plan is the dynamic workload of a repair algorithm (required there,
+	// rejected elsewhere): a fault plan, compiled per trial against the
+	// generated graph (uniform background deletes, inserts and weight
+	// changes; targeted deletes, bursts, partition-and-heal), whose
+	// events drain through the concurrent-repair admission queue in waves.
 	Plan *faultplan.Plan `json:"plan,omitempty"`
-	// Wave caps the concurrent repairs per admission wave (Plan scenarios
-	// only; default 64).
+	// Wave caps the concurrent repairs per admission wave (repair
+	// scenarios only; default 64).
 	Wave int `json:"wave,omitempty"`
 
 	// Watchdog arms the engine watchdog for every Run of the trial.
@@ -192,7 +179,7 @@ func (s Spec) Validate() error {
 	}
 	switch s.Algo {
 	case AlgoMSTBuildAdaptive, AlgoMSTBuildFixed, AlgoSTBuild, AlgoGHS, AlgoFlood:
-		if s.Faults.Total() != 0 || s.Plan != nil {
+		if s.Plan != nil {
 			return fmt.Errorf("harness: %s: %s takes no fault workload", s.Name, s.Algo)
 		}
 	case AlgoMSTRepair:
@@ -203,7 +190,7 @@ func (s Spec) Validate() error {
 		if err := s.validateFaultWorkload(); err != nil {
 			return err
 		}
-		if s.Faults.WeightChanges != 0 || (s.Plan != nil && s.Plan.WeightChanges != 0) {
+		if s.Plan.WeightChanges != 0 {
 			return fmt.Errorf("harness: %s: st-repair is unweighted, no weight changes", s.Name)
 		}
 	case AlgoDebugStall:
@@ -222,16 +209,10 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// validateFaultWorkload enforces the exactly-one-of Faults/Plan rule for
-// repair algorithms.
+// validateFaultWorkload requires a repair algorithm's non-empty plan.
 func (s Spec) validateFaultWorkload() error {
-	hasScript := s.Faults.Total() != 0
-	hasPlan := s.Plan != nil && !s.Plan.Empty()
-	switch {
-	case hasScript && hasPlan:
-		return fmt.Errorf("harness: %s: set faults or plan, not both", s.Name)
-	case !hasScript && !hasPlan:
-		return fmt.Errorf("harness: %s: repair scenario needs a fault script or plan", s.Name)
+	if s.Plan == nil || s.Plan.Empty() {
+		return fmt.Errorf("harness: %s: repair scenario needs a non-empty fault plan", s.Name)
 	}
 	return nil
 }

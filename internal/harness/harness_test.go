@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"kkt/internal/faultplan"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -17,16 +19,17 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Spec{
-		{Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: AlgoFlood},                                                      // no name
-		{Name: "x", Family: "torus", N: 16, Sched: SchedSync, Algo: AlgoFlood},                                             // bad family
-		{Name: "x", Family: FamilyGrid, N: 15, Sched: SchedSync, Algo: AlgoFlood},                                          // non-square grid
-		{Name: "x", Family: FamilyGNM, N: 16, Sched: "lockstep", Algo: AlgoFlood},                                          // bad sched
-		{Name: "x", Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: "dijkstra"},                                          // bad algo
-		{Name: "x", Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: AlgoMSTRepair},                                       // repair without faults
-		{Name: "x", Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: AlgoFlood, Faults: FaultScript{Deletes: 1}},          // faults on a build
-		{Name: "x", Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: AlgoSTRepair, Faults: FaultScript{WeightChanges: 1}}, // weighted faults on st
-		{Name: "x", Family: FamilyExpander, N: 16, Degree: 5, Sched: SchedSync, Algo: AlgoFlood},                           // odd expander degree
-		{Name: "x", Family: FamilyGNM, N: 4, Sched: SchedSync, Algo: AlgoFlood},                                            // defaulted m=3n exceeds n(n-1)/2
+		{Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: AlgoFlood},                                                        // no name
+		{Name: "x", Family: "torus", N: 16, Sched: SchedSync, Algo: AlgoFlood},                                               // bad family
+		{Name: "x", Family: FamilyGrid, N: 15, Sched: SchedSync, Algo: AlgoFlood},                                            // non-square grid
+		{Name: "x", Family: FamilyGNM, N: 16, Sched: "lockstep", Algo: AlgoFlood},                                            // bad sched
+		{Name: "x", Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: "dijkstra"},                                            // bad algo
+		{Name: "x", Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: AlgoMSTRepair},                                         // repair without a plan
+		{Name: "x", Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: AlgoMSTRepair, Plan: &faultplan.Plan{}},                // repair with an empty plan
+		{Name: "x", Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: AlgoFlood, Plan: &faultplan.Plan{Deletes: 1}},          // plan on a build
+		{Name: "x", Family: FamilyGNM, N: 16, Sched: SchedSync, Algo: AlgoSTRepair, Plan: &faultplan.Plan{WeightChanges: 1}}, // weighted plan on st
+		{Name: "x", Family: FamilyExpander, N: 16, Degree: 5, Sched: SchedSync, Algo: AlgoFlood},                             // odd expander degree
+		{Name: "x", Family: FamilyGNM, N: 4, Sched: SchedSync, Algo: AlgoFlood},                                              // defaulted m=3n exceeds n(n-1)/2
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -165,9 +168,9 @@ func TestBenchReportGolden(t *testing.T) {
 		Name:        "mst-repair/gnm/sync",
 		Description: "golden: small repair storm",
 		Family:      FamilyGNM, N: 12, M: 20,
-		Sched:  SchedSync,
-		Algo:   AlgoMSTRepair,
-		Faults: FaultScript{Deletes: 2, Inserts: 2, WeightChanges: 1},
+		Sched: SchedSync,
+		Algo:  AlgoMSTRepair,
+		Plan:  &faultplan.Plan{Deletes: 2, Inserts: 2, WeightChanges: 1},
 	})
 	cfg := RunConfig{Trials: 2, Seed: 7, Workers: 2}
 	results := RunAll(reg.Specs(), cfg)

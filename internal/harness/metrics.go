@@ -45,8 +45,9 @@ type TrialMetrics struct {
 	GraphEdges int `json:"graph_edges,omitempty"`
 
 	// Messages/Bits are the congest counters over the measured section
-	// (the whole run for builds; the fault script for repairs — forest
-	// setup is free). Time is rounds (sync) or virtual time (async).
+	// (the whole run for builds; the fault plan's repair waves for
+	// repairs — forest setup and plan compilation are free). Time is
+	// rounds (sync) or virtual time (async).
 	Messages uint64 `json:"messages"`
 	Bits     uint64 `json:"bits"`
 	Time     int64  `json:"time"`

@@ -11,7 +11,7 @@ import (
 )
 
 // TestRepairReportGolden pins every builtin MST and ST repair scenario
-// (single-op scripts and fault-plan storms through the admission queue)
+// (uniform and adversarial fault plans through the admission queue)
 // except the 100k storm, at 2 trials and seed 7. The fixture holds one
 // readable line per trial plus the SHA-256 of the full marshalled report,
 // so any change to an action, a message, a bit or a round fails here. Run

@@ -11,12 +11,12 @@ import (
 	"kkt/internal/tree"
 )
 
-// runConcurrentStorm is the fault-plan counterpart of runRepairStorm: the
-// network is seeded with the reference forest (uncharged setup), the plan
-// is compiled against the generated graph, and the event list drains
-// through the concurrent-repair admission queue in waves. Only repair
-// traffic is metered; the amortized per-repair costs divide it by the
-// number of launched repair drivers.
+// runConcurrentStorm runs every repair scenario: the network is seeded
+// with the reference forest (uncharged setup), the plan is compiled
+// against the generated graph, and the event list drains through the
+// concurrent-repair admission queue in waves. Only repair traffic is
+// metered; the amortized per-repair costs divide it by the number of
+// launched repair drivers.
 func runConcurrentStorm(s Spec, nw *congest.Network, pr *tree.Protocol, g *graph.Graph, seed uint64, weighted bool, heapBefore uint64) (TrialMetrics, map[string]congest.KindCount, error) {
 	m := TrialMetrics{Seed: seed, Shards: nw.Lanes(), GraphEdges: g.M()}
 

@@ -20,7 +20,9 @@ type stormVariant struct {
 }
 
 // stormVariants crosses families, schedulers, algorithms and plan shapes.
-// Weight changes are only legal for the weighted MSF.
+// Weight changes are only legal for the weighted MSF. The grid and ring
+// cells carry only the uniform background block, the plan shape of the
+// suite's non-storm repair scenarios.
 func stormVariants() []stormVariant {
 	calm := faultplan.Plan{
 		TreeEdgeDeletes: 4, Deletes: 4, Inserts: 4,
@@ -33,6 +35,8 @@ func stormVariants() []stormVariant {
 	}
 	withWeights := storm
 	withWeights.WeightChanges = 6
+	background := faultplan.Plan{Deletes: 6, Inserts: 6, WeightChanges: 6}
+	backgroundST := faultplan.Plan{Deletes: 6, Inserts: 6}
 
 	return []stormVariant{
 		{FamilyGNM, SchedSync, AlgoMSTRepair, 32, withWeights, 8},
@@ -42,12 +46,15 @@ func stormVariants() []stormVariant {
 		{FamilyGNM, SchedSync, AlgoSTRepair, 32, storm, 8},
 		{FamilyGNM, SchedAsync, AlgoSTRepair, 32, storm, 8},
 		{FamilyExpander, SchedSync, AlgoSTRepair, 48, calm, 4},
+		{FamilyGrid, SchedSync, AlgoMSTRepair, 49, background, 4},
+		{FamilyRing, SchedAsync, AlgoSTRepair, 32, backgroundST, 4},
 	}
 }
 
 // TestStormPropertyManySeeds is the concurrent-repair correctness sweep:
-// across 56 (variant, seed) cells, a generated fault plan — partitions,
-// bursts, targeted deletions, heals, overlapping repair waves — must leave
+// across 72 (variant, seed) cells, a generated fault plan — partitions,
+// bursts, targeted deletions, heals, uniform background faults,
+// overlapping repair waves — must leave
 // a structure that validates against a from-scratch reference (Kruskal MSF
 // for the weighted algorithms, union-find spanning forest for the
 // unweighted ones; the check runs inside the trial). Each cell also runs

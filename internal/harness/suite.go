@@ -53,38 +53,39 @@ func Builtin() *Registry {
 	})
 
 	// --- Impromptu MSF repair storms (paper §3.2) ---
+	// Every repair scenario runs a fault plan through the admission
+	// queue; these carry only the plan's uniform background block.
 	reg.MustRegister(Spec{
 		Name:        "mst-repair/gnm/async",
 		Description: "Delete/Insert/WeightChange storm against a maintained MSF on G(n,3n)",
 		Family:      FamilyGNM, N: 48,
-		Sched:  SchedAsync,
-		Algo:   AlgoMSTRepair,
-		Faults: FaultScript{Deletes: 8, Inserts: 8, WeightChanges: 8},
+		Sched: SchedAsync,
+		Algo:  AlgoMSTRepair,
+		Plan:  &faultplan.Plan{Deletes: 8, Inserts: 8, WeightChanges: 8},
 	})
 	reg.MustRegister(Spec{
 		Name:        "mst-repair/grid/sync",
 		Description: "Repair storm on the 7x7 grid, synchronous",
 		Family:      FamilyGrid, N: 49,
-		Sched:  SchedSync,
-		Algo:   AlgoMSTRepair,
-		Faults: FaultScript{Deletes: 6, Inserts: 6, WeightChanges: 6},
+		Sched: SchedSync,
+		Algo:  AlgoMSTRepair,
+		Plan:  &faultplan.Plan{Deletes: 6, Inserts: 6, WeightChanges: 6},
 	})
 	reg.MustRegister(Spec{
 		Name:        "mst-repair/expander/async",
 		Description: "Repair storm on a degree-4 expander, asynchronous",
 		Family:      FamilyExpander, N: 48,
-		Sched:  SchedAsync,
-		Algo:   AlgoMSTRepair,
-		Faults: FaultScript{Deletes: 8, Inserts: 8, WeightChanges: 8},
+		Sched: SchedAsync,
+		Algo:  AlgoMSTRepair,
+		Plan:  &faultplan.Plan{Deletes: 8, Inserts: 8, WeightChanges: 8},
 	})
 
-	// --- Concurrent repair storms (fault plans + admission queue) ---
-	// The adversarial counterpart of the uniform repair storms above: a
-	// compiled fault plan (partition-and-heal, correlated bursts, targeted
-	// forest deletes) drains through the admission queue in waves of
-	// overlapping repairs. Watchdogs are armed generously — they exist to
-	// turn a wedged trial into a structured dump, never to trip a healthy
-	// run.
+	// --- Adversarial repair storms ---
+	// The targeted counterpart of the uniform repair storms above: the
+	// plan adds partition-and-heal, correlated bursts and targeted forest
+	// deletes, and caps waves of overlapping repairs at 8. Watchdogs are
+	// armed generously — they exist to turn a wedged trial into a
+	// structured dump, never to trip a healthy run.
 	smallPlan := &faultplan.Plan{
 		Partitions: 2, PartitionSize: 6, Heals: 6,
 		Bursts: 1, BurstRadius: 1,
@@ -139,17 +140,17 @@ func Builtin() *Registry {
 		Name:        "st-repair/gnm/async",
 		Description: "Delete/Insert storm against a maintained spanning forest (FindAny)",
 		Family:      FamilyGNM, N: 64,
-		Sched:  SchedAsync,
-		Algo:   AlgoSTRepair,
-		Faults: FaultScript{Deletes: 12, Inserts: 12},
+		Sched: SchedAsync,
+		Algo:  AlgoSTRepair,
+		Plan:  &faultplan.Plan{Deletes: 12, Inserts: 12},
 	})
 	reg.MustRegister(Spec{
 		Name:        "st-repair/ring/sync",
 		Description: "Delete/Insert storm on the ring: every delete is a bridge or near-bridge",
 		Family:      FamilyRing, N: 32,
-		Sched:  SchedSync,
-		Algo:   AlgoSTRepair,
-		Faults: FaultScript{Deletes: 6, Inserts: 6},
+		Sched: SchedSync,
+		Algo:  AlgoSTRepair,
+		Plan:  &faultplan.Plan{Deletes: 6, Inserts: 6},
 	})
 
 	// --- Production-scale stress scenarios ---

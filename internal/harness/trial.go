@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 
-	"kkt/internal/admit"
 	"kkt/internal/congest"
 	"kkt/internal/flood"
 	"kkt/internal/ghs"
@@ -195,15 +194,9 @@ func RunTrialContext(ctx context.Context, spec Spec, seed uint64, shards int, ob
 		m.ForestEdges = len(res.Forest)
 		m.Valid = spanning.IsSpanningForest(g, forestIndices(g, res.Forest)) == nil
 	case AlgoMSTRepair:
-		if s.Plan != nil {
-			return runConcurrentStorm(s, nw, pr, g, seed, true, heapBefore)
-		}
-		return runRepairStorm(s, nw, pr, g, r, seed, shards, true, heapBefore)
+		return runConcurrentStorm(s, nw, pr, g, seed, true, heapBefore)
 	case AlgoSTRepair:
-		if s.Plan != nil {
-			return runConcurrentStorm(s, nw, pr, g, seed, false, heapBefore)
-		}
-		return runRepairStorm(s, nw, pr, g, r, seed, shards, false, heapBefore)
+		return runConcurrentStorm(s, nw, pr, g, seed, false, heapBefore)
 	case AlgoDebugStall:
 		return m, nil, runDebugStall(nw)
 	default:
@@ -263,127 +256,6 @@ func captureFootprint(m *TrialMetrics, nw *congest.Network, heapBefore uint64) {
 	if after := heapSysNow(); after > heapBefore {
 		m.HeapSysMB = (after - heapBefore) >> 20
 	}
-}
-
-// runRepairStorm seeds the network with the reference forest (setup is
-// uncharged, like the paper's "a spanning forest is maintained"
-// precondition), then applies the fault script in seeded random order and
-// meters only the repair traffic.
-func runRepairStorm(s Spec, nw *congest.Network, pr *tree.Protocol, g *graph.Graph, r *rng.RNG, seed uint64, shards int, weighted bool, heapBefore uint64) (TrialMetrics, map[string]congest.KindCount, error) {
-	m := TrialMetrics{Seed: seed, Shards: nw.Lanes(), GraphEdges: g.M(), Actions: make(map[string]int)}
-
-	var refForest []int
-	if weighted {
-		refForest = spanning.Kruskal(g)
-	} else {
-		refForest = spanning.BFSForest(g)
-	}
-	forest := make([][2]congest.NodeID, len(refForest))
-	for i, ei := range refForest {
-		e := g.Edge(ei)
-		forest[i] = [2]congest.NodeID{congest.NodeID(e.A), congest.NodeID(e.B)}
-	}
-	nw.SetForest(forest)
-
-	// The measured section starts after setup.
-	base := nw.Counters()
-	baseTime := nw.Now()
-
-	ops := make([]int, 0, s.Faults.Total())
-	const (
-		opDelete = iota
-		opInsert
-		opWeightChange
-	)
-	for i := 0; i < s.Faults.Deletes; i++ {
-		ops = append(ops, opDelete)
-	}
-	for i := 0; i < s.Faults.Inserts; i++ {
-		ops = append(ops, opInsert)
-	}
-	for i := 0; i < s.Faults.WeightChanges; i++ {
-		ops = append(ops, opWeightChange)
-	}
-	r.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
-
-	for opIdx, op := range ops {
-		opSeed := seed ^ uint64(opIdx+1)*0xd6e8feb86659fd93
-		pick := pickLink
-		if op == opInsert {
-			pick = pickNonLink
-		}
-		a, b, ok := pick(nw, r)
-		if !ok {
-			m.Actions[admit.Skipped.String()]++
-			continue
-		}
-		var rep admit.Report
-		var err error
-		switch {
-		case op == opDelete && weighted:
-			rep, err = mst.Delete(nw, pr, a, b, mst.DefaultRepair(opSeed))
-		case op == opDelete:
-			rep, err = st.Delete(nw, pr, a, b, st.DefaultRepair(opSeed))
-		case op == opInsert && weighted:
-			rep, err = mst.Insert(nw, pr, a, b, r.Range(1, nw.MaxRaw()), mst.DefaultRepair(opSeed))
-		case op == opInsert:
-			rep, err = st.Insert(nw, pr, a, b, st.DefaultRepair(opSeed))
-		default:
-			rep, err = mst.WeightChange(nw, pr, a, b, r.Range(1, nw.MaxRaw()), mst.DefaultRepair(opSeed))
-		}
-		if err != nil {
-			return m, nil, err
-		}
-		m.Actions[rep.Action.String()]++
-	}
-
-	delta := nw.CountersSince(base)
-	m.Messages, m.Bits = delta.Messages, delta.Bits
-	m.Time = nw.Now() - baseTime
-	m.StagedDrops = nw.StagedDrops()
-	m.AsyncConflicts = nw.AsyncConflicts()
-	captureFootprint(&m, nw, heapBefore)
-
-	// Reference check against the final (mutated) topology.
-	final, marked := graphFromNetwork(nw)
-	m.ForestEdges = len(marked)
-	idx := forestIndices(final, marked)
-	if weighted {
-		m.Valid = spanning.IsMSF(final, idx) == nil
-	} else {
-		m.Valid = spanning.IsSpanningForest(final, idx) == nil
-	}
-	return m, delta.ByKind, nil
-}
-
-// pickLink draws a uniformly random node with at least one link, then a
-// uniformly random incident link. It fails only if the network has no
-// links left.
-func pickLink(nw *congest.Network, r *rng.RNG) (congest.NodeID, congest.NodeID, bool) {
-	for attempt := 0; attempt < 16*nw.N(); attempt++ {
-		v := congest.NodeID(r.Intn(nw.N()) + 1)
-		node := nw.Node(v)
-		if node.Degree() == 0 {
-			continue
-		}
-		he := node.Edges[r.Intn(node.Degree())]
-		return v, he.Neighbor, true
-	}
-	return 0, 0, false
-}
-
-// pickNonLink draws a uniformly random absent link. It fails on (nearly)
-// complete graphs after a bounded number of attempts.
-func pickNonLink(nw *congest.Network, r *rng.RNG) (congest.NodeID, congest.NodeID, bool) {
-	for attempt := 0; attempt < 16*nw.N(); attempt++ {
-		a := congest.NodeID(r.Intn(nw.N()) + 1)
-		b := congest.NodeID(r.Intn(nw.N()) + 1)
-		if a == b || nw.Node(a).EdgeTo(b) != nil {
-			continue
-		}
-		return a, b, true
-	}
-	return 0, 0, false
 }
 
 // graphFromNetwork reconstructs a graph.Graph from the network's live

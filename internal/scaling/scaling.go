@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"kkt/internal/faultplan"
 	"kkt/internal/harness"
 )
 
@@ -330,7 +331,7 @@ func separations(cells []Cell, cfg Config) []Separation {
 }
 
 // rungSpec builds the harness scenario of one ladder rung. Repair
-// algorithms run a fixed fault script, so their cost-vs-m curve isolates
+// algorithms run a fixed-size fault plan, so their cost-vs-m curve isolates
 // the per-topology repair cost rather than a growing workload.
 func rungSpec(family, algo string, n int, density string) harness.Spec {
 	s := harness.Spec{
@@ -345,9 +346,9 @@ func rungSpec(family, algo string, n int, density string) harness.Spec {
 	}
 	switch algo {
 	case harness.AlgoMSTRepair:
-		s.Faults = harness.FaultScript{Deletes: 12, Inserts: 6, WeightChanges: 6}
+		s.Plan = &faultplan.Plan{Deletes: 12, Inserts: 6, WeightChanges: 6}
 	case harness.AlgoSTRepair:
-		s.Faults = harness.FaultScript{Deletes: 12, Inserts: 6}
+		s.Plan = &faultplan.Plan{Deletes: 12, Inserts: 6}
 	}
 	return s
 }

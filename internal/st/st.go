@@ -135,9 +135,7 @@ func Build(nw *congest.Network, pr *tree.Protocol, sp *Protocol, cfg BuildConfig
 		}
 	}
 	result.Forest = nw.MarkedEdges()
-	c := nw.Counters()
-	result.Messages = c.Messages
-	result.Bits = c.Bits
+	result.Messages, result.Bits = nw.Totals()
 	result.Rounds = nw.Now()
 	return result, nil
 }
