@@ -14,9 +14,11 @@ import (
 // TestCompileGolden pins the compiled event lists of a plan × graph × seed
 // matrix that covers every stage, on graphs small enough to finish a side
 // walk and large enough to hit orientSideCap (the 9000-node gnm, the
-// 5000-node path and the 70×70 grid). The hash is over every event's op,
-// endpoints, weight and stage, so any change to targeting or orientation
-// shows up here.
+// 5000-node path and the 70×70 grid). The oriented hash is over every
+// event's op, endpoints as emitted, weight and stage, so any change to
+// targeting or orientation shows up there. The unordered hash writes each
+// event's endpoints as (min, max): it pins which events the plan compiles,
+// whatever order their endpoints are listed in.
 func TestCompileGolden(t *testing.T) {
 	type topo struct {
 		name   string
@@ -49,22 +51,34 @@ func TestCompileGolden(t *testing.T) {
 		{"tree-hub", Plan{TreeEdgeDeletes: 30, HubDeletes: 10}},
 		{"background", Plan{Deletes: 40, Inserts: 40, WeightChanges: 20}},
 	}
-	h := sha256.New()
+	h, u := sha256.New(), sha256.New()
 	events := 0
 	for _, tp := range topos {
 		for _, pl := range plans {
 			for _, seed := range []uint64{1, 2} {
 				evs := Compile(pl.p, tp.g, tp.forest, seed)
 				fmt.Fprintf(h, "%s/%s/%d:%d\n", tp.name, pl.name, seed, len(evs))
+				fmt.Fprintf(u, "%s/%s/%d:%d\n", tp.name, pl.name, seed, len(evs))
 				for _, ev := range evs {
 					fmt.Fprintf(h, "%d %d %d %d %s\n", ev.Op, ev.A, ev.B, ev.Raw, ev.Stage)
+					fmt.Fprintf(u, "%d %d %d %d %s\n", ev.Op, min(ev.A, ev.B), max(ev.A, ev.B), ev.Raw, ev.Stage)
 				}
 				events += len(evs)
 			}
 		}
 	}
-	const want = "fef3764f9fd4f0587b7f769dee808c025ab8d8b8052c42cdaa3e8ddbb88accf1"
+	const (
+		want          = "fef3764f9fd4f0587b7f769dee808c025ab8d8b8052c42cdaa3e8ddbb88accf1"
+		wantUnordered = "f262f6718acefdc3e3d51e6f2e2af75c37caa3966ae76c80e71c919fe879f316"
+		wantEvents    = 7123
+	)
+	if events != wantEvents {
+		t.Errorf("the matrix compiled %d events, want %d", events, wantEvents)
+	}
+	if got := hex.EncodeToString(u.Sum(nil)); got != wantUnordered {
+		t.Errorf("compiled events with (min, max) endpoints hash to %s, want %s", got, wantUnordered)
+	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Fatalf("compiled events (%d in total) hash to %s, want %s", events, got, want)
+		t.Errorf("compiled events hash to %s, want %s", got, want)
 	}
 }
