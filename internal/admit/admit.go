@@ -64,24 +64,21 @@ type Config struct {
 	// Wave caps how many repair drivers run concurrently in one wave
 	// (default 64).
 	Wave int
-	// MaxRetries bounds backoff growth: after this many conflicts an event
-	// retries every wave (delay 0) until admitted (default 8).
-	MaxRetries int
-	// MaxBackoff bounds the seeded backoff delay, in waves (default 4).
-	MaxBackoff int
 	// Seed feeds the backoff hash.
 	Seed uint64
 }
 
+const (
+	// maxRetries bounds backoff growth: after this many conflicts an event
+	// retries every wave (delay 0) until admitted.
+	maxRetries = 8
+	// maxBackoff bounds the seeded backoff delay, in waves.
+	maxBackoff = 4
+)
+
 func (c Config) withDefaults() Config {
 	if c.Wave <= 0 {
 		c.Wave = 64
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 4
 	}
 	return c
 }
@@ -411,9 +408,9 @@ func Inline(nw *congest.Network, op string, action Action) {
 }
 
 func retryDelay(cfg Config, it *item) int {
-	if it.retries > cfg.MaxRetries {
+	if it.retries > maxRetries {
 		// Past the backoff budget: retry head-of-line every wave.
 		return 0
 	}
-	return backoffDelay(cfg.Seed, it.idx, it.retries, cfg.MaxBackoff)
+	return backoffDelay(cfg.Seed, it.idx, it.retries, maxBackoff)
 }

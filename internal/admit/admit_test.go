@@ -12,10 +12,10 @@ import (
 // event indices and retry counts.
 func TestBackoffDelayPureAndBounded(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 0x5eed, 0xdeadbeefcafe, ^uint64(0)} {
-		for _, maxBackoff := range []int{1, 2, 4, 7} {
+		for _, maxBackoff := range []int{1, 2, maxBackoff, 7} {
 			seen := make(map[int]bool)
 			for idx := 0; idx < 64; idx++ {
-				for retries := 0; retries <= 10; retries++ {
+				for retries := 0; retries <= maxRetries+2; retries++ {
 					d := backoffDelay(seed, idx, retries, maxBackoff)
 					if d < 1 || d > maxBackoff {
 						t.Fatalf("backoffDelay(%#x, %d, %d, %d) = %d, want in [1, %d]", seed, idx, retries, maxBackoff, d, maxBackoff)
@@ -37,12 +37,12 @@ func TestBackoffDelayPureAndBounded(t *testing.T) {
 // off by the seeded delay; past it, it retries head-of-line every wave.
 func TestRetryDelayPastMaxRetries(t *testing.T) {
 	cfg := Config{Seed: 0x5eed}.withDefaults()
-	for retries := 0; retries <= cfg.MaxRetries+3; retries++ {
+	for retries := 0; retries <= maxRetries+3; retries++ {
 		it := &item{idx: 5, retries: retries}
 		got := retryDelay(cfg, it)
 		want := 0
-		if retries <= cfg.MaxRetries {
-			want = backoffDelay(cfg.Seed, it.idx, retries, cfg.MaxBackoff)
+		if retries <= maxRetries {
+			want = backoffDelay(cfg.Seed, it.idx, retries, maxBackoff)
 		}
 		if got != want {
 			t.Errorf("retries=%d: retryDelay = %d, want %d", retries, got, want)

@@ -2,7 +2,6 @@ package admit
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"kkt/internal/congest"
@@ -161,7 +160,7 @@ func (l *labels) patch(nw *congest.Network, flips []congest.MarkFlip) bool {
 	}
 	ok := true
 	for _, r := range l.rem {
-		bSmaller, met := l.d.run(nw, r.lo, r.hi, math.MaxInt)
+		bSmaller, met := l.d.run(nw, r.lo, r.hi)
 		if met {
 			ok = false
 			break

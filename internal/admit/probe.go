@@ -6,20 +6,14 @@ import (
 	"kkt/internal/congest"
 )
 
-// SideCap bounds the launcher-side orientation probes, mirroring the fault
-// compiler's compile-time cap (faultplan's orientSideCap): a marked-forest
-// side this large counts as "big" and the walk stops. The probe is cheap
-// relative to a launched repair — a repair's broadcast-and-echoes cost at
-// least one message per side node, and the probe walks only about twice
-// the smaller side — and it is what keeps adversarial storms feasible: by
-// admission time the compiler's modelled forest has drifted (every repair
-// re-marks a replacement edge the model cannot predict), so only a probe
-// of the live forest can still find the genuinely small side.
-const SideCap = 4096
-
-// SideProber orients a repair at admission time: it orders the two
+// SideProber roots a repair at admission time: it orders the two
 // endpoints of a faulted edge so the one whose side of the *live* marked
-// forest is smaller comes first. Repairer.Launch calls it after the
+// forest is smaller comes first. The repair's broadcasts and searches
+// cover the root's tree, so rooting on the smaller side makes a deletion
+// that severs a few nodes from a 100k-node tree cost the few nodes. No
+// earlier guess can stand in for this probe: every repair re-marks a
+// replacement edge, so the forest at admission differs from any forest
+// the events were compiled against. Repairer.Launch calls it after the
 // admission-time topology mutation (DeleteLink / unmark / InsertLink), so
 // a plain component walk from each endpoint measures exactly the tree the
 // repair's broadcasts will cover — the deleted or unmarked edge is no
@@ -39,14 +33,12 @@ type SideProber struct {
 func NewSideProber() *SideProber { return &SideProber{} }
 
 // Smaller returns the endpoints ordered so the first one's marked-forest
-// component is no larger than the second's, as far as walks capped at
-// SideCap nodes can tell: it returns (b, a) iff
-// min(|comp b|, SideCap) < min(|comp a|, SideCap), and keeps the order on
-// a tie or when a and b share a component. The two components are walked
-// alternately, so a probe costs O(smaller side), not a capped walk of the
-// big one.
+// component is no larger than the second's: it returns (b, a) iff
+// |comp b| < |comp a|, and keeps the order on a tie or when a and b share
+// a component. The two components are walked alternately, so a probe
+// costs O(smaller side) however big the other one is.
 func (p *SideProber) Smaller(nw *congest.Network, a, b congest.NodeID) (congest.NodeID, congest.NodeID) {
-	if bSmaller, _ := p.d.run(nw, a, b, SideCap); bSmaller {
+	if bSmaller, _ := p.d.run(nw, a, b); bSmaller {
 		return b, a
 	}
 	return a, b
@@ -73,17 +65,16 @@ type walk struct {
 	tag  uint32
 }
 
-// done reports whether the walk is exhausted or has reached limit; its
-// count len(q) is then final, min(|side|, limit).
-func (w *walk) done(limit int) bool { return w.head == len(w.q) || len(w.q) >= limit }
+// done reports whether the walk is exhausted; its count len(q) is then
+// the side's size.
+func (w *walk) done() bool { return w.head == len(w.q) }
 
-// run walks from a and b, up to limit nodes a side. It reports
-// bSmaller = min(|side b|, limit) < min(|side a|, limit), and met when the
-// walks reached a common node (a and b share a component; bSmaller is then
-// false). When it returns without meeting, the smaller side's walk
-// (d.b if bSmaller, d.a otherwise) is done: below limit, its queue holds
+// run walks from a and b. It reports bSmaller = |side b| < |side a|, and
+// met when the walks reached a common node (a and b share a component;
+// bSmaller is then false). When it returns without meeting, the smaller
+// side's walk (d.b if bSmaller, d.a otherwise) is done: its queue holds
 // the whole side.
-func (d *duel) run(nw *congest.Network, a, b congest.NodeID, limit int) (bSmaller, met bool) {
+func (d *duel) run(nw *congest.Network, a, b congest.NodeID) (bSmaller, met bool) {
 	if n := nw.N() + 1; len(d.stamp) < n {
 		d.stamp, d.tag = make([]uint32, n), 0
 	}
@@ -99,7 +90,7 @@ func (d *duel) run(nw *congest.Network, a, b congest.NodeID, limit int) (bSmalle
 	}
 	d.stamp[a], d.stamp[b] = d.a.tag, d.b.tag
 	for {
-		da, db := d.a.done(limit), d.b.done(limit)
+		da, db := d.a.done(), d.b.done()
 		switch {
 		case da && db:
 			return len(d.b.q) < len(d.a.q), false
@@ -108,10 +99,10 @@ func (d *duel) run(nw *congest.Network, a, b congest.NodeID, limit int) (bSmalle
 		case db && len(d.a.q) > len(d.b.q):
 			return true, false
 		}
-		if !da && d.expand(nw, &d.a, d.b.tag, limit) {
+		if !da && d.expand(nw, &d.a, d.b.tag) {
 			return false, true
 		}
-		if !db && d.expand(nw, &d.b, d.a.tag, limit) {
+		if !db && d.expand(nw, &d.b, d.a.tag) {
 			return false, true
 		}
 	}
@@ -119,7 +110,7 @@ func (d *duel) run(nw *congest.Network, a, b congest.NodeID, limit int) (bSmalle
 
 // expand visits the marked neighbours of w's next queued node. It reports
 // whether it reached a node tagged other.
-func (d *duel) expand(nw *congest.Network, w *walk, other uint32, limit int) (met bool) {
+func (d *duel) expand(nw *congest.Network, w *walk, other uint32) (met bool) {
 	v := w.q[w.head]
 	w.head++
 	ns := nw.Node(v)
@@ -140,9 +131,6 @@ func (d *duel) expand(nw *congest.Network, w *walk, other uint32, limit int) (me
 		}
 		d.stamp[to] = w.tag
 		w.q = append(w.q, to)
-		if len(w.q) >= limit {
-			return false
-		}
 	}
 	return false
 }

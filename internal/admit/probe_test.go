@@ -9,14 +9,14 @@ import (
 )
 
 // refCompSize is the sequential reference for the prober: the size of
-// start's marked-forest component, counted up to SideCap.
+// start's marked-forest component.
 func refCompSize(nw *congest.Network, start congest.NodeID) int {
 	seen := make([]bool, nw.N()+1)
 	seen[start] = true
 	q := []congest.NodeID{start}
-	for i := 0; i < len(q) && len(q) < SideCap; i++ {
+	for i := 0; i < len(q); i++ {
 		for _, nb := range nw.Node(q[i]).MarkedNeighbors() {
-			if !seen[nb] && len(q) < SideCap {
+			if !seen[nb] {
 				seen[nb] = true
 				q = append(q, nb)
 			}
@@ -26,8 +26,8 @@ func refCompSize(nw *congest.Network, start congest.NodeID) int {
 }
 
 // forestNet returns a network on 11600 nodes whose marked forest has
-// components of 6000, 5000, 500 and 40 nodes (so components on both sides
-// of SideCap, and two both past it) plus 60 isolated nodes, with unmarked
+// components of 6000, 5000, 500 and 40 nodes (two of them large enough
+// that an early stop would tie them) plus 60 isolated nodes, with unmarked
 // random edges on top. The trees attach node v to one of its few
 // predecessors, so they are deep.
 func forestNet(seed uint64) (*congest.Network, [][2]congest.NodeID) {
@@ -56,7 +56,7 @@ func forestNet(seed uint64) (*congest.Network, [][2]congest.NodeID) {
 }
 
 // TestSmallerMatchesReference checks the alternating walk against two
-// capped component walks: across a deleted forest edge (the delete case),
+// full component walks: across a deleted forest edge (the delete case),
 // and for random pairs, half of them in one component (the
 // insert-that-swaps case, where the walks meet).
 func TestSmallerMatchesReference(t *testing.T) {
@@ -75,9 +75,11 @@ func TestSmallerMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d %s {%d,%d}: Smaller = (%d,%d), reference (%d,%d)", seed, what, a, b, ga, gb, wa, wb)
 			}
 		}
-		// Ties: two components both past the cap, two isolated nodes.
-		check("capped pair", 1, 6001)
-		check("capped pair", 6001, 1)
+		// Two large components: the 5000-node one (node 6001's) comes
+		// first either way.
+		check("large pair", 1, 6001)
+		check("large pair", 6001, 1)
+		// A tie: two isolated nodes keep their order.
 		check("isolated pair", 11599, 11600)
 		check("isolated pair", 11600, 11599)
 		for i := 0; i < 150; i++ {

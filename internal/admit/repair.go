@@ -169,10 +169,13 @@ func (r *Repairer[S]) Release(rp Repair) {
 
 // Launch returns the decision that runs one repair of {a,b}: a
 // delete-style one searches from the root's tree and marks the
-// replacement, an insert-style one probes from the root. The search draws
-// from Seed^a<<32^b^salt, so updates of one pair with different salts
-// draw apart. The event's mutation must already be applied under its
-// claim.
+// replacement, an insert-style one probes from the root. A storm roots the
+// repair on the endpoint whose live marked-forest side is smaller
+// (SideProber), keeping the order a, b on equal sides or a shared
+// component; Apply roots it at the smaller ID. The search draws from
+// Seed^root<<32^peer^salt: the same values however the event lists its
+// endpoints, and apart for updates of one pair with different salts. The
+// event's mutation must already be applied under its claim.
 func (r *Repairer[S]) Launch(op string, deleteStyle bool, a, b congest.NodeID, salt uint64) Decision {
 	root, peer := min(a, b), max(a, b)
 	if r.sides != nil {
@@ -188,7 +191,7 @@ func (r *Repairer[S]) Launch(op string, deleteStyle bool, a, b congest.NodeID, s
 	} else {
 		rp = new(repair[S])
 	}
-	seed := r.s.Seed ^ uint64(a)<<32 ^ uint64(b) ^ salt
+	seed := r.s.Seed ^ uint64(root)<<32 ^ uint64(peer) ^ salt
 	*rp = repair[S]{r: r, search: rp.search, hasSearch: rp.hasSearch, deleteStyle: deleteStyle, root: root, peer: peer, seed: seed}
 	if deleteStyle && !rp.hasSearch {
 		// Only delete-style repairs search; a pooled machine keeps its

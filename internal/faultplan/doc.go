@@ -24,10 +24,6 @@
 //     replacement edges the compiler cannot predict, so "tree edge"
 //     targeting degrades to "former tree edge" late in a plan. Targeting
 //     guides the adversary; correctness never depends on it.
-//   - Orientation cost: the probes that put an edge's smaller forest side
-//     first (Event.A) walk both sides alternately and stop once the
-//     smaller one is done, so they cost O(smaller side) even when the
-//     other side is the rest of a 100k-node tree.
 //   - Minimization: every event records its Stage, so a failing trial
 //     reduces to (seed, plan prefix): replay the compiled list up to the
 //     failing index to reproduce exactly.

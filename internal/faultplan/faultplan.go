@@ -40,12 +40,11 @@ func (o Op) String() string {
 // replay them: any failure minimizes to (seed, plan prefix) — replay the
 // compiled list up to the failing index and the trial reproduces exactly.
 //
-// A is the repair initiator: targeted stages orient A toward the smaller
-// side of the faulted edge (the partition region, the burst ball, the
-// lighter forest subtree), and the wave-mode repair drivers root their
-// searches at A — tree traversal cost then scales with the small side, not
-// the 100k-node remainder. Orientation is a performance hint only;
-// correctness never depends on it.
+// A and B are listed in the order the emitting stage picked them; the
+// order carries no meaning. The repair launcher roots each repair on the
+// endpoint whose side of the live forest is smaller (admit.SideProber),
+// so the compiler, whose forest model drifts from the live one, does not
+// guess it.
 type Event struct {
 	Op  Op     `json:"op"`
 	A   uint32 `json:"a"`
@@ -148,10 +147,11 @@ func (p Plan) Validate() error {
 }
 
 // half is one directed adjacency entry of the compiler's topology model.
-// tree marks an edge of the modelled forest on both of its halves.
+// tree marks an edge of the modelled forest on both of its halves. The
+// field order packs it into 16 bytes.
 type half struct {
-	to   uint32
 	raw  uint64
+	to   uint32
 	tree bool
 }
 
@@ -174,12 +174,9 @@ type model struct {
 	// for the heal stage, in deletion order.
 	healPool []Event
 
-	// scratch for the walks: seen holds one visited bit per walk (bit 1,
-	// plus bit 2 for the second walk of an orientation probe) and is all
-	// zero between walks.
-	seen   []uint8
-	queue  []uint32
-	queueB []uint32
+	// scratch for the walks: seen is all false between walks.
+	seen  []bool
+	queue []uint32
 }
 
 // Compile turns a plan into its reproducible event list for the given
@@ -208,7 +205,7 @@ func newModel(g *graph.Graph, forest []int, seed uint64) *model {
 		maxRaw: g.MaxRaw,
 		adj:    make([][]half, g.N+1),
 		r:      rng.New(seed ^ 0xa0761d6478bd642f),
-		seen:   make([]uint8, g.N+1),
+		seen:   make([]bool, g.N+1),
 	}
 	deg := make([]int, g.N+1)
 	for _, e := range g.Edges() {
@@ -309,36 +306,27 @@ func (m *model) ins(a, b uint32, raw uint64, stage string) bool {
 
 // --- stages ---
 
-// region grows a BFS ball from start to at most size nodes (or radius
-// hops, when radius >= 0) and returns the member node IDs. Uses and resets
-// the shared visited scratch.
-func (m *model) region(start uint32, size, radius int) []uint32 {
-	m.queue = m.queue[:0]
-	m.queue = append(m.queue, start)
-	m.seen[start] = 1
-	dist := map[uint32]int{start: 0}
-	for qi := 0; qi < len(m.queue) && len(m.queue) < size; qi++ {
-		v := m.queue[qi]
-		if radius >= 0 && dist[v] >= radius {
-			continue
-		}
-		for _, h := range m.adj[v] {
-			if m.seen[h.to] != 0 {
-				continue
-			}
-			m.seen[h.to] = 1
-			dist[h.to] = dist[v] + 1
-			m.queue = append(m.queue, h.to)
-			if len(m.queue) >= size {
-				break
+// ball returns the nodes within radius hops of center in breadth-first
+// order. It expands one hop level at a time (the nodes queued while level
+// k expands are level k+1), so it needs no per-node distance. The result
+// is the shared walk queue, valid until the next walk.
+func (m *model) ball(center uint32, radius int) []uint32 {
+	m.queue = append(m.queue[:0], center)
+	m.seen[center] = true
+	for hop, qi := 0, 0; hop < radius && qi < len(m.queue); hop++ {
+		for level := len(m.queue); qi < level; qi++ {
+			for _, h := range m.adj[m.queue[qi]] {
+				if !m.seen[h.to] {
+					m.seen[h.to] = true
+					m.queue = append(m.queue, h.to)
+				}
 			}
 		}
 	}
-	out := append([]uint32(nil), m.queue...)
-	for _, v := range out {
-		m.seen[v] = 0
+	for _, v := range m.queue {
+		m.seen[v] = false
 	}
-	return out
+	return m.queue
 }
 
 // partitions severs Partitions forest subtrees from the rest of the
@@ -378,10 +366,10 @@ func (m *model) partitions(p Plan) {
 				continue
 			}
 			a, b := e[0], e[1]
-			sa := m.sideSize(a, b, size+1)
+			sa := len(m.treeSide(a, b, size+1))
 			if sa > size {
 				a, b = b, a
-				sa = m.sideSize(a, b, size+1)
+				sa = len(m.treeSide(a, b, size+1))
 				if sa > size {
 					continue
 				}
@@ -417,33 +405,32 @@ func (m *model) partitions(p Plan) {
 	}
 }
 
-// treeSide collects the nodes on a's side of the modelled forest edge
-// {a,b}, stopping at limit (the sideSize walk, keeping the nodes).
+// treeSide collects the nodes reachable from a over modelled forest edges
+// without crossing {a,b}, in breadth-first order, stopping at limit nodes.
+// The result is the shared walk queue, valid until the next walk.
 func (m *model) treeSide(a, b uint32, limit int) []uint32 {
-	m.queue = m.queue[:0]
-	m.queue = append(m.queue, a)
-	m.seen[a] = 1
+	m.queue = append(m.queue[:0], a)
+	m.seen[a] = true
 	for qi := 0; qi < len(m.queue) && len(m.queue) < limit; qi++ {
 		v := m.queue[qi]
 		for _, h := range m.adj[v] {
-			if m.seen[h.to] != 0 || !h.tree {
+			if m.seen[h.to] || !h.tree {
 				continue
 			}
 			if v == a && h.to == b {
 				continue // do not cross the boundary edge itself
 			}
-			m.seen[h.to] = 1
+			m.seen[h.to] = true
 			m.queue = append(m.queue, h.to)
 			if len(m.queue) >= limit {
 				break
 			}
 		}
 	}
-	out := append([]uint32(nil), m.queue...)
-	for _, v := range out {
-		m.seen[v] = 0
+	for _, v := range m.queue {
+		m.seen[v] = false
 	}
-	return out
+	return m.queue
 }
 
 // bursts deletes every edge incident to a random ball of BurstRadius hops
@@ -455,8 +442,7 @@ func (m *model) bursts(p Plan) {
 	}
 	for i := 0; i < p.Bursts; i++ {
 		center := uint32(m.r.Intn(m.n) + 1)
-		reg := m.region(center, m.n+1, radius)
-		for _, v := range reg {
+		for _, v := range m.ball(center, radius) {
 			// Snapshot the incident edges: del mutates adj[v].
 			inc := append([]half(nil), m.adj[v]...)
 			// Non-forest edges first, forest edges last, so the repairs for
@@ -540,8 +526,7 @@ func (m *model) bridges(p Plan) {
 		if done >= p.BridgeDeletes {
 			break
 		}
-		a, b := m.orientSmall(e[0], e[1])
-		if m.del(a, b, "bridge", false) {
+		if m.del(e[0], e[1], "bridge", false) {
 			done++
 		}
 	}
@@ -556,8 +541,7 @@ func (m *model) treeDeletes(p Plan) {
 	cand := m.treeEdgeList()
 	m.r.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
 	for i := 0; i < len(cand) && i < p.TreeEdgeDeletes; i++ {
-		a, b := m.orientSmall(cand[i][0], cand[i][1])
-		m.del(a, b, "tree", false)
+		m.del(cand[i][0], cand[i][1], "tree", false)
 	}
 }
 
@@ -599,8 +583,7 @@ func (m *model) hubDeletes(p Plan) {
 		}
 		for _, h := range m.adj[v] {
 			if h.tree {
-				a, b := m.orientSmall(v, h.to)
-				m.del(a, b, "hub", false)
+				m.del(v, h.to, "hub", false)
 				done++
 				break
 			}
@@ -626,17 +609,14 @@ func (m *model) background(p Plan) {
 		switch op {
 		case OpDelete:
 			if a, b, ok := m.pickEdge(); ok {
-				a, b = m.orientSmall(a, b)
 				m.del(a, b, "random", false)
 			}
 		case OpInsert:
 			if a, b, ok := m.pickNonEdge(); ok {
-				a, b = m.orientSmallComp(a, b)
 				m.ins(a, b, m.r.Range(1, m.maxRaw), "random")
 			}
 		case OpWeightChange:
 			if a, b, ok := m.pickEdge(); ok {
-				a, b = m.orientSmall(a, b)
 				raw := m.r.Range(1, m.maxRaw)
 				m.setRaw(a, b, raw)
 				m.events = append(m.events, Event{Op: OpWeightChange, A: a, B: b, Raw: raw, Stage: "random"})
@@ -667,134 +647,6 @@ func (m *model) pickEdge() (uint32, uint32, bool) {
 	return 0, 0, false
 }
 
-// sideSize counts the nodes reachable from a over modelled forest edges
-// without crossing {a,b}, stopping at limit. Uses the shared walk scratch.
-func (m *model) sideSize(a, b uint32, limit int) int {
-	m.queue = m.queue[:0]
-	m.queue = append(m.queue, a)
-	m.seen[a] = 1
-	for qi := 0; qi < len(m.queue) && len(m.queue) < limit; qi++ {
-		v := m.queue[qi]
-		for _, h := range m.adj[v] {
-			if m.seen[h.to] != 0 || !h.tree {
-				continue
-			}
-			if v == a && h.to == b {
-				continue // do not cross the faulted edge itself
-			}
-			m.seen[h.to] = 1
-			m.queue = append(m.queue, h.to)
-			if len(m.queue) >= limit {
-				break
-			}
-		}
-	}
-	size := len(m.queue)
-	for _, v := range m.queue {
-		m.seen[v] = 0
-	}
-	return size
-}
-
-// orientSideCap bounds the orientation probes: a side this large counts as
-// "big", and probing stops.
-const orientSideCap = 4096
-
-// orientSmall orders a forest edge so the smaller side (up to the probe
-// cap) comes first — the Event.A initiator contract.
-func (m *model) orientSmall(a, b uint32) (uint32, uint32) { return m.orient(a, b, b, a) }
-
-// orientSmallComp orders an insert's endpoints so the one in the smaller
-// modelled forest component (up to the probe cap) comes first: when the
-// insert joins two trees, the repair's path probe then covers the small
-// tree. No edge is excluded (node IDs are 1-based, so 0 matches none).
-func (m *model) orientSmallComp(a, b uint32) (uint32, uint32) { return m.orient(a, b, 0, 0) }
-
-// sideWalk is one of an orientation probe's two breadth-first walks over
-// modelled forest edges.
-type sideWalk struct {
-	q    []uint32
-	head int
-	bit  uint8  // this walk's seen bit
-	skip uint32 // neighbour the start node must not cross to (0 = none)
-}
-
-// done reports whether the walk is exhausted or has reached the cap; its
-// count len(q) is then final, min(|side|, orientSideCap).
-func (w *sideWalk) done() bool { return w.head == len(w.q) || len(w.q) >= orientSideCap }
-
-// expand visits the next queued node's forest neighbours. It reports
-// whether it reached a node the other walk has seen: both walks are then
-// in one component.
-func (m *model) expand(w *sideWalk, other uint8) (met bool) {
-	v := w.q[w.head]
-	w.head++
-	for _, h := range m.adj[v] {
-		if !h.tree || (v == w.q[0] && h.to == w.skip) {
-			continue
-		}
-		s := m.seen[h.to]
-		if s&other != 0 {
-			return true
-		}
-		if s&w.bit != 0 {
-			continue
-		}
-		m.seen[h.to] |= w.bit
-		w.q = append(w.q, h.to)
-		if len(w.q) >= orientSideCap {
-			return false
-		}
-	}
-	return false
-}
-
-// orient returns (b, a) iff min(|side b|, cap) < min(|side a|, cap), where
-// a's side is its modelled forest component without crossing to skipA
-// (likewise b). It walks both sides alternately (Even and Shiloach, "An
-// On-Line Edge-Deletion Problem", JACM 1981) and stops once one side is
-// done and the other has passed its count, so a probe costs O(smaller
-// side) instead of a capped walk of the big one. Walks that meet share a
-// component, whose two sides are equal: the order is kept.
-func (m *model) orient(a, b, skipA, skipB uint32) (uint32, uint32) {
-	wa := sideWalk{q: append(m.queue[:0], a), bit: 1, skip: skipA}
-	wb := sideWalk{q: append(m.queueB[:0], b), bit: 2, skip: skipB}
-	m.seen[a] |= 1
-	m.seen[b] |= 2
-	swap := false
-	for {
-		da, db := wa.done(), wb.done()
-		if da && db {
-			swap = len(wb.q) < len(wa.q)
-			break
-		}
-		if da && len(wb.q) > len(wa.q) {
-			break
-		}
-		if db && len(wa.q) > len(wb.q) {
-			swap = true
-			break
-		}
-		if !da && m.expand(&wa, 2) {
-			break
-		}
-		if !db && m.expand(&wb, 1) {
-			break
-		}
-	}
-	for _, v := range wa.q {
-		m.seen[v] = 0
-	}
-	for _, v := range wb.q {
-		m.seen[v] = 0
-	}
-	m.queue, m.queueB = wa.q[:0], wb.q[:0]
-	if swap {
-		return b, a
-	}
-	return a, b
-}
-
 // pickNonEdge draws a uniformly random absent edge.
 func (m *model) pickNonEdge() (uint32, uint32, bool) {
 	for attempt := 0; attempt < 16*m.n; attempt++ {
@@ -822,11 +674,7 @@ func (m *model) heals(p Plan) {
 		if done >= p.Heals {
 			break
 		}
-		// Re-orient at emission time: earlier heals re-merge regions, so
-		// the original region-side endpoint may sit in a huge component by
-		// now.
-		a, b := m.orientSmallComp(ev.A, ev.B)
-		if m.ins(a, b, ev.Raw, "heal") {
+		if m.ins(ev.A, ev.B, ev.Raw, "heal") {
 			done++
 		}
 	}

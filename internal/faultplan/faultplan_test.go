@@ -3,6 +3,7 @@ package faultplan
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"kkt/internal/graph"
 	"kkt/internal/rng"
@@ -186,4 +187,12 @@ func edgeKey(a, b uint32) uint64 {
 		a, b = b, a
 	}
 	return uint64(a)<<32 | uint64(b)
+}
+
+// TestHalfSize pins the model's adjacency entry at two words: Compile
+// allocates two per edge, once per plan.
+func TestHalfSize(t *testing.T) {
+	if got := unsafe.Sizeof(half{}); got != 16 {
+		t.Errorf("half is %d bytes, want 16", got)
+	}
 }

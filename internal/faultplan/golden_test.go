@@ -12,13 +12,12 @@ import (
 )
 
 // TestCompileGolden pins the compiled event lists of a plan × graph × seed
-// matrix that covers every stage, on graphs small enough to finish a side
-// walk and large enough to hit orientSideCap (the 9000-node gnm, the
-// 5000-node path and the 70×70 grid). The oriented hash is over every
-// event's op, endpoints as emitted, weight and stage, so any change to
-// targeting or orientation shows up there. The unordered hash writes each
-// event's endpoints as (min, max): it pins which events the plan compiles,
-// whatever order their endpoints are listed in.
+// matrix that covers every stage, on graphs from 40 to 9000 nodes (a gnm,
+// a 5000-node path and a 70×70 grid among them). The ordered hash is over
+// every event's op, endpoints as emitted, weight and stage, so any change
+// to targeting or to the endpoint order shows up there. The unordered hash
+// writes each event's endpoints as (min, max): it pins which events the
+// plan compiles, whatever order their endpoints are listed in.
 func TestCompileGolden(t *testing.T) {
 	type topo struct {
 		name   string
@@ -68,7 +67,7 @@ func TestCompileGolden(t *testing.T) {
 		}
 	}
 	const (
-		want          = "fef3764f9fd4f0587b7f769dee808c025ab8d8b8052c42cdaa3e8ddbb88accf1"
+		want          = "9dfa8d36e28cf90b31f0ac96831b82d7d2ad33ee79f62d0ecb77e9fface0ff7e"
 		wantUnordered = "f262f6718acefdc3e3d51e6f2e2af75c37caa3966ae76c80e71c919fe879f316"
 		wantEvents    = 7123
 	)

@@ -217,8 +217,8 @@ func Builtin() *Registry {
 	// edge, so the expensive-looking bridged-off conclusions stay
 	// proportional to the region), after which the targeted and
 	// background faults land on a many-component forest and the waves
-	// genuinely overlap. The launchers re-orient every repair at
-	// admission time toward the smaller live side (admit.SideProber), so
+	// genuinely overlap. The launchers root every repair at admission
+	// time on the smaller side of the live forest (admit.SideProber), so
 	// searches cost the severed region, not the 100k remainder.
 	reg.MustRegister(Spec{
 		Name:        "mst-repair/gnm-100k/storm",
