@@ -12,12 +12,66 @@ import (
 	"kkt/internal/faultplan"
 )
 
-// Claim acquires the wave-start components of nodes a and b, or of a
+// Claim is what an admission scan hands a Launcher for one event: it
+// acquires wave-start components (Acquire) and roots the repair it then
+// launches (Root). The zero Claim, which Apply uses for an update applied
+// alone, acquires everything and roots at the smaller ID.
+type Claim struct {
+	q *Queue // the scanning queue; nil outside a scan
+}
+
+// Acquire acquires the wave-start components of nodes a and b, or of a
 // alone when b is 0. It is a single-pass check-and-acquire: either every
 // component is free (all are acquired, returns true) or none is taken
 // (returns false). A Launcher must call it at most once per Admit and must
 // not mutate topology before a successful claim.
-type Claim func(a, b congest.NodeID) bool
+func (c Claim) Acquire(a, b congest.NodeID) bool {
+	if c.q == nil {
+		return true
+	}
+	l := &c.q.labels
+	la, lb := l.of[a], l.of[b]
+	if c.q.claimed[la] || (b != 0 && c.q.claimed[lb]) {
+		return false
+	}
+	c.q.claimed[la] = true
+	if b != 0 {
+		c.q.claimed[lb] = true
+	}
+	return true
+}
+
+// Root orders the endpoints of a repair launched under a successful
+// Acquire so the first one, the repair's root, is on the smaller side of
+// the live marked forest: the repair's broadcasts and searches cover the
+// root's tree, so a deletion that severs a few nodes from a 100k-node tree
+// costs the few nodes. It returns (b, a) iff |comp b| < |comp a|, and
+// keeps the order on a tie or when a and b share a component. It must run
+// after the event's mutation: the cut or unmarked edge is gone from the
+// forest and a just-inserted edge is not yet marked.
+//
+// A delete-style repair (deleteStyle) has just cut its component, so the
+// labels' alternating walk compares the two halves across the cut in
+// O(smaller half). An insert-style one changed no mark, and its claimed
+// components still have their wave-start marks (see the package's safety
+// argument), so the labels answer without a walk. Either way this is
+// centralized controller work: it sends no messages and costs no rounds.
+func (c Claim) Root(deleteStyle bool, a, b congest.NodeID) (root, peer congest.NodeID) {
+	if c.q == nil {
+		return min(a, b), max(a, b)
+	}
+	l := &c.q.labels
+	if deleteStyle {
+		if bSmaller, _ := l.d.run(l.nw, a, b, nil); bSmaller {
+			return b, a
+		}
+		return a, b
+	}
+	if l.size[l.of[b]] < l.size[l.of[a]] {
+		return b, a
+	}
+	return a, b
+}
 
 // Repair is one wave-mode repair in flight: a continuation-task driver
 // plus the outcome label, valid once the task finished.
@@ -52,8 +106,8 @@ type Decision struct {
 // implementation for both the weighted MSF and the spanning forest. Admit
 // inspects an event against live topology and either resolves it inline,
 // defers it (claim conflict), or — after acquiring the needed components
-// via claim and applying the topology mutation — returns a driver for the
-// wave. Release returns a finished driver to the launcher's pool.
+// via claim.Acquire and applying the topology mutation — returns a driver
+// for the wave. Release returns a finished driver to the launcher's pool.
 type Launcher interface {
 	Admit(ev faultplan.Event, claim Claim) Decision
 	Release(r Repair)
@@ -202,29 +256,8 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 		return 0, nil
 	}
 	cfg := q.cfg
-	obs := nw.Obs()
-
-	// Wave-start labels: components of the currently-marked forest.
-	q.labels.update(nw)
-	for k := range q.claimed {
-		delete(q.claimed, k)
-	}
-	for k := range q.blocked {
-		delete(q.blocked, k)
-	}
+	claim := q.startScan(nw)
 	wave := q.wave[:0]
-
-	claim := func(a, b congest.NodeID) bool {
-		la, lb := q.labels.of[a], q.labels.of[b]
-		if q.claimed[la] || (b != 0 && q.claimed[lb]) {
-			return false
-		}
-		q.claimed[la] = true
-		if b != 0 {
-			q.claimed[lb] = true
-		}
-		return true
-	}
 
 	next := q.pending[:0]
 	truncated := false
@@ -288,6 +321,39 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 		return 0, nil
 	}
 
+	waveNo := uint64(q.stats.Waves)
+	q.stats.Waves++
+	if _, err := runWave(nw, waveNo, wave); err != nil {
+		return len(wave), err
+	}
+	for i := range wave {
+		q.stats.Actions[wave[i].driver.Action().String()]++
+		l.Release(wave[i].driver)
+		wave[i].driver = nil
+	}
+	return len(wave), nil
+}
+
+// startScan begins an admission scan: it brings the wave-start component
+// labels up to date with the marked forest, frees every claim and edge
+// block, and returns the claim the scan hands its launcher.
+func (q *Queue) startScan(nw *congest.Network) Claim {
+	q.labels.update(nw)
+	clear(q.claimed)
+	clear(q.blocked)
+	return Claim{q: q}
+}
+
+// runWave runs admitted repairs as one engine wave: bracketed for the
+// attached observer, spawned as continuation tasks in admission order, run
+// to quiescence, and their staged marks applied. Run returning implies
+// full quiescence: every repair's staged marks (including far-half markx)
+// are in flight no longer. It returns the wave's total cost; each repair's
+// RepairDone carries the even split, since the engine interleaves the
+// wave's repairs. On an engine error nothing is applied and the brackets
+// stay open.
+func runWave(nw *congest.Network, waveNo uint64, wave []launchItem) (Cost, error) {
+	obs := nw.Obs()
 	baseMsgs, baseBits := nw.Totals()
 	baseTime := nw.Now()
 	if obs != nil {
@@ -295,35 +361,22 @@ func (q *Queue) RunWave(nw *congest.Network, l Launcher) (int, error) {
 			obs.RepairStart(wave[i].op, baseTime)
 		}
 	}
-	waveNo := uint64(q.stats.Waves)
-	q.stats.Waves++
 	for i := range wave {
 		nw.SpawnStep("repair", waveNo, uint64(wave[i].idx), wave[i].driver)
 	}
 	if err := nw.Run(); err != nil {
-		return len(wave), err
+		return Cost{}, err
 	}
-	// Run returning implies full quiescence: every repair's staged
-	// marks (including far-half markx) are in flight no longer.
 	nw.ApplyStaged()
-
 	msgs, bits := nw.Totals()
-	dt := nw.Now() - baseTime
-	perMsgs := (msgs - baseMsgs) / uint64(len(wave))
-	perBits := (bits - baseBits) / uint64(len(wave))
-	doneTime := nw.Now()
-	for i := range wave {
-		action := wave[i].driver.Action().String()
-		q.stats.Actions[action]++
-		if obs != nil {
-			// Wave-amortized cost: the engine interleaves the wave's
-			// repairs, so per-repair attribution is the even split.
-			obs.RepairDone(wave[i].op, action, doneTime, dt, perMsgs, perBits)
+	cost := Cost{Messages: msgs - baseMsgs, Bits: bits - baseBits, Time: nw.Now() - baseTime}
+	if obs != nil {
+		n := uint64(len(wave))
+		for i := range wave {
+			obs.RepairDone(wave[i].op, wave[i].driver.Action().String(), nw.Now(), cost.Time, cost.Messages/n, cost.Bits/n)
 		}
-		l.Release(wave[i].driver)
-		wave[i].driver = nil
 	}
-	return len(wave), nil
+	return cost, nil
 }
 
 // Drain runs waves until the pending backlog is empty.

@@ -45,6 +45,15 @@
 // compare labels, so any labelling with the component partition admits
 // the same events as the canonical one.
 //
+// Rooting from the labels: every admission-time mark change (DeleteLink
+// of a marked edge, an unmark) happens under a claim, and drivers run only
+// after the scan, so during a scan an unclaimed component keeps its
+// wave-start marks and its label and size are exact. An insert-style
+// repair changes no mark at admission, and it claims both endpoints'
+// components just before it is rooted, so Claim.Root compares their
+// labels' sizes without a walk. A delete-style repair has just cut its
+// own component, so Root walks the two halves across the cut instead.
+//
 // Inline admissions (delete of an unmarked edge, no-op weight changes) may
 // touch unclaimed components, but they only add or remove NON-tree edges
 // or reweight edges in no-op directions before the Run starts; a

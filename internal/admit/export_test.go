@@ -41,3 +41,15 @@ func (got *labels) check(nw *congest.Network) error {
 func (q *Queue) LabelUpdates() (full, incremental int) {
 	return q.labels.full, q.labels.incremental
 }
+
+// ScanClaim starts an admission scan of nw as RunWave does (labels brought
+// up to date, every claim freed) and returns the claim it hands the
+// launcher.
+func (q *Queue) ScanClaim(nw *congest.Network) Claim { return q.startScan(nw) }
+
+// Claimed returns how many components the current scan has claimed.
+func (q *Queue) Claimed() int { return len(q.claimed) }
+
+// DuelStamp returns the last stamp the labels' alternating walk handed
+// out; each walk takes two.
+func (q *Queue) DuelStamp() uint32 { return q.labels.d.tag }

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"kkt/internal/congest"
@@ -24,6 +25,10 @@ import (
 // a label — which the claims discipline rules out, since a claimed
 // component runs one repair and each repair removes at most one of its
 // edges.
+//
+// Their duel is also the scan's side oracle: Claim.Root runs it across a
+// just-cut edge and reads the labels for every other repair, so this is
+// the package's one alternating walk.
 type labels struct {
 	nw   *congest.Network
 	of   []int32 // node -> label; 0 = unlabelled (only inside relabel)
@@ -81,9 +86,6 @@ func (l *labels) relabel(nw *congest.Network) {
 	l.of = l.of[:n+1]
 	clear(l.of)
 	l.addDeg = l.addDeg[:n+1]
-	if l.d.avoid == nil {
-		l.d.avoid = l.added // false everywhere outside patch's removal walks
-	}
 	l.size = append(l.size[:0], 0)
 	for v := congest.NodeID(1); int(v) <= n; v++ {
 		if l.of[v] == 0 {
@@ -160,7 +162,7 @@ func (l *labels) patch(nw *congest.Network, flips []congest.MarkFlip) bool {
 	}
 	ok := true
 	for _, r := range l.rem {
-		bSmaller, met := l.d.run(nw, r.lo, r.hi)
+		bSmaller, met := l.d.run(nw, r.lo, r.hi, l.added)
 		if met {
 			ok = false
 			break
@@ -211,6 +213,96 @@ func (l *labels) added(v, to congest.NodeID) bool {
 		if a.lo == lo && a.hi == hi {
 			return true
 		}
+	}
+	return false
+}
+
+// duel walks the marked forest breadth-first from two nodes alternately,
+// one node expansion per side per round, and stops as soon as the sizes
+// compare: the trick of Even and Shiloach (An On-Line Edge-Deletion
+// Problem, JACM 1981) that makes a cut's smaller side cost O(its size)
+// however big the other side is. Each walk tags the nodes it reaches with
+// its own stamp, so the stamps need no clearing between runs.
+type duel struct {
+	stamp []uint32
+	tag   uint32 // last stamp handed out
+	a, b  walk
+}
+
+// walk is one side of a duel.
+type walk struct {
+	q    []congest.NodeID
+	head int
+	tag  uint32
+}
+
+// done reports whether the walk is exhausted; its count len(q) is then
+// the side's size.
+func (w *walk) done() bool { return w.head == len(w.q) }
+
+// run walks from a and b, crossing no marked edge {v,to} for which avoid
+// (when non-nil) holds. It reports bSmaller = |side b| < |side a|, and
+// met when the walks reached a common node (a and b share a component;
+// bSmaller is then false). When it returns without meeting, the smaller
+// side's walk (d.b if bSmaller, d.a otherwise) is done: its queue holds
+// the whole side.
+func (d *duel) run(nw *congest.Network, a, b congest.NodeID, avoid func(v, to congest.NodeID) bool) (bSmaller, met bool) {
+	if n := nw.N() + 1; len(d.stamp) < n {
+		d.stamp, d.tag = make([]uint32, n), 0
+	}
+	if d.tag > math.MaxUint32-2 {
+		clear(d.stamp)
+		d.tag = 0
+	}
+	d.a = walk{q: append(d.a.q[:0], a), tag: d.tag + 1}
+	d.b = walk{q: append(d.b.q[:0], b), tag: d.tag + 2}
+	d.tag += 2
+	if a == b {
+		return false, true
+	}
+	d.stamp[a], d.stamp[b] = d.a.tag, d.b.tag
+	for {
+		da, db := d.a.done(), d.b.done()
+		switch {
+		case da && db:
+			return len(d.b.q) < len(d.a.q), false
+		case da && len(d.b.q) > len(d.a.q):
+			return false, false
+		case db && len(d.a.q) > len(d.b.q):
+			return true, false
+		}
+		if !da && d.expand(nw, &d.a, d.b.tag, avoid) {
+			return false, true
+		}
+		if !db && d.expand(nw, &d.b, d.a.tag, avoid) {
+			return false, true
+		}
+	}
+}
+
+// expand visits the marked neighbours of w's next queued node. It reports
+// whether it reached a node tagged other.
+func (d *duel) expand(nw *congest.Network, w *walk, other uint32, avoid func(v, to congest.NodeID) bool) (met bool) {
+	v := w.q[w.head]
+	w.head++
+	ns := nw.Node(v)
+	for i := range ns.Edges {
+		he := &ns.Edges[i]
+		if !he.Marked {
+			continue
+		}
+		to := he.Neighbor
+		if avoid != nil && avoid(v, to) {
+			continue
+		}
+		switch d.stamp[to] {
+		case w.tag:
+			continue
+		case other:
+			return true
+		}
+		d.stamp[to] = w.tag
+		w.q = append(w.q, to)
 	}
 	return false
 }

@@ -106,33 +106,28 @@ type Structure[S tree.Search] struct {
 
 // Repairer is the Launcher of every maintained forest: it classifies each
 // event against live topology, applies its mutation under the granted
-// claim and launches one repair machine for it. Storm repairs root at the
-// endpoint on the smaller side of the live marked forest (see
-// SideProber); a Repairer built by Apply for one update roots at the
-// smaller ID, the paper's initiator.
+// claim and launches one repair machine for it, rooted where the claim
+// says (see Claim.Root).
 type Repairer[S tree.Search] struct {
-	nw    *congest.Network
-	pr    *tree.Protocol
-	s     Structure[S]
-	sides *SideProber // nil: root at the smaller ID
-	free  []*repair[S]
+	nw   *congest.Network
+	pr   *tree.Protocol
+	s    Structure[S]
+	free []*repair[S]
 }
 
 // NewRepairer returns the storm launcher maintaining s on nw/pr.
 func NewRepairer[S tree.Search](nw *congest.Network, pr *tree.Protocol, s Structure[S]) *Repairer[S] {
-	return &Repairer[S]{nw: nw, pr: pr, s: s, sides: NewSideProber()}
+	return &Repairer[S]{nw: nw, pr: pr, s: s}
 }
 
 // Apply applies one update on an idle network: the storm's admission
-// branches with nothing to claim, rooted at the smaller endpoint ID. An
-// event that cannot apply is an error. A repair then runs as the one-repair
-// wave: bracketed for the attached observer, spawned as the network's only
-// continuation task, and its staged marks applied once the engine is
-// quiescent. On a driver or engine error nothing is applied and the
-// bracket stays open.
+// branches under the zero Claim, which has nothing to claim and roots at
+// the smaller endpoint ID. An event that cannot apply is an error. A
+// repair then runs as the one-repair wave; on a driver or engine error
+// nothing is applied and the observer's bracket stays open.
 func Apply[S tree.Search](nw *congest.Network, pr *tree.Protocol, s Structure[S], ev faultplan.Event) (Report, error) {
 	r := &Repairer[S]{nw: nw, pr: pr, s: s}
-	dec := r.Admit(ev, func(congest.NodeID, congest.NodeID) bool { return true })
+	dec := r.Admit(ev, Claim{})
 	if dec.Err != nil {
 		return Report{}, dec.Err
 	}
@@ -140,23 +135,11 @@ func Apply[S tree.Search](nw *congest.Network, pr *tree.Protocol, s Structure[S]
 		Inline(nw, dec.Op, dec.Action)
 		return Report{Action: dec.Action}, nil
 	}
-	baseMsgs, baseBits := nw.Totals()
-	baseTime := nw.Now()
-	obs := nw.Obs()
-	if obs != nil {
-		obs.RepairStart(dec.Op, baseTime)
-	}
-	nw.SpawnStep(dec.Op, 0, 0, dec.Driver)
-	if err := nw.Run(); err != nil {
+	cost, err := runWave(nw, 0, []launchItem{{op: dec.Op, driver: dec.Driver}})
+	if err != nil {
 		return Report{}, err
 	}
-	nw.ApplyStaged()
-	msgs, bits := nw.Totals()
-	rep := Report{Action: dec.Driver.Action(), Cost: Cost{Messages: msgs - baseMsgs, Bits: bits - baseBits, Time: nw.Now() - baseTime}}
-	if obs != nil {
-		obs.RepairDone(dec.Op, rep.Action.String(), nw.Now(), rep.Time, rep.Messages, rep.Bits)
-	}
-	return rep, nil
+	return Report{Action: dec.Driver.Action(), Cost: cost}, nil
 }
 
 // Network returns the network the Repairer maintains.
@@ -169,21 +152,13 @@ func (r *Repairer[S]) Release(rp Repair) {
 
 // Launch returns the decision that runs one repair of {a,b}: a
 // delete-style one searches from the root's tree and marks the
-// replacement, an insert-style one probes from the root. A storm roots the
-// repair on the endpoint whose live marked-forest side is smaller
-// (SideProber), keeping the order a, b on equal sides or a shared
-// component; Apply roots it at the smaller ID. The search draws from
-// Seed^root<<32^peer^salt: the same values however the event lists its
-// endpoints, and apart for updates of one pair with different salts. The
-// event's mutation must already be applied under its claim.
-func (r *Repairer[S]) Launch(op string, deleteStyle bool, a, b congest.NodeID, salt uint64) Decision {
-	root, peer := min(a, b), max(a, b)
-	if r.sides != nil {
-		// For an insert, the new edge is not yet marked, so the probe
-		// still sees two separate trees when the insert is a join:
-		// rooting in the smaller one keeps joins cheap.
-		root, peer = r.sides.Smaller(r.nw, a, b)
-	}
+// replacement, an insert-style one probes from the root. The claim the
+// event was admitted under picks the root (Claim.Root). The search draws
+// from Seed^root<<32^peer^salt: the same values however the event lists
+// its endpoints, and apart for updates of one pair with different salts.
+// The event's mutation must already be applied under its claim.
+func (r *Repairer[S]) Launch(op string, claim Claim, deleteStyle bool, a, b congest.NodeID, salt uint64) Decision {
+	root, peer := claim.Root(deleteStyle, a, b)
 	var rp *repair[S]
 	if n := len(r.free); n > 0 {
 		rp = r.free[n-1]
@@ -216,18 +191,18 @@ func (r *Repairer[S]) Admit(ev faultplan.Event, claim Claim) Decision {
 			r.nw.DeleteLink(a, b)
 			return Decision{Inline: true, Action: NoOp, Op: op}
 		}
-		if !claim(a, 0) {
+		if !claim.Acquire(a, 0) {
 			return Decision{Deferred: true}
 		}
 		r.nw.DeleteLink(a, b)
-		return r.Launch(op, true, a, b, 0)
+		return r.Launch(op, claim, true, a, b, 0)
 
 	case faultplan.OpInsert:
 		op := r.s.InsertOp
 		if a == b || min(a, b) == 0 || int(max(a, b)) > r.nw.N() || r.nw.Node(a).EdgeTo(b) != nil {
 			return Skip(op, fmt.Errorf("%s: {%d,%d} is not a new link between two nodes", op, a, b))
 		}
-		if !claim(a, b) {
+		if !claim.Acquire(a, b) {
 			return Decision{Deferred: true}
 		}
 		raw := ev.Raw
@@ -237,7 +212,7 @@ func (r *Repairer[S]) Admit(ev faultplan.Event, claim Claim) Decision {
 		if err := r.nw.InsertLink(a, b, raw); err != nil {
 			return Skip(op, err)
 		}
-		return r.Launch(op, false, a, b, 0)
+		return r.Launch(op, claim, false, a, b, 0)
 
 	case faultplan.OpWeightChange:
 		if r.s.Reweight != nil {

@@ -214,12 +214,9 @@ func TestLauncherInlineBranches(t *testing.T) {
 	}
 }
 
-// TestAdmitDeleteAllocs pins a warm tree-edge delete admission at zero
-// allocations: the claim of its one node, the link's removal and the
-// launch of a pooled repair. Each run puts the link and its mark back and
-// releases the repair, so the next run admits the same delete warm.
-func TestAdmitDeleteAllocs(t *testing.T) {
-	race.SkipAllocTest(t)
+// stormNet returns a 64-node network whose marked forest is g's MSF, with
+// the storm launcher maintaining it.
+func stormNet() (*congest.Network, [][2]congest.NodeID, admit.Launcher) {
 	r := rng.New(7)
 	g := graph.GNM(r, 64, 160, 1000, graph.UniformWeights(r.Split(), 1000))
 	nw := congest.NewNetwork(g)
@@ -229,28 +226,91 @@ func TestAdmitDeleteAllocs(t *testing.T) {
 		forest = append(forest, [2]congest.NodeID{congest.NodeID(e.A), congest.NodeID(e.B)})
 	}
 	nw.SetForest(forest)
-	l := mst.NewStormLauncher(nw, tree.Attach(nw), mst.DefaultRepair(7))
+	return nw, forest, mst.NewStormLauncher(nw, tree.Attach(nw), mst.DefaultRepair(7))
+}
+
+// TestAdmitDeleteAllocs pins a warm tree-edge delete admission at zero
+// allocations: the scan's claim of its one component, the link's removal,
+// the rooting walk and the launch of a pooled repair. Each run puts the
+// link and its mark back and releases the repair, so the next scan admits
+// the same delete warm.
+func TestAdmitDeleteAllocs(t *testing.T) {
+	race.SkipAllocTest(t)
+	nw, forest, l := stormNet()
 	a, b := forest[0][0], forest[0][1]
 	raw := nw.Node(a).Raw(nw.Node(a).EdgeTo(b))
 	ev := faultplan.Event{Op: faultplan.OpDelete, A: uint32(a), B: uint32(b)}
+	q := admit.NewQueue(admit.Config{})
 	claimed := 0
-	claim := func(congest.NodeID, congest.NodeID) bool { claimed++; return true }
 	admitOnce := func() {
-		dec := l.Admit(ev, claim)
+		dec := l.Admit(ev, q.ScanClaim(nw))
 		if dec.Driver == nil {
 			t.Fatalf("delete of tree edge {%d,%d}: %+v, want a launched repair", a, b, dec)
 		}
+		claimed += q.Claimed()
 		if err := nw.InsertLink(a, b, raw); err != nil {
 			t.Fatal(err)
 		}
 		nw.SetMark(a, b, true)
 		l.Release(dec.Driver)
 	}
-	admitOnce() // warm: the pooled repair and its search
+	admitOnce() // warm: the labels, the pooled repair and its search
 	if avg := testing.AllocsPerRun(20, admitOnce); avg != 0 {
 		t.Errorf("warm delete admission: %.1f allocs, want 0", avg)
 	}
 	if claimed != 22 {
-		t.Errorf("claimed %d times, want once per admission (22)", claimed)
+		t.Errorf("claimed %d components, want one per admission (22)", claimed)
+	}
+}
+
+// TestRootWalks counts the rooting walks of admissions through the labels'
+// walk stamp: an insert-style repair (insert, weight decrease) is rooted
+// from the wave-start labels without a walk, and a delete-style one (tree
+// edge delete, weight increase) by exactly one walk across its cut.
+func TestRootWalks(t *testing.T) {
+	nw, forest, l := stormNet()
+	var nonTree [2]congest.NodeID
+	var nonTreeRaw uint64
+	for v := congest.NodeID(1); nonTreeRaw == 0; v++ {
+		for _, he := range nw.Node(v).Edges {
+			if raw := nw.Node(v).Raw(&he); !he.Marked && he.Neighbor > v && raw > 1 {
+				nonTree, nonTreeRaw = [2]congest.NodeID{v, he.Neighbor}, raw
+				break
+			}
+		}
+	}
+	var absent [2]congest.NodeID
+	for a := congest.NodeID(1); absent[0] == 0; a++ {
+		for b := a + 1; int(b) <= nw.N(); b++ {
+			if nw.Node(a).EdgeTo(b) == nil {
+				absent = [2]congest.NodeID{a, b}
+				break
+			}
+		}
+	}
+	t1, t2 := forest[0], forest[len(forest)/2]
+	raw2 := nw.Node(t2[0]).Raw(nw.Node(t2[0]).EdgeTo(t2[1]))
+	cases := []struct {
+		name  string
+		ev    faultplan.Event
+		walks uint32
+	}{
+		{"insert", faultplan.Event{Op: faultplan.OpInsert, A: uint32(absent[0]), B: uint32(absent[1]), Raw: 3}, 0},
+		{"weight decrease", faultplan.Event{Op: faultplan.OpWeightChange, A: uint32(nonTree[0]), B: uint32(nonTree[1]), Raw: nonTreeRaw - 1}, 0},
+		{"tree edge delete", faultplan.Event{Op: faultplan.OpDelete, A: uint32(t1[0]), B: uint32(t1[1])}, 1},
+		{"weight increase", faultplan.Event{Op: faultplan.OpWeightChange, A: uint32(t2[0]), B: uint32(t2[1]), Raw: raw2 + 1}, 1},
+	}
+	for _, tc := range cases {
+		q := admit.NewQueue(admit.Config{})
+		claim := q.ScanClaim(nw)
+		before := q.DuelStamp()
+		dec := l.Admit(tc.ev, claim)
+		if dec.Driver == nil {
+			t.Fatalf("%s: %+v, want a launched repair", tc.name, dec)
+		}
+		if walks := (q.DuelStamp() - before) / 2; walks != tc.walks {
+			t.Errorf("%s: rooted with %d walks, want %d", tc.name, walks, tc.walks)
+		}
+		l.Release(dec.Driver)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"kkt/internal/rng"
 )
 
-// refCompSize is the sequential reference for the prober: the size of
+// refCompSize is the sequential reference for Claim.Root: the size of
 // start's marked-forest component.
 func refCompSize(nw *congest.Network, start congest.NodeID) int {
 	seen := make([]bool, nw.N()+1)
@@ -55,39 +55,53 @@ func forestNet(seed uint64) (*congest.Network, [][2]congest.NodeID) {
 	return nw, forest
 }
 
-// TestSmallerMatchesReference checks the alternating walk against two
-// full component walks: across a deleted forest edge (the delete case),
-// and for random pairs, half of them in one component (the
-// insert-that-swaps case, where the walks meet).
+// TestSmallerMatchesReference checks Claim.Root against two full
+// component walks, with the scan's labels brought up to date first:
+// delete-style across a cut forest edge (the alternating walk), and
+// insert-style from the labels for pairs in one tree (where the order is
+// kept) and across trees, after a patch of the labels for cuts that stay.
 func TestSmallerMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		nw, forest := forestNet(seed)
 		r := rng.New(seed * 17)
-		p := NewSideProber()
-		check := func(what string, a, b congest.NodeID) {
+		q := NewQueue(Config{})
+		claim := q.startScan(nw)
+		check := func(what string, deleteStyle bool, a, b congest.NodeID) {
 			t.Helper()
-			ga, gb := p.Smaller(nw, a, b)
+			ga, gb := claim.Root(deleteStyle, a, b)
 			wa, wb := a, b
 			if refCompSize(nw, b) < refCompSize(nw, a) {
 				wa, wb = b, a
 			}
 			if ga != wa || gb != wb {
-				t.Fatalf("seed %d %s {%d,%d}: Smaller = (%d,%d), reference (%d,%d)", seed, what, a, b, ga, gb, wa, wb)
+				t.Fatalf("seed %d %s {%d,%d} deleteStyle=%v: Root = (%d,%d), reference (%d,%d)", seed, what, a, b, deleteStyle, ga, gb, wa, wb)
 			}
 		}
-		// Two large components: the 5000-node one (node 6001's) comes
-		// first either way.
-		check("large pair", 1, 6001)
-		check("large pair", 6001, 1)
-		// A tie: two isolated nodes keep their order.
-		check("isolated pair", 11599, 11600)
-		check("isolated pair", 11600, 11599)
+		for _, deleteStyle := range []bool{false, true} {
+			// Two large components: the 5000-node one (node 6001's)
+			// comes first either way.
+			check("large pair", deleteStyle, 1, 6001)
+			check("large pair", deleteStyle, 6001, 1)
+			// A tie: two isolated nodes keep their order.
+			check("isolated pair", deleteStyle, 11599, 11600)
+			check("isolated pair", deleteStyle, 11600, 11599)
+		}
 		for i := 0; i < 150; i++ {
 			e := forest[r.Intn(len(forest))]
 			nw.SetMark(e[0], e[1], false)
-			check("cut", e[0], e[1])
-			check("cut", e[1], e[0])
+			check("cut", true, e[0], e[1])
+			check("cut", true, e[1], e[0])
 			nw.SetMark(e[0], e[1], true)
+		}
+
+		// Cuts that stay, patched into the labels by the next scan.
+		for i := 0; i < 20; i++ {
+			e := forest[r.Intn(len(forest))]
+			nw.SetMark(e[0], e[1], false)
+			claim = q.startScan(nw)
+		}
+		if full, inc := q.labels.full, q.labels.incremental; full != 1 || inc == 0 {
+			t.Fatalf("seed %d: %d full and %d incremental label updates, want 1 full and some patches", seed, full, inc)
 		}
 		same := 0
 		for i := 0; i < 300; i++ {
@@ -105,10 +119,10 @@ func TestSmallerMatchesReference(t *testing.T) {
 				}
 				same++
 			}
-			check("pair", a, b)
+			check("pair", false, a, b)
 		}
 		if same < 100 {
-			t.Fatalf("seed %d: only %d same-component pairs probed", seed, same)
+			t.Fatalf("seed %d: only %d same-component pairs rooted", seed, same)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func (o Op) String() string {
 //
 // A and B are listed in the order the emitting stage picked them; the
 // order carries no meaning. The repair launcher roots each repair on the
-// endpoint whose side of the live forest is smaller (admit.SideProber),
+// endpoint whose side of the live forest is smaller (admit.Claim.Root),
 // so the compiler, whose forest model drifts from the live one, does not
 // guess it.
 type Event struct {

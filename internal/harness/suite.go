@@ -218,7 +218,7 @@ func Builtin() *Registry {
 	// proportional to the region), after which the targeted and
 	// background faults land on a many-component forest and the waves
 	// genuinely overlap. The launchers root every repair at admission
-	// time on the smaller side of the live forest (admit.SideProber), so
+	// time on the smaller side of the live forest (admit.Claim.Root), so
 	// searches cost the severed region, not the 100k remainder.
 	reg.MustRegister(Spec{
 		Name:        "mst-repair/gnm-100k/storm",

@@ -132,7 +132,7 @@ func reweight(r *admit.Repairer[*findmin.Machine], ev faultplan.Event, claim adm
 	}
 	increase := wasMarked && ev.Raw > oldRaw
 	decrease := !wasMarked && ev.Raw < oldRaw
-	if (increase && !claim(a, 0)) || (decrease && !claim(a, b)) {
+	if (increase && !claim.Acquire(a, 0)) || (decrease && !claim.Acquire(a, b)) {
 		return admit.Decision{Deferred: true}
 	}
 	if err := nw.SetRawWeight(a, b, ev.Raw); err != nil {
@@ -141,9 +141,9 @@ func reweight(r *admit.Repairer[*findmin.Machine], ev faultplan.Event, claim adm
 	switch {
 	case increase:
 		nw.SetMark(a, b, false)
-		return r.Launch(op, true, a, b, 0x5851f42d4c957f2d)
+		return r.Launch(op, claim, true, a, b, 0x5851f42d4c957f2d)
 	case decrease:
-		return r.Launch(op, false, a, b, 0)
+		return r.Launch(op, claim, false, a, b, 0)
 	}
 	return noOp
 }

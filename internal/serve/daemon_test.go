@@ -40,9 +40,27 @@ func TestResumeDigestEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	initial := map[[2]uint32]bool{}
+	for _, e := range ref.State().Edges {
+		initial[[2]uint32{e.A, e.B}] = true
+	}
 	refSum, err := ref.Run(context.Background())
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
+	}
+	// The churned state, captured without a sort, must still be canonical;
+	// inserted links make that a real check of the capture's order.
+	inserted := 0
+	for _, e := range ref.State().Edges {
+		if !initial[[2]uint32{e.A, e.B}] {
+			inserted++
+		}
+	}
+	if inserted == 0 {
+		t.Fatal("churned state holds no inserted link")
+	}
+	if err := ref.State().validate(); err != nil {
+		t.Fatalf("churned state: %v", err)
 	}
 
 	// Interrupted: stop at the half-way epoch boundary, then resume from

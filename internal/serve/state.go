@@ -45,7 +45,9 @@ type State struct {
 }
 
 // CaptureState serializes the network's live topology and marked forest
-// in canonical (sorted-edge) order.
+// in canonical (sorted-edge) order. The walk emits that order as it goes:
+// nodes ascend, and each node's Edges window is sorted by neighbour ID (a
+// congest invariant that InsertLink and Relayout keep).
 func CaptureState(nw *congest.Network) State {
 	st := State{N: nw.N(), MaxRaw: nw.MaxRaw()}
 	for v := 1; v <= st.N; v++ {
@@ -59,12 +61,6 @@ func CaptureState(nw *congest.Network) State {
 			}
 		}
 	}
-	sort.Slice(st.Edges, func(i, j int) bool {
-		if st.Edges[i].A != st.Edges[j].A {
-			return st.Edges[i].A < st.Edges[j].A
-		}
-		return st.Edges[i].B < st.Edges[j].B
-	})
 	return st
 }
 
